@@ -5,6 +5,7 @@ import os
 import shutil
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -302,6 +303,48 @@ def test_resume_rebuilds_missing_tier_only(ray_session, corpus, tmp_path):
     )
 
 
+def _forget_partition(man, tier, part):
+    """Drop one partition's manifest records, as a crash before its commit
+    would have left them."""
+    recs = [r for r in man.records() if not (r["tier"] == tier and r["partition"] == part)]
+    os.remove(man.path)
+    for r in recs:
+        man.append(dict(r))
+
+
+def _assert_same_partition(man_a, man_b, tier, part):
+    """Bit-equal rows (NaN equal to NaN) of one partition in two stores."""
+    key = "ts" if tier == "raw" else "bucket"
+    a, b = (pq.read_table(m.partition_dir(tier, part)).sort_by(key) for m in (man_a, man_b))
+    assert a.schema == b.schema and a.num_rows == b.num_rows, (tier, part)
+    for c in a.column_names:
+        if pa.types.is_floating(a[c].type):
+            assert np.array_equal(a[c].to_numpy(), b[c].to_numpy(), equal_nan=True), (tier, part, c)
+        else:
+            assert a[c].equals(b[c]), (tier, part, c)
+
+
+def test_resume_recomputes_missing_raw_partition_only(ray_session, corpus, tmp_path):
+    """One raw partition lost while its 1m/1h/1d partitions stay committed:
+    the resume run recomputes that raw partition alone; the rows it feeds
+    forward are skipped ahead of every tier, which keeps its commit times."""
+    out = str(tmp_path / "rawstore")
+    run_pipeline(corpus, PipelineConfig(out_root=out, run_id="r1"))
+    man = Manifest(out)
+    victim = sorted(man.completed("raw"))[0]
+    before = {t: man.last_modified(t) for t in ("t1m", "t1h", "t1d", "t1m_enc")}
+    shutil.copytree(out, str(tmp_path / "before"))
+    shutil.rmtree(man.partition_dir("raw", victim))
+    _forget_partition(man, "raw", victim)
+
+    stats = run_pipeline(corpus, PipelineConfig(out_root=out, run_id="r2"))
+    assert stats["raw"]["new_partitions"] == 1
+    for tier in ("1m", "1h", "1d", "1m_enc"):
+        assert stats[tier]["new_partitions"] == 0, tier
+    assert {t: man.last_modified(t) for t in before} == before
+    _assert_same_partition(man, Manifest(str(tmp_path / "before")), "raw", victim)
+
+
 def test_pipeline_with_file_uri_root(ray_session, corpus, tmp_path):
     """The whole store (tiers + manifest + sidecars) behind a ``file://`` URI
     root — exercises the pyarrow.fs write path (VERDICT r1 item 3: parity
@@ -421,6 +464,15 @@ def test_reprocess_range_late_data(ray_session, tmp_path):
         assert os.path.getmtime(os.path.join(other_dir, f)) == mt
     # recomputed = the invalidated day's partitions + the brand-new w9 one
     assert stats["raw"]["new_partitions"] == stats["invalidated"]["raw"] + 1
+    # the reprocessed day's tiers equal a fresh run over the same corpus
+    fresh = Manifest(str(tmp_path / "fresh"))
+    run_pipeline(corpus, PipelineConfig(out_root=fresh.root, resume=False, run_id="f"))
+    for tier in ("t1m", "t1h", "t1d"):
+        parts = sorted(p for p in man.completed(tier) if p.endswith(f"day={day}"))
+        assert late_part in parts
+        assert parts == sorted(p for p in fresh.completed(tier) if p.endswith(f"day={day}"))
+        for part in parts:
+            _assert_same_partition(man, fresh, tier, part)
 
 
 def test_fresh_run_clears_existing_store(ray_session, corpus, tmp_path):
@@ -509,7 +561,21 @@ def test_run_report_persisted(ray_session, tmp_path):
     rep = json.load(open(path))
     assert {"raw", "1m", "1h", "1d"} <= set(rep)
     assert rep["raw"]["new_partitions"] > 0
-    assert "wall_s" in rep["raw"]
+    # every tier of the one graph reports the graph wall
+    walls = {rep[t]["wall_s"] for t in ("raw", "1m", "1h", "1d")}
+    assert len(walls) == 1 and walls.pop() > 0
+    man = Manifest(store)
+    for tier in ("raw", "1m", "1h", "1d"):
+        name = "raw" if tier == "raw" else f"t{tier}"
+        recs = [r for r in man.records() if r["tier"] == name]
+        assert rep[tier]["rows"] == sum(r["rows"] for r in recs) > 0
+    # lineage: each tier's inputs are its source tier dir
+    src = {"t1m": "raw", "t1h": "t1m", "t1d": "t1h", "t1m_enc": "t1m"}
+    for r in man.records():
+        if r["tier"] == "raw":
+            assert r["inputs"] == [corpus]
+        elif r["tier"] in src:
+            assert r["inputs"] == [man.tier_dir(src[r["tier"]])], r
 
 
 def test_compact_tier_crash_recovery_no_duplication(ray_session, tmp_path):
@@ -632,3 +698,30 @@ def test_purge_keys_right_to_be_forgotten(ray_session, corpus, tmp_path):
                                         run_id="p3"))
     raw3 = rd.read_parquet(Manifest(out).tier_dir("raw")).to_pandas()
     assert not set(victims) & set(raw3["doc_id"])
+
+
+def test_encode_store_drops_stale_parts_of_aborted_run(ray_session, corpus, tmp_path):
+    """An aborted run left an uncommitted enc partition holding a stale part
+    file: the next encode wipes it, re-encodes only that partition, and
+    counts none of the stale bytes."""
+    from tsdat_ray.pipelines.rollup_pipeline import encode_tier_store
+
+    empty = PipelineConfig(out_root=str(tmp_path / "empty"))
+    assert encode_tier_store("1m", empty)["bytes_enc"] == 0  # no tier yet
+
+    out = str(tmp_path / "encstore")
+    cfg = PipelineConfig(out_root=out, run_id="e1")
+    first = run_pipeline(corpus, cfg)["1m_enc"]
+    man = Manifest(out)
+    victim, other = sorted(man.completed("t1m_enc"))[:2]
+    vdir = man.partition_dir("t1m_enc", victim)
+    files = sorted(os.listdir(vdir))
+    odir = man.partition_dir("t1m_enc", other)
+    shutil.copy(os.path.join(odir, sorted(os.listdir(odir))[0]),
+                os.path.join(vdir, "part-1.parquet"))
+    _forget_partition(man, "t1m_enc", victim)
+
+    again = encode_tier_store("1m", PipelineConfig(out_root=out, run_id="e2"))
+    assert again["new_partitions"] == 1
+    assert sorted(os.listdir(vdir)) == files
+    assert (again["bytes_raw"], again["bytes_enc"]) == (first["bytes_raw"], first["bytes_enc"])

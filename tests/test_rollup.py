@@ -120,7 +120,7 @@ def test_rollup_fast_matches_grouped(ray_session, seq_table):
     )
     cleaned = (
         std.groupby("_pkey")
-        .map_groups(lambda g: clean_group(g, None), batch_format="pyarrow")
+        .map_groups(lambda g: clean_group(g), batch_format="pyarrow")
         .drop_columns(["day"])
         .materialize()
     )

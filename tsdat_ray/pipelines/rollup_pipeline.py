@@ -9,20 +9,24 @@ the full token payload crosses the cluster exactly ONCE:
 
     read_parquet(inputs)                                   # pruned columns
       → map_batches(standardize)                           # stateless
-      → [skip completed (source, day) partitions]          # resume filter
-      → groupby(_pkey).map_groups(clean)                   # THE shuffle:
+      → [skip done(raw) partitions]                        # resume filter
+      → groupby(_pkey).map_groups(clean + write raw/)      # THE shuffle:
         _pkey = crc32(source)<<32 | day — one int64 key    #   sort+dedup+QC
-      → write_partitioned(raw/) hive layout              # atomic + manifest
-      → rollup_fast(1m) → write t1m/                       # combiner push-
-      → rollup_fast(1h) → write t1h/                       #   down: shuffles
-      → rollup_fast(1d) → write t1d/                       #   partials only
+      → for t in 1m, 1h, 1d (src = the tier before t):
+          [in-memory rows of src, minus done(t)]           # partition
+          ∪ [disk read of done(src) minus done(t)]         #   elimination
+          → partial → barrier → groupby(key, window)       # combiner push-
+            .map_groups(combine + write t<t>/)             #   down
     retention: prune day partitions older than the per-tier horizon
 
-Fresh runs chain tiers in memory (each tier materialized once, written once,
-and fed to the next tier without re-reading Parquet).  Resumed runs take the
-per-tier disk path: each tier job skips (source, day) partitions already
-committed to the manifest and wipes partial uncommitted partition dirs before
-writing, so a killed run resumes idempotently mid-rollup (north rule).
+Fresh, resumed and reprocess runs all build this one graph (``_cascade``).
+Before it starts, every tier's committed set done(t) is read from the
+manifest and its uncommitted partition dirs are wiped; committed partitions
+are then eliminated ahead of each tier instead of being recomputed, and a
+tier re-reads from disk only the source partitions it is missing (e.g. t1m
+when a crash lost t1h).  Every tier commits after the graph completes, so a
+killed run leaves only uncommitted dirs and resumes idempotently.  With an
+empty manifest there is no skip filter and no disk read: the fresh graph.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import pyarrow.compute as pc
 
 from ..schema import DEFAULT_RETENTION_S, TIERS
 from ..stages.qc import QCConfig, QCStage
-from ..stages.rollup import RollupConfig, rollup_fast
+from ..stages.rollup import RollupConfig, _add_window, _key_change, dedup_order, rollup_batch
 from ..stages.standardize import StandardizeConfig, standardize_batch
 from ..stages.writers import write_batch_partitioned, write_partitioned
 from ..state.manifest import Manifest
@@ -72,22 +76,23 @@ def _add_pkey(batch: pa.Table, ts_col: str) -> pa.Table:
     return batch.append_column("_pkey", pa.array(pkey))
 
 
-def _skip_completed(batch: pa.Table, ts_col: str, done: frozenset, key: str) -> pa.Table:
-    if not done:
-        return batch
+def _skip_completed(batch: pa.Table, ts_col: str, done: frozenset) -> pa.Table:
+    """Partition elimination: drop rows whose (source, day) partition is in
+    ``done``.  Exact for every tier, because a row's day is the day of its
+    1m, 1h and 1d buckets alike."""
     ts_us = batch[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     day = _day_str_from_us(ts_us).to_numpy(zero_copy_only=False)
-    src = batch[key].to_numpy(zero_copy_only=False)
+    src = batch["source"].to_numpy(zero_copy_only=False)
     parts = np.char.add(np.char.add(np.char.add("source=", src.astype(str)), "/day="), day.astype(str))
     keep = ~np.isin(parts, list(done))
     return batch.filter(pa.array(keep))
 
 
-def clean_group(g: pa.Table, qc_stage: Optional[QCStage]) -> pa.Table:
-    """Per (source, day) group: sort by (ts, doc_id), drop duplicate (source,
-    ts) rows keeping the smallest doc_id, then run the order-dependent QC
-    managers on the sorted slice.  Segments by source so a _pkey hash
-    collision can never merge rows across sources."""
+def clean_group(g: pa.Table) -> pa.Table:
+    """Per (source, day) group: sort by (ts, doc_id) and drop duplicate
+    (source, ts) rows keeping the smallest doc_id, so the caller can run the
+    order-dependent QC managers on the sorted slice.  Segments by source so a
+    _pkey hash collision can never merge rows across sources."""
     if "_pkey" in g.column_names:
         g = g.drop_columns(["_pkey"])
     ts_us = g["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -95,36 +100,13 @@ def clean_group(g: pa.Table, qc_stage: Optional[QCStage]) -> pa.Table:
     codes = g["source"].combine_chunks().dictionary_encode().indices.to_numpy(
         zero_copy_only=False
     ).astype(np.int64)
-    if "_tb" in g.column_names:
-        # content tie-break chain for duplicate doc_ids (see
-        # rollup._rollup_raw_sorted for the full rationale): _tb, then
-        # (bad, filled n_tok), then the engine-only payload hash _tb2
-        tb = g["_tb"].combine_chunks().to_numpy(zero_copy_only=False)
-        keys = [tb, doc_id, ts_us, codes]
-        if "qc_n_tok" in g.column_names and "n_tok" in g.column_names:
-            qc = g["qc_n_tok"].combine_chunks().to_numpy(zero_copy_only=False)
-            bad = ((qc & 3) != 0).astype(np.int8)
-            ntf = np.nan_to_num(
-                g["n_tok"].combine_chunks().cast(pa.float64())
-                .to_numpy(zero_copy_only=False), nan=0.0).astype(np.int64)
-            keys = [ntf, bad] + keys
-        if "_tb2" in g.column_names:
-            keys = [g["_tb2"].combine_chunks().to_numpy(zero_copy_only=False)] + keys
-        order = np.lexsort(tuple(keys))
-    else:
-        order = np.lexsort((doc_id, ts_us, codes))
+    order = dedup_order(g, doc_id, ts_us, codes)
     ts_s, code_s = ts_us[order], codes[order]
-    keep = (
-        np.r_[True, (ts_s[1:] != ts_s[:-1]) | (code_s[1:] != code_s[:-1])]
-        if len(ts_s)
-        else np.zeros(0, bool)
-    )
+    keep = _key_change(ts_s, code_s)
     t = g.take(pa.array(order[keep], type=pa.int64()))
     drop = [c for c in ("_tb", "_tb2") if c in t.column_names]
     if drop:
         t = t.drop_columns(drop)
-    if qc_stage is not None:
-        t = qc_stage(t)
     return t
 
 
@@ -146,12 +128,6 @@ class PipelineConfig:
     # 26s → 12s at sf0.1 going from 200 to 64 blocks on 32 CPUs).  At real
     # scale leave None — blocks are then bounded by target_max_block_size.
     parallelism: Optional[int] = None
-    # Materialize between tiers in the fused fresh-run graph.  One fully-fused
-    # streaming graph interleaves all four shuffles; at low parallelism the
-    # concurrent stages thrash (measured 2x slower at 8 CPUs), while barriers
-    # cost nothing measurable at 32.  Writes stay fused into the shuffle
-    # reduce tasks either way.
-    tier_barriers: bool = True
     # Tiers additionally stored as delta-of-delta timestamp + Gorilla-XOR
     # value blobs (one blob row per (source, window)) under t<tier>_enc/.
     encode_tiers: tuple[str, ...] = ("1m",)
@@ -214,9 +190,7 @@ def _clean_write_group(g: pa.Table, qc_stage, raw_root: str,
     from ..stages.qc import DataQualityError, QCReport
     from ..state.uri import StorageFS
 
-    if "_pkey" in g.column_names:
-        g = g.drop_columns(["_pkey"])
-    t = clean_group(g, None)
+    t = clean_group(g)
     report = QCReport()
     if qc_stage is not None:
         try:
@@ -242,11 +216,10 @@ def _clean_write_group(g: pa.Table, qc_stage, raw_root: str,
     return t.drop_columns(["day"])
 
 
-def _clean_dataset(input_paths, cfg: PipelineConfig, done: frozenset,
-                   write_root: str | None = None):
-    """read → standardize → resume-skip → ONE groupby(_pkey) clean shuffle.
-    With ``write_root`` the raw partition write (+ QC sidecars/quarantine) is
-    fused into the shuffle's reduce tasks."""
+def _clean_dataset(input_paths, cfg: PipelineConfig, done: frozenset, write_root: str):
+    """read → standardize → resume-skip → ONE groupby(_pkey) clean shuffle,
+    with the raw partition write (+ QC sidecars/quarantine) fused into the
+    shuffle's reduce tasks."""
     import ray.data as rd
 
     qc_stage = QCStage(cfg.qc) if cfg.qc else None
@@ -273,13 +246,9 @@ def _clean_dataset(input_paths, cfg: PipelineConfig, done: frozenset,
     if cfg.hooks.get("customize") is not None:
         ds = ds.map_batches(cfg.hooks["customize"], batch_format="pyarrow")
     if done:
-        ds = ds.map_batches(lambda b: _skip_completed(b, "ts", done, "source"), batch_format="pyarrow")
+        ds = ds.map_batches(lambda b: _skip_completed(b, "ts", done), batch_format="pyarrow")
     ds = ds.map_batches(lambda b: _add_day(b, "ts"), batch_format="pyarrow")
     ds = ds.map_batches(lambda b: _add_pkey(b, "ts"), batch_format="pyarrow")
-    if write_root is None:
-        return ds.groupby("_pkey").map_groups(
-            lambda g: clean_group(g, qc_stage), batch_format="pyarrow"
-        )
     qroot = os.path.join(cfg.out_root, "quarantine") if cfg.qc_quarantine else None
     meta = _qc_file_metadata(qc_stage, cfg.run_id)
     fin = cfg.hooks.get("finalize")
@@ -289,82 +258,159 @@ def _clean_dataset(input_paths, cfg: PipelineConfig, done: frozenset,
     )
 
 
+def _tname(tier: str) -> str:
+    """Store dir / manifest name of a tier: "raw", "t1m", "t1h", ..."""
+    return tier if tier == "raw" else f"t{tier}"
+
+
+def _done(man: Manifest, tname: str, cfg: PipelineConfig) -> frozenset:
+    """A tier's committed partitions, after wiping its uncommitted partition
+    dirs (partial output of a killed run).  Without resume nothing counts as
+    done and nothing is wiped."""
+    if not cfg.resume:
+        return frozenset()
+    man.wipe_uncommitted(tname)
+    return frozenset(man.completed(tname))
+
+
+def _read_partitions(man: Manifest, tname: str, parts, cfg: PipelineConfig, **kw):
+    """Read only the given (source, day) partitions of a tier; ``source`` and
+    ``day`` come back as hive columns.
+
+    At most one block per file: asked for more blocks than files, Ray splits
+    each file's block, and a bucket whose rows straddle two partial blocks
+    sums its floats in another grouping than the fresh graph does."""
+    import ray.data as rd
+
+    fs = man.sfs
+    files = [fs.join(tname, p, fn) for p in parts
+             for fn in fs.listdir(fs.join(tname, p)) if fn.endswith(".parquet")]
+    return rd.read_parquet(files, filesystem=fs.fs,
+                           override_num_blocks=min(len(files), _num_blocks(cfg)), **kw)
+
+
+def _cascade(input_paths, cfg: PipelineConfig, tiers: tuple[str, ...]) -> dict:
+    """Build and run ONE streaming Ray Data graph over ``tiers`` (a
+    contiguous run of ``("raw",) + cfg.tiers``), then commit every tier in
+    order.  Returns per-tier stats.
+
+    Each tier step reads the in-memory output of the step before it, minus
+    the partitions already committed to this tier, plus a disk read of only
+    the source tier's committed partitions this tier lacks.  Every tier's
+    write happens inside the task that finalizes it (``write_batch_partitioned``
+    fused into the shuffle's map_groups), so the heavy data never takes an
+    extra trip through the object store.  A crash mid-graph leaves only
+    uncommitted partition dirs, which the next resume wipes."""
+    man = Manifest(cfg.out_root)
+    order = ("raw",) + cfg.tiers
+    done = {t: _done(man, _tname(t), cfg) for t in tiers}
+    t0 = time.time()
+    prev = None
+    if tiers[0] == "raw":
+        prev = _clean_dataset(input_paths, cfg, done["raw"], man.tier_dir("raw"))
+    for src, tier in zip(order, order[1:]):
+        if tier not in tiers:
+            continue
+        rcfg = _tier_rcfg(tier, cfg)
+        tier_root = man.tier_dir(_tname(tier))
+        from_tier = src != "raw"
+        ts_col = "bucket" if from_tier else "ts"
+
+        def partial(b: pa.Table, rcfg=rcfg, from_tier=from_tier) -> pa.Table:
+            return rollup_batch(b, rcfg, from_tier)
+
+        def combine_write(g: pa.Table, rcfg=rcfg, root=tier_root) -> pa.Table:
+            t = rollup_batch(g.drop_columns(["_window"]), rcfg, from_tier=True)
+            write_batch_partitioned(_add_day(t, "bucket"), root, ts_col="bucket")
+            return t
+
+        feeds = []
+        if prev is not None:
+            if done[tier]:
+                prev = prev.map_batches(
+                    lambda b, d=done[tier], c=ts_col: _skip_completed(b, c, d),
+                    batch_format="pyarrow", batch_size=None)
+            feeds.append(prev)
+        src_done = done[src] if src in done else frozenset(man.completed(_tname(src)))
+        reread = sorted(src_done - done[tier])
+        if reread:
+            feeds.append(_read_partitions(man, _tname(src), reread, cfg).drop_columns(["day"]))
+        if not feeds:  # nothing of this tier to (re)compute
+            prev = None
+            continue
+        parts = [d.map_batches(partial, batch_format="pyarrow", batch_size=None) for d in feeds]
+        p = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+        # barrier on each tier's PARTIALS, never on full-payload rows: each
+        # Ray job then holds exactly one shuffle ([tier-t combine → tier-t+1
+        # partial] fused), the raw clean+write reduce tasks pipeline straight
+        # into the 1m partial aggregation, and only tier-shaped partials sit
+        # at barriers.  One fully-fused graph interleaves all four shuffles,
+        # which thrash at low parallelism (measured 2x slower at 8 CPUs); a
+        # barrier after every combine plus one on the cleaned corpus held the
+        # full token payload in the object store and ran 2 extra jobs
+        # (measured 70.9→61 s at 4 CPUs, 22.7→19.8 s at 16).
+        p = _add_window(p.materialize(), "bucket", rcfg.window_s, from_tier=True)
+        prev = p.groupby([rcfg.key, "_window"]).map_groups(combine_write, batch_format="pyarrow")
+    if prev is not None:
+        prev.count()  # drives the whole fused graph
+    wall = time.time() - t0
+
+    corpus = list(input_paths) if isinstance(input_paths, (list, tuple)) else [input_paths]
+    stats = {}
+    for src, tier in zip((None,) + order, order):
+        if tier in tiers:  # lineage: the corpus for raw, else the source tier dir
+            lineage = [man.tier_dir(_tname(src))] if src else corpus
+            recs = man.commit_partitions(_tname(tier), lineage, cfg.run_id, wall)
+            stats[tier] = {"tier": tier, "new_partitions": len(recs), "skipped": len(done[tier]),
+                           "rows": sum(r.rows for r in recs), "wall_s": wall}
+    return stats
+
+
 def ingest_raw(input_paths, cfg: PipelineConfig) -> dict:
     """sequences Parquet → standardized, deduped, QC'd raw tier on disk."""
-    t0 = time.time()
-    man = Manifest(cfg.out_root)
-    done = frozenset(man.completed("raw")) if cfg.resume else frozenset()
-    if cfg.resume:
-        man.wipe_uncommitted("raw")
-    ds = _clean_dataset(input_paths, cfg, done, write_root=man.tier_dir("raw"))
-    ds.count()  # drive the fused clean+write graph
-    inputs = list(input_paths) if isinstance(input_paths, (list, tuple)) else [input_paths]
-    recs = man.commit_partitions("raw", inputs, cfg.run_id, time.time() - t0)
-    return {"tier": "raw", "new_partitions": len(recs), "skipped": len(done), "wall_s": time.time() - t0}
+    return _cascade(input_paths, cfg, ("raw",))["raw"]
 
 
 def rollup_tier(tier: str, cfg: PipelineConfig) -> dict:
     """Aggregate the previous tier into ``tier`` (raw→1m, 1m→1h, 1h→1d),
-    reading the source tier from disk (resume path)."""
-    import ray.data as rd
-
-    t0 = time.time()
-    man = Manifest(cfg.out_root)
-    order = ("raw",) + cfg.tiers
-    src_tier = order[order.index(tier) - 1]
-    done = frozenset(man.completed(f"t{tier}")) if cfg.resume else frozenset()
-    if cfg.resume:
-        man.wipe_uncommitted(f"t{tier}")
-
-    src_dir = man.tier_dir("raw" if src_tier == "raw" else f"t{src_tier}")
-    ds = rd.read_parquet(src_dir, override_num_blocks=_num_blocks(cfg))
-    if "day" in ds.schema().names:
-        ds = ds.drop_columns(["day"])
-    ts_col = "ts" if src_tier == "raw" else "bucket"
-    if done:
-        ds = ds.map_batches(lambda b: _skip_completed(b, ts_col, done, "source"), batch_format="pyarrow")
-    out = rollup_fast(ds, _tier_rcfg(tier, cfg), from_tier=(src_tier != "raw"))
-    out = out.map_batches(lambda b: _add_day(b, "bucket"), batch_format="pyarrow")
-    write_partitioned(out, man.tier_dir(f"t{tier}"), ts_col="bucket")
-    recs = man.commit_partitions(f"t{tier}", [src_dir], cfg.run_id, time.time() - t0)
-    return {"tier": tier, "new_partitions": len(recs), "skipped": len(done), "wall_s": time.time() - t0}
+    reading the source tier's committed partitions that ``tier`` lacks."""
+    return _cascade(None, cfg, (tier,))[tier]
 
 
 def encode_tier_store(tier: str, cfg: PipelineConfig) -> dict:
-    """Read tier ``t<tier>`` (pruned columns: bucket + the value means) and
-    store the Gorilla/DoD-encoded representation under ``t<tier>_enc/``, one
+    """Store the Gorilla/DoD-encoded representation of tier ``t<tier>``
+    (pruned columns: bucket + the value means) under ``t<tier>_enc/``, one
     blob row per (source, window), partitioned like the tiers.  The encoded
     store is the long-retention format (north star: compressed continuous
-    aggregates); compression ratio lands in the returned stats + manifest."""
+    aggregates); compression ratio lands in the returned stats + manifest.
+
+    Only tier partitions not yet committed to ``t<tier>_enc`` are read and
+    encoded, after the uncommitted enc dirs of a killed run are wiped; the
+    encode window is one day, so each enc partition depends on its own tier
+    partition alone.  Byte totals cover the whole encoded store."""
     import ray.data as rd
 
     from ..stages.encode import EncodeConfig, encode_tier
 
     t0 = time.time()
     man = Manifest(cfg.out_root)
-    if not man.list_partition_dirs(f"t{tier}"):  # nothing rolled up (e.g.
-        return {"tier": f"{tier}_enc", "new_partitions": 0,  # all quarantined)
-                "bytes_raw": 0, "bytes_enc": 0, "compression_ratio": None,
-                "wall_s": time.time() - t0}
-    ecfg = EncodeConfig(values=tuple(f"{v}_mean" for v in cfg.values))
-    cols = ["source", "bucket", *ecfg.values]
-    ds = rd.read_parquet(man.tier_dir(f"t{tier}"), columns=cols,
-                         override_num_blocks=_num_blocks(cfg))
-    enc = encode_tier(ds, ecfg)
-    enc = enc.map_batches(lambda b: _add_day(b, "window"), batch_format="pyarrow")
-    # stream straight into the partitioned write (r5, judge r4 finding #3:
-    # no tier-sized materialize + driver drain just for byte totals), then
-    # fold the two int64 counter columns with a projection-pruned read of
-    # the store we just wrote — distributed, reads ~16 B/blob row
-    write_partitioned(enc, man.tier_dir(f"t{tier}_enc"), ts_col="window")
-    totals = rd.read_parquet(man.tier_dir(f"t{tier}_enc"),
-                             columns=["bytes_raw", "bytes_enc"]).sum(
-        ["bytes_raw", "bytes_enc"]) or {"sum(bytes_raw)": 0,
-                                        "sum(bytes_enc)": 0}
-    braw = int(totals["sum(bytes_raw)"] or 0)
-    benc = int(totals["sum(bytes_enc)"] or 0)
-    recs = man.commit_partitions(f"t{tier}_enc", [man.tier_dir(f"t{tier}")], cfg.run_id,
-                                 time.time() - t0)
+    src, enc_name = f"t{tier}", f"t{tier}_enc"
+    todo = sorted(man.completed(src) - _done(man, enc_name, cfg))
+    if todo:
+        ecfg = EncodeConfig(values=tuple(f"{v}_mean" for v in cfg.values))
+        ds = _read_partitions(man, src, todo, cfg, columns=["source", "bucket", *ecfg.values])
+        enc = encode_tier(ds, ecfg)
+        enc = enc.map_batches(lambda b: _add_day(b, "window"), batch_format="pyarrow")
+        write_partitioned(enc, man.tier_dir(enc_name), ts_col="window")
+    recs = man.commit_partitions(enc_name, [man.tier_dir(src)], cfg.run_id, time.time() - t0)
+    braw = benc = 0
+    if man.list_partition_dirs(enc_name):
+        # a projection-pruned distributed read of the two int64 counters
+        # (~16 B per blob row), not a driver drain of the blobs
+        totals = rd.read_parquet(man.tier_dir(enc_name), columns=["bytes_raw", "bytes_enc"]).sum(
+            ["bytes_raw", "bytes_enc"]) or {}
+        braw = int(totals.get("sum(bytes_raw)") or 0)
+        benc = int(totals.get("sum(bytes_enc)") or 0)
     ratio = round(braw / benc, 3) if benc else None
     return {"tier": f"{tier}_enc", "new_partitions": len(recs), "bytes_raw": braw,
             "bytes_enc": benc, "compression_ratio": ratio, "wall_s": time.time() - t0}
@@ -504,98 +550,25 @@ def prune_retention(cfg: PipelineConfig, now_us: int) -> dict:
     return {"pruned": {k: len(v) for k, v in pruned.items()}}
 
 
-def _run_chained(input_paths, cfg: PipelineConfig) -> dict:
-    """Fresh-run fast path: ONE fused streaming graph.
-
-    Every tier's write happens inside the task that finalizes it
-    (``write_batch_partitioned`` fused into the shuffle's map_groups), so the
-    heavy data never takes an extra trip through the object store and the
-    whole cascade — clean shuffle, 3 partial/combine tiers, 4 tier writes —
-    executes as a single pipelined Ray Data job.  Manifest commits land after
-    the graph completes; a crash mid-graph leaves only uncommitted partition
-    dirs, which the resume path wipes (identical crash semantics to the
-    per-tier path)."""
-    from ..stages.rollup import _add_window, rollup_batch
-
-    man = Manifest(cfg.out_root)
-    stats: dict = {}
-
-    t0 = time.time()
-    prev = _clean_dataset(input_paths, cfg, frozenset(), write_root=man.tier_dir("raw"))
-    prev_tier = "raw"
-    for tier in cfg.tiers:
-        rcfg = _tier_rcfg(tier, cfg)
-        tier_root = man.tier_dir(f"t{tier}")
-        from_tier = prev_tier != "raw"
-
-        def partial(b: pa.Table, rcfg=rcfg, from_tier=from_tier) -> pa.Table:
-            return rollup_batch(b, rcfg, from_tier)
-
-        def combine_write(g: pa.Table, rcfg=rcfg, root=tier_root) -> pa.Table:
-            t = rollup_batch(g.drop_columns(["_window"]), rcfg, from_tier=True)
-            write_batch_partitioned(_add_day(t, "bucket"), root, ts_col="bucket")
-            return t
-
-        p = prev.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        if cfg.tier_barriers:
-            # barrier on each tier's PARTIALS, never on full-payload rows:
-            # each Ray job then holds exactly one shuffle ([tier-t combine →
-            # tier-t+1 partial] fused), the raw clean+write reduce tasks
-            # pipeline straight into the 1m partial aggregation, and only
-            # tier-shaped partials sit at barriers.  The r1 layout (barrier
-            # after every combine + one on the cleaned corpus) held the full
-            # token payload in the object store and ran 2 extra jobs
-            # (measured 70.9→61 s at 4 CPUs, 22.7→19.8 s at 16).
-            p = p.materialize()
-        p = _add_window(p, "bucket", rcfg.window_s, from_tier=True)
-        prev = p.groupby([rcfg.key, "_window"]).map_groups(combine_write, batch_format="pyarrow")
-        prev_tier = tier
-
-    n_final = prev.count()  # drives the whole fused graph
-    wall = time.time() - t0
-
-    inputs = list(input_paths) if isinstance(input_paths, (list, tuple)) else [input_paths]
-    recs = man.commit_partitions("raw", inputs, cfg.run_id, wall)
-    stats["raw"] = {"tier": "raw", "new_partitions": len(recs), "skipped": 0, "wall_s": wall}
-    src = "raw"
-    for tier in cfg.tiers:
-        tc = time.time()
-        recs = man.commit_partitions(f"t{tier}", [f"fused:{src}"], cfg.run_id, wall)
-        stats[tier] = {
-            "tier": tier,
-            "new_partitions": len(recs),
-            "skipped": 0,
-            "wall_s": time.time() - tc,
-            "rows": n_final if tier == cfg.tiers[-1] else None,
-        }
-        src = tier
-    return stats
-
-
 def run_pipeline(input_paths, cfg: PipelineConfig, now_us: Optional[int] = None) -> dict:
     """Full cascade: ingest + every tier + retention. Returns per-stage stats.
 
-    Fresh runs (resume off, or an empty manifest) chain tiers in memory;
-    resumed runs go tier-by-tier from disk so completed partitions are
-    skipped and upstream data for missing partitions is re-read."""
+    One graph for fresh and resumed runs: partitions already committed to a
+    tier are skipped ahead of it, and only the source partitions a tier is
+    missing are re-read from disk."""
     man = Manifest(cfg.out_root)
-    if cfg.resume and man.records():
-        stats = {"raw": ingest_raw(input_paths, cfg)}
-        for tier in cfg.tiers:
-            stats[tier] = rollup_tier(tier, cfg)
-    else:
-        if man.records():
-            # fresh-run semantics over an existing store: clear it — part
-            # file names follow the session's block layout, so writing over
-            # a previous run at different parallelism would leave stale
-            # part files next to new ones
-            for tier in ["raw"] + [f"t{t}" for t in cfg.tiers] + [
-                f"t{t}_enc" for t in cfg.encode_tiers
-            ]:
-                man.sfs.rmtree(man.tier_dir(tier))
-            man.sfs.rmtree(man.sfs.join_root("quarantine"))
-            man.sfs.remove_file(man.path)
-        stats = _run_chained(input_paths, cfg)
+    if not cfg.resume and man.records():
+        # fresh-run semantics over an existing store: clear it — part file
+        # names follow the session's block layout, so writing over a
+        # previous run at different parallelism would leave stale part
+        # files next to new ones
+        for tier in ["raw"] + [f"t{t}" for t in cfg.tiers] + [
+            f"t{t}_enc" for t in cfg.encode_tiers
+        ]:
+            man.sfs.rmtree(man.tier_dir(tier))
+        man.sfs.rmtree(man.sfs.join_root("quarantine"))
+        man.sfs.remove_file(man.path)
+    stats = _cascade(input_paths, cfg, ("raw",) + cfg.tiers)
     for tier in cfg.encode_tiers:
         if tier in cfg.tiers:
             stats[f"{tier}_enc"] = encode_tier_store(tier, cfg)

@@ -97,6 +97,47 @@ def _segment_starts(change: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change).astype(np.int64)
 
 
+def _key_change(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row 'differs from the previous row on (a, b)' mask of sorted keys
+    (first row always True)."""
+    if not len(a):
+        return np.zeros(0, bool)
+    return np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
+
+
+def dedup_order(g: pa.Table, row_id: np.ndarray, ts_us: np.ndarray, codes: np.ndarray,
+                bad_bits: int = BAD_ASSESSMENT_BITS, tiebreak: bool = True) -> np.ndarray:
+    """Row order for the exact (key, ts) dedup: by key code, ts, then id, so
+    the first row of each (key, ts) run is the survivor."""
+    # duplicate ids exist (same doc resent with a different payload): with
+    # ``tiebreak`` the survivor is chosen by a CONTENT total order so dedup
+    # is bit-deterministic under any arrival order.  Chain (standardize.py
+    # list_column_tiebreak / list_column_content_hash):
+    #   _tb (len·2³²+Σtokens)  — SQL-reproducible,
+    #   bad flag + filled n_tok — SQL-reproducible (covers _tb ties
+    #   with divergent injected corruption),
+    #   _tb2 (order-sensitive payload hash) — engine-only final key
+    #   (SQL-checked aggregates are already identical at that depth;
+    #   _tb2 pins the carried payload).
+    keys = [row_id, ts_us, codes]
+    names = g.column_names
+
+    def col(c: str) -> np.ndarray:
+        return g[c].combine_chunks().to_numpy(zero_copy_only=False)
+
+    if tiebreak and "_tb" in names:
+        keys = [col("_tb")] + keys
+        if "qc_n_tok" in names and "n_tok" in names:
+            bad = ((col("qc_n_tok") & bad_bits) != 0).astype(np.int8)
+            ntf = np.nan_to_num(
+                g["n_tok"].combine_chunks().cast(pa.float64())
+                .to_numpy(zero_copy_only=False), nan=0.0).astype(np.int64)
+            keys = [ntf, bad] + keys
+        if "_tb2" in names:
+            keys = [col("_tb2")] + keys
+    return np.lexsort(tuple(keys))
+
+
 def _seg_sum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(x, starts) if len(starts) else np.zeros(0, dtype=x.dtype)
 
@@ -195,53 +236,19 @@ def rollup_batch(g: pa.Table, cfg: RollupConfig, from_tier: bool = False) -> pa.
 def _rollup_raw_sorted(g, cfg, codes, key_arr, iv_us):
     ts_us = g[cfg.ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     row_id = g[cfg.id_col].to_numpy(zero_copy_only=False)
-    if cfg.dedup and "_tb" in g.column_names:
-        # duplicate ids exist (same doc resent with a different payload):
-        # the survivor is chosen by a CONTENT total order so dedup is
-        # bit-deterministic under any arrival order.  Chain (standardize.py
-        # list_column_tiebreak / list_column_content_hash):
-        #   _tb (len·2³²+Σtokens)  — SQL-reproducible,
-        #   bad flag + filled n_tok — SQL-reproducible (covers _tb ties
-        #   with divergent injected corruption),
-        #   _tb2 (order-sensitive payload hash) — engine-only final key
-        #   (SQL-checked aggregates are already identical at that depth;
-        #   _tb2 pins the carried payload).
-        tb = g["_tb"].combine_chunks().to_numpy(zero_copy_only=False)
-        keys = [tb, row_id, ts_us, codes]
-        if "qc_n_tok" in g.column_names and "n_tok" in g.column_names:
-            qc = g["qc_n_tok"].combine_chunks().to_numpy(zero_copy_only=False)
-            bad = ((qc & cfg.bad_bits) != 0).astype(np.int8)
-            ntf = np.nan_to_num(
-                g["n_tok"].combine_chunks().cast(pa.float64())
-                .to_numpy(zero_copy_only=False), nan=0.0).astype(np.int64)
-            keys = [ntf, bad] + keys
-        if "_tb2" in g.column_names:
-            tb2 = g["_tb2"].combine_chunks().to_numpy(zero_copy_only=False)
-            keys = [tb2] + keys
-        order = np.lexsort(tuple(keys))
-    else:
-        order = np.lexsort((row_id, ts_us, codes))
+    order = dedup_order(g, row_id, ts_us, codes, cfg.bad_bits, tiebreak=cfg.dedup)
     ts_s = ts_us[order]
     code_s = codes[order]
 
     if cfg.dedup:  # exact dedup on (key, ts), keep first by id (smallest id)
-        keep = (
-            np.r_[True, (ts_s[1:] != ts_s[:-1]) | (code_s[1:] != code_s[:-1])]
-            if len(ts_s)
-            else np.zeros(0, bool)
-        )
+        keep = _key_change(ts_s, code_s)
         sel_rows = order[keep]
         ts_s, code_s = ts_s[keep], code_s[keep]
     else:
         sel_rows = order
 
     bucket = floor_bucket_us(ts_s, cfg.interval_s)
-    change = (
-        np.r_[True, (bucket[1:] != bucket[:-1]) | (code_s[1:] != code_s[:-1])]
-        if len(bucket)
-        else np.zeros(0, bool)
-    )
-    starts = _segment_starts(change)
+    starts = _segment_starts(_key_change(bucket, code_s))
     counts = np.diff(np.r_[starts, len(bucket)])
     blabels = bucket[starts] if len(starts) else np.zeros(0, np.int64)
     out: dict = {
@@ -322,12 +329,7 @@ def _rollup_cascade_sorted(g, cfg, codes, key_arr, iv_us):
     take = pa.array(order, type=pa.int64())
 
     bucket = floor_bucket_us(b_s, cfg.interval_s)
-    change = (
-        np.r_[True, (bucket[1:] != bucket[:-1]) | (code_s[1:] != code_s[:-1])]
-        if len(bucket)
-        else np.zeros(0, bool)
-    )
-    starts = _segment_starts(change)
+    starts = _segment_starts(_key_change(bucket, code_s))
     counts = np.diff(np.r_[starts, len(bucket)])
     blabels = bucket[starts] if len(starts) else np.zeros(0, np.int64)
     m = len(starts)
