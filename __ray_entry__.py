@@ -8161,7 +8161,7 @@ def oracle_sql() -> dict[str, str]:
                      (epoch_us(ts) // 86400000000) * 86400000000 AS win
               FROM events
             ),
-            s AS (
+            s AS MATERIALIZED (
               SELECT *,
                      CAST(row_number() OVER (PARTITION BY event_type, win
                                ORDER BY ts, value, event_id) - 1
@@ -8174,7 +8174,7 @@ def oracle_sql() -> dict[str, str]:
             g AS (SELECT event_type, win, max(n) AS n FROM s
                   GROUP BY event_type, win),
             big AS (SELECT * FROM g WHERE n > 48),
-            e AS (
+            e AS MATERIALIZED (
               SELECT b.event_type, b.win, t.i,
                      CASE WHEN t.i = 46 THEN b.n - 1
                           ELSE CAST(trunc(CAST(t.i AS DOUBLE)
@@ -8182,7 +8182,7 @@ def oracle_sql() -> dict[str, str]:
                                    + 1.0) AS BIGINT) END AS edge
               FROM big b, range(47) t(i)
             ),
-            buckets AS (
+            buckets AS MATERIALIZED (
               SELECT e1.event_type, e1.win, e1.i AS i, e1.edge AS lo,
                      e2.edge AS hi, e2.edge AS nlo,
                      COALESCE(e3.edge, b.n) AS nhi
@@ -8193,7 +8193,7 @@ def oracle_sql() -> dict[str, str]:
                             AND e3.win = e1.win AND e3.i = e1.i + 2
               JOIN big b ON b.event_type = e1.event_type AND b.win = e1.win
             ),
-            cent AS (
+            cent AS MATERIALIZED (
               SELECT bk.event_type, bk.win, bk.i, bk.lo, bk.hi,
                      CAST(bk.nhi - bk.nlo AS HUGEINT) AS m,
                      CAST(sum(s.tr) AS HUGEINT) AS sum_t,

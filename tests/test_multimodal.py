@@ -282,6 +282,9 @@ def test_mjpeg_split_roundtrip_and_stuffing():
     for j, p in enumerate(parts):
         img = jpeg_decode(p)
         assert img.shape == (16, 16, 3)
+    # 0xFF fill bytes may precede any marker (ITU T.81 B.1.1.2)
+    filled = parts[0][:2] + b"\xff\xff" + parts[0][2:-2] + b"\xff\xff" + parts[0][-2:]
+    assert mjpeg_split(filled + parts[1]) == [filled, parts[1]]
     with pytest.raises(ValueError, match="SOI"):
         mjpeg_split(b"\x00\x01" + blob)
     with pytest.raises(ValueError, match="truncated"):

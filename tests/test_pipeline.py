@@ -376,6 +376,17 @@ def test_pipeline_with_file_uri_root(ray_session, corpus, tmp_path):
     stats2 = ingest_raw(corpus, PipelineConfig(out_root=uri, run_id="u2"))
     assert stats2["new_partitions"] == 0
     assert stats2["skipped"] == len(man_u.completed("raw"))
+    # retention prunes the same partitions under both roots
+    days = sorted(Manifest.parse_partition(p)[1] for p in man_p.completed("raw"))
+    now_us = int(np.datetime64(days[-1] + "T00:00:00", "us").astype("int64")) + 2 * 86400 * US
+    horizons = {"raw": 86400, "1m": 2 * 86400, "1h": None, "1d": None}
+    res_p = prune_retention(PipelineConfig(out_root=plain, retention_s=horizons), now_us)
+    res_u = prune_retention(PipelineConfig(out_root=uri, retention_s=horizons), now_us)
+    assert res_p["pruned"]["raw"] >= 1 and res_p["pruned"]["t1m"] >= 1
+    assert res_u == res_p
+    for tier in ("raw", "t1m", "t1h", "t1d"):
+        assert man_u.completed(tier) == man_p.completed(tier)
+        assert sorted(man_u.list_partition_dirs(tier)) == sorted(man_p.list_partition_dirs(tier))
 
 
 def test_plot_hook_publishes_ancillary_files(ray_session, corpus, tmp_path):

@@ -47,12 +47,47 @@ def test_file_uri_accepts_both_forms(tmp_path):
     assert back["x"].to_pylist() == [1, 2, 3]
 
 
-def test_no_torn_files_on_local(tmp_path):
-    s = StorageFS(str(tmp_path))
+def test_no_torn_files_on_local(tmp_path, monkeypatch):
+    """Every publish on a local filesystem — plain path or ``file://`` —
+    writes a temp name and moves it over the final name: an existing file is
+    replaced (new inode), never truncated and rewritten in place, and only
+    the final name remains."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    written = []
+    real_write_table = pq.write_table
+
+    def spy(table, where, *a, **kw):
+        written.append(str(where))
+        return real_write_table(table, where, *a, **kw)
+
+    monkeypatch.setattr(pq, "write_table", spy)
     t = pa.table({"x": pa.array(np.arange(1000))})
-    s.write_table_atomic(t, s.join("f.parquet"))
-    # tmp file cleaned up; only the final name remains
-    assert s.listdir(s.path) == ["f.parquet"]
+    for root_kind in ("plain", "file_uri"):
+        for kind in ("table", "text", "bytes"):
+            d = tmp_path / root_kind / kind
+            d.mkdir(parents=True)
+            s = StorageFS(f"file://{d}" if root_kind == "file_uri" else str(d))
+            final = d / "f.out"
+            final.write_bytes(b"old")
+            ino = os.stat(final).st_ino
+            target = s.join_root("f.out")
+            if kind == "table":
+                written.clear()
+                s.write_table_atomic(t, target)
+                assert written and not any(w.endswith("f.out") for w in written)
+                assert pq.read_table(str(final))["x"].to_pylist() == list(range(1000))
+            elif kind == "text":
+                s.write_text(target, "new")
+                assert final.read_text() == "new"
+            else:
+                s.write_bytes(target, b"\x00new")
+                assert final.read_bytes() == b"\x00new"
+            assert os.stat(final).st_ino != ino, (root_kind, kind)
+            # tmp file cleaned up; only the final name remains
+            assert s.listdir(s.path) == ["f.out"]
 
 
 def test_rmtree_and_rmdir(tmp_path):

@@ -427,15 +427,13 @@ def reprocess_range(input_paths, cfg: PipelineConfig, start_us: int, end_us: int
     man = Manifest(cfg.out_root)
     day_lo = (start_us // DAY_US) * DAY_US
     day_hi = ((end_us - 1) // DAY_US) * DAY_US
-    tiers = ["raw"] + [f"t{t}" for t in cfg.tiers] + [
-        f"t{t}_enc" for t in cfg.encode_tiers if t in cfg.tiers]
     invalidated: dict = {}
-    for tier in tiers:
+    for tier in Manifest.tier_names(cfg.tiers, cfg.encode_tiers):
         hit = []
         for part in man.list_partition_dirs(tier):
-            src, day = part.split("/")
-            d_us = int(np.datetime64(day.split("=", 1)[1], "us").astype(np.int64))
-            if day_lo <= d_us <= day_hi and (sources is None or src.split("=", 1)[1] in sources):
+            src, day = Manifest.parse_partition(part)
+            d_us = int(np.datetime64(day, "us").astype(np.int64))
+            if day_lo <= d_us <= day_hi and (sources is None or src in sources):
                 hit.append(part)
         invalidated[tier] = man.invalidate(tier, hit)
     cfg2 = PipelineConfig(**{**cfg.__dict__, "resume": True})
@@ -511,13 +509,11 @@ def purge_keys(input_paths, cfg: PipelineConfig, ids,
             for s, d in zip(b["source"].to_pylist(), b["day"].to_pylist()):
                 hits.add(f"source={s}/day={d}")
 
-    tiers = ["raw"] + [f"t{t}" for t in cfg.tiers] + [
-        f"t{t}_enc" for t in cfg.encode_tiers if t in cfg.tiers]
     invalidated = {
         t: man.invalidate(
             t, [p for p in man.list_partition_dirs(t) if p in hits],
             reason="purge")
-        for t in tiers
+        for t in Manifest.tier_names(cfg.tiers, cfg.encode_tiers)
     }
     cfg2 = PipelineConfig(**{**cfg.__dict__, "resume": True})
     stats = run_pipeline(input_paths, cfg2)
@@ -530,21 +526,18 @@ def prune_retention(cfg: PipelineConfig, now_us: int) -> dict:
     """Delete day partitions older than each tier's retention horizon; every
     prune is recorded in the manifest (so `completed` drops the partition and
     a later backfill run could legitimately recreate it)."""
-    import shutil
-
     man = Manifest(cfg.out_root)
     pruned: dict[str, list[str]] = {}
-    tier_names = ["raw"] + [f"t{t}" for t in cfg.tiers]
-    for tname in tier_names:
+    for tname in Manifest.tier_names(cfg.tiers):
         horizon = cfg.retention_s.get(tname.lstrip("t") if tname != "raw" else "raw")
         if horizon is None:
             continue
         cutoff_day = ((now_us - horizon * US) // DAY_US) * DAY_US
         cutoff = np.datetime64(cutoff_day // US, "s").astype("datetime64[D]")
         for part in man.list_partition_dirs(tname):
-            day = np.datetime64(part.split("day=")[1], "D")
+            day = np.datetime64(Manifest.parse_partition(part)[1], "D")
             if day < cutoff:
-                shutil.rmtree(man.partition_dir(tname, part))
+                man.sfs.rmtree(man.partition_dir(tname, part))
                 man.append({"tier": tname, "partition": part, "action": "pruned", "run_id": cfg.run_id})
                 pruned.setdefault(tname, []).append(part)
     return {"pruned": {k: len(v) for k, v in pruned.items()}}
@@ -562,9 +555,7 @@ def run_pipeline(input_paths, cfg: PipelineConfig, now_us: Optional[int] = None)
         # names follow the session's block layout, so writing over a
         # previous run at different parallelism would leave stale part
         # files next to new ones
-        for tier in ["raw"] + [f"t{t}" for t in cfg.tiers] + [
-            f"t{t}_enc" for t in cfg.encode_tiers
-        ]:
+        for tier in Manifest.tier_names(cfg.tiers, cfg.encode_tiers):
             man.sfs.rmtree(man.tier_dir(tier))
         man.sfs.rmtree(man.sfs.join_root("quarantine"))
         man.sfs.remove_file(man.path)

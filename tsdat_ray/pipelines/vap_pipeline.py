@@ -73,7 +73,7 @@ def fetch_tier(cfg: VapConfig):
     lo_day = (lo // DAY_US) * DAY_US
     paths = []
     for part in man.list_partition_dirs(cfg.source_tier):
-        day = np.datetime64(part.split("day=")[1], "us").astype(np.int64)
+        day = np.datetime64(Manifest.parse_partition(part)[1], "us").astype(np.int64)
         if lo_day <= day <= hi:
             paths.append(man.partition_dir(cfg.source_tier, part))
     if not paths:

@@ -37,14 +37,6 @@ def _dtype_str(dt: np.dtype) -> str:
     return s
 
 
-def _write_bytes(sfs: StorageFS, path: str, data: bytes) -> None:
-    sfs.write_bytes(path, data)
-
-
-def _read_bytes(sfs: StorageFS, path: str) -> bytes:
-    return sfs.read_bytes(path)
-
-
 def write_array(root: str, arr: np.ndarray, chunks: int | None = None,
                 compressor: str = "zlib", level: int = 5,
                 attrs: dict | None = None) -> None:
@@ -67,12 +59,12 @@ def write_array(root: str, arr: np.ndarray, chunks: int | None = None,
         "order": "C",
         "filters": None,
     }
-    _write_bytes(sfs, sfs.join(".zarray"), json.dumps(meta).encode())
+    sfs.write_bytes(sfs.join(".zarray"), json.dumps(meta).encode())
     a = attrs or {}
     if is_dt:
         a = {**a, "units": "us since 1970-01-01"}
     if a:
-        _write_bytes(sfs, sfs.join(".zattrs"), json.dumps(a).encode())
+        sfs.write_bytes(sfs.join(".zattrs"), json.dumps(a).encode())
     for ci, lo in enumerate(range(0, max(n, 1), chunks)):
         chunk = data[lo: lo + chunks]
         if len(chunk) < chunks:  # zarr pads the final chunk to full size
@@ -81,22 +73,22 @@ def write_array(root: str, arr: np.ndarray, chunks: int | None = None,
         raw = np.ascontiguousarray(chunk).tobytes()
         if compressor == "zlib":
             raw = _zlib.compress(raw, level)
-        _write_bytes(sfs, sfs.join(str(ci)), raw)
+        sfs.write_bytes(sfs.join(str(ci)), raw)
 
 
 def read_array(root: str) -> tuple[np.ndarray, dict]:
     """Read a Zarr v2 1-D array directory → (array, attrs)."""
     sfs = StorageFS(root)
-    meta = json.loads(_read_bytes(sfs, sfs.join(".zarray")))
+    meta = json.loads(sfs.read_bytes(sfs.join(".zarray")))
     attrs = {}
     if sfs.exists(sfs.join(".zattrs")):
-        attrs = json.loads(_read_bytes(sfs, sfs.join(".zattrs")))
+        attrs = json.loads(sfs.read_bytes(sfs.join(".zattrs")))
     (n,), (chunks,) = meta["shape"], meta["chunks"]
     dt = np.dtype(meta["dtype"])
     out = np.empty(n, dtype=dt)
     comp = (meta.get("compressor") or {}).get("id")
     for ci in range((n + chunks - 1) // chunks):
-        raw = _read_bytes(sfs, sfs.join(str(ci)))
+        raw = sfs.read_bytes(sfs.join(str(ci)))
         if comp == "zlib":
             raw = _zlib.decompress(raw)
         chunk = np.frombuffer(raw, dtype=dt)
@@ -112,9 +104,9 @@ def write_group(root: str, table: pa.Table, chunks: int | None = None,
     """Write an Arrow table as a Zarr v2 group: one 1-D array per column."""
     sfs = StorageFS(root)
     sfs.makedirs(sfs.path)
-    _write_bytes(sfs, sfs.join(".zgroup"), json.dumps({"zarr_format": 2}).encode())
+    sfs.write_bytes(sfs.join(".zgroup"), json.dumps({"zarr_format": 2}).encode())
     if attrs:
-        _write_bytes(sfs, sfs.join(".zattrs"), json.dumps(attrs).encode())
+        sfs.write_bytes(sfs.join(".zattrs"), json.dumps(attrs).encode())
     for name in table.column_names:
         col = table[name].combine_chunks()
         if pa.types.is_nested(col.type):

@@ -542,6 +542,9 @@ def mjpeg_split(data: bytes) -> list[bytes]:
             if data[p] != 0xFF:
                 raise ValueError(f"mjpeg: expected marker at byte {p}")
             m = data[p + 1]
+            if m == 0xFF:                      # fill byte before a marker
+                p += 1
+                continue
             if m == 0xD9:                      # EOI — frame complete
                 p += 2
                 break

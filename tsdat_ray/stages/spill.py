@@ -132,9 +132,9 @@ def checkpoint_with_summary(ds, key: str, summary_cols: list[str],
     carry fold dedups them anyway, so task retries are harmless) and
     appends them to a tiny sidecar Parquet dir.  The summary consumer then
     streams ~|groups| rows instead of rescanning the checkpoint."""
-    import pyarrow.parquet as pq
     import ray.data as rd
 
+    from ..state.uri import StorageFS
     from .carry import _dedup_first
 
     spath = os.path.join(_root(), f"{tag}-summ-{uuid.uuid4().hex}")
@@ -144,7 +144,10 @@ def checkpoint_with_summary(ds, key: str, summary_cols: list[str],
 
     def side_write(b: pa.Table) -> pa.Table:
         s = _dedup_first(b, key, window_col).select(cols)
-        pq.write_table(s, os.path.join(spath, f"s-{uuid.uuid4().hex}.parquet"))
+        # atomic publish: a task killed mid-write leaves only a temp name,
+        # which the ``.parquet`` filter below never lists
+        StorageFS(spath).write_table_atomic(
+            s, os.path.join(spath, f"s-{uuid.uuid4().hex}.parquet"))
         return b
 
     main = checkpoint(ds.map_batches(side_write, batch_format="pyarrow"), tag)

@@ -1,12 +1,15 @@
-"""Partitioned Parquet writer (hive layout), fast path.
+"""Hive-partitioned writers: Parquet (the tier store), CSV and ORC.
 
 ``Dataset.write_parquet(partition_cols=...)`` costs ~4× a plain write at the
 same byte count (per-file and per-slice overhead in the generic partitioned
-sink).  This writer does the same hive layout — ``root/source=<s>/day=<d>/
-part-<ts>.parquet``, partition columns dropped from file contents — as one
-vectorized pass: segment each batch by the partition key (dictionary-encode
-+ argsort, zero-copy slices), one direct ``pq.write_table`` per partition
-per block.
+sink).  These writers do the same hive layout — ``root/source=<s>/day=<d>/
+part-<ts>.<ext>``, partition columns dropped from file contents — as one
+vectorized pass over each batch.  One segmenter, ``_write_hive``, serves all
+three formats: it segments the batch by the partition key (dictionary-encode
++ stable argsort, zero-copy slices), names each slice's directory and part
+file, and hands the slice to the format's encoder, which is all that differs
+between Parquet, CSV and ORC.  One stream driver, ``_write_stream``, runs
+any of the three per-batch writers over a Dataset.
 
 File names are deterministic (min timestamp of the slice), so re-running a
 partition — whether a whole-pipeline rerun or a Ray task retry — overwrites
@@ -14,13 +17,13 @@ the same file rather than duplicating it (idempotent resume, matching the
 reference's overwrite-on-rerun storage —
 /root/reference/tsdat/io/storage/file_system.py:161-179).
 
-``root`` may be a plain path (POSIX fast path) or any ``pyarrow.fs`` URI
-(``file://``, ``s3://``, ``gs://`` — parity with the reference's
-FileSystemS3, io/storage/file_system_s3.py:24+); see state/uri.py for the
-atomicity model per backend.
+``root`` may be a plain path or any ``pyarrow.fs`` URI (``file://``,
+``s3://``, ``gs://`` — parity with the reference's FileSystemS3,
+io/storage/file_system_s3.py:24+).  Every file is published through
+state/uri.StorageFS, whose one publish rule makes each write atomic.
 
-``write_batch_partitioned`` is the per-batch core; calling it inside a
-``map_groups``/``map_batches`` stage fuses the write into that stage — the
+``write_batch_partitioned`` is the per-batch Parquet core; calling it inside
+a ``map_groups``/``map_batches`` stage fuses the write into that stage — the
 flagship pipeline writes each tier from the same task that finalizes it, so
 no extra materialization pass (and no second trip through the object store)
 is spent on writing.
@@ -33,17 +36,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def write_batch_partitioned(
-    batch: pa.Table,
-    root: str,
-    partition_cols: tuple[str, ...] = ("source", "day"),
-    ts_col: str | None = None,
-    compression: str = "snappy",
-    metadata: dict | None = None,
-) -> pa.Table:
-    """Write ONE batch's rows into hive partition dirs under ``root``; returns
-    a (path, rows) manifest table.  Deterministic file names → safe under Ray
-    task retries (a re-run overwrites the same file)."""
+def _write_hive(batch: pa.Table, root: str, partition_cols: tuple[str, ...],
+                ts_col: str | None, ext: str, put) -> pa.Table:
+    """Segment ONE batch by partition key and publish each slice as
+    ``<root>/<c>=<v>/.../part-<min_ts>.<ext>`` via ``put(sfs, path, slice)``.
+    Returns a (path, rows) manifest table.  Deterministic file names → safe
+    under Ray task retries (a re-run overwrites the same file)."""
     from ..state.uri import StorageFS
 
     n = batch.num_rows
@@ -65,13 +63,7 @@ def write_batch_partitioned(
     starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
     ends = np.r_[starts[1:], n]
 
-    sorted_batch = batch.take(pa.array(order, type=pa.int64()))
-    body = sorted_batch.drop_columns(list(partition_cols))
-    if metadata:
-        # global attrs / QC flag meanings land in every file footer (the
-        # engine's xr attrs equivalent; reference: NetCDFWriter attrs)
-        md = {str(k).encode(): str(v).encode() for k, v in metadata.items()}
-        body = body.replace_schema_metadata({**(body.schema.metadata or {}), **md})
+    body = batch.take(pa.array(order, type=pa.int64())).drop_columns(list(partition_cols))
     tcol = ts_col if ts_col and ts_col in body.column_names else None
     paths, rows = [], []
     for s, e in zip(starts, ends):
@@ -81,15 +73,45 @@ def write_batch_partitioned(
             *(f"{c}={uniques[k][per_col_idx[k][row0]]}" for k, c in enumerate(partition_cols)),
         )
         sfs.makedirs(dirname)
-        if tcol is not None:
-            tmin = int(pc.min(sub[tcol].combine_chunks().cast(pa.int64())).as_py())
-        else:
-            tmin = int(s)
-        path = f"{dirname}/part-{tmin}.parquet"
-        sfs.write_table_atomic(sub, path, compression=compression)
+        tmin = int(pc.min(sub[tcol].combine_chunks().cast(pa.int64())).as_py()) if tcol else int(s)
+        path = f"{dirname}/part-{tmin}.{ext}"
+        put(sfs, path, sub)
         paths.append(path)
         rows.append(sub.num_rows)
     return pa.table({"path": pa.array(paths, pa.string()), "rows": pa.array(rows, pa.int64())})
+
+
+def _write_stream(ds, write_batch, *args) -> int:
+    """Stream ``ds`` through ``write_batch(batch, *args)`` (one of the
+    per-batch writers); returns rows written.  Consumes the dataset (one
+    streaming pass)."""
+    res = ds.map_batches(write_batch, fn_args=args, batch_format="pyarrow").materialize()
+    total = 0
+    for b in res.iter_batches(batch_format="pyarrow"):
+        total += int(pc.sum(b["rows"]).as_py() or 0)
+    return total
+
+
+def write_batch_partitioned(
+    batch: pa.Table,
+    root: str,
+    partition_cols: tuple[str, ...] = ("source", "day"),
+    ts_col: str | None = None,
+    compression: str = "snappy",
+    metadata: dict | None = None,
+) -> pa.Table:
+    """Write ONE batch's rows as hive-partitioned Parquet under ``root``;
+    returns a (path, rows) manifest table."""
+    if metadata:
+        # global attrs / QC flag meanings land in every file footer (the
+        # engine's xr attrs equivalent; reference: NetCDFWriter attrs)
+        md = {str(k).encode(): str(v).encode() for k, v in metadata.items()}
+        batch = batch.replace_schema_metadata({**(batch.schema.metadata or {}), **md})
+
+    def put(sfs, path: str, sub: pa.Table) -> None:
+        sfs.write_table_atomic(sub, path, compression=compression)
+
+    return _write_hive(batch, root, partition_cols, ts_col, "parquet", put)
 
 
 def write_batch_csv(
@@ -114,72 +136,47 @@ def write_batch_csv(
 
     import pyarrow.csv as pacsv
 
-    from ..state.uri import StorageFS
-
-    n = batch.num_rows
-    if n == 0:
-        return pa.table({"path": pa.array([], pa.string()), "rows": pa.array([], pa.int64())})
-    sfs = StorageFS(root)
-    codes = np.zeros(n, dtype=np.int64)
-    uniques: list[list] = []
-    per_col_idx: list[np.ndarray] = []
-    for c in partition_cols:
-        d = batch[c].combine_chunks().dictionary_encode()
-        idx = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        uniques.append(d.dictionary.to_pylist())
-        per_col_idx.append(idx)
-        codes = codes * (idx.max() + 1) + idx
-    order = np.argsort(codes, kind="stable")
-    cs = codes[order]
-    starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
-    ends = np.r_[starts[1:], n]
-    sorted_batch = batch.take(pa.array(order, type=pa.int64()))
-    body = sorted_batch.drop_columns(list(partition_cols))
     # CSV can't hold nested columns; drop them (csv_writer.py warns the same)
-    flat = [f.name for f in body.schema if not pa.types.is_nested(f.type)]
-    body = body.select(flat)
-    tcol = ts_col if ts_col and ts_col in body.column_names else None
-    paths, rows = [], []
-    for s, e in zip(starts, ends):
-        sub = body.slice(s, e - s)
-        row0 = order[s]
-        dirname = sfs.join(
-            *(f"{c}={uniques[k][per_col_idx[k][row0]]}" for k, c in enumerate(partition_cols)),
-        )
-        sfs.makedirs(dirname)
-        tmin = int(pc.min(sub[tcol].combine_chunks().cast(pa.int64())).as_py()) if tcol else int(s)
-        path = f"{dirname}/part-{tmin}.csv"
+    batch = batch.select([f.name for f in batch.schema if not pa.types.is_nested(f.type)])
+
+    def put(sfs, path: str, sub: pa.Table) -> None:
         buf = io.BytesIO()
         pacsv.write_csv(sub, buf)
         text = buf.getvalue().decode()
         if preamble:
-            md = metadata or {}
-            lines = [f"{k},{v}" for k, v in md.items()]
+            lines = [f"{k},{v}" for k, v in (metadata or {}).items()]
             # marker value = first body row index (preamble lines + marker)
             lines.append(f"header={len(lines) + 1}")
             sfs.write_text(path, "\n".join(lines) + "\n" + text)
-        else:
-            sfs.write_text(path, text)
-            if metadata:
-                hdr = "".join(f"{k},{v}\n" for k, v in metadata.items())
-                sfs.write_text(f"{dirname}/_header.hdr.csv", hdr)
-        paths.append(path)
-        rows.append(sub.num_rows)
-    return pa.table({"path": pa.array(paths, pa.string()), "rows": pa.array(rows, pa.int64())})
+            return
+        sfs.write_text(path, text)
+        if metadata:
+            hdr = "".join(f"{k},{v}\n" for k, v in metadata.items())
+            sfs.write_text(f"{path.rsplit('/', 1)[0]}/_header.hdr.csv", hdr)
+
+    return _write_hive(batch, root, partition_cols, ts_col, "csv", put)
 
 
-def write_csv(ds, root: str, partition_cols: tuple[str, ...] = ("source", "day"),
-              ts_col: str | None = None, metadata: dict | None = None) -> int:
-    """Stream ``ds`` to hive-partitioned CSV under ``root``; returns rows."""
+def write_batch_orc(
+    batch: pa.Table,
+    root: str,
+    partition_cols: tuple[str, ...] = ("source", "day"),
+    ts_col: str | None = None,
+) -> pa.Table:
+    """ORC twin of ``write_batch_partitioned``: same hive layout and
+    deterministic ``part-<min_ts>.orc`` names, columnar + compressed like
+    the Parquet tier but readable by Hive/Trino-side consumers.  Nested
+    columns are kept — ORC supports lists/structs natively."""
+    import io
 
-    def write_batch(batch: pa.Table) -> pa.Table:
-        return write_batch_csv(batch, root, partition_cols, ts_col, metadata)
+    from pyarrow import orc as paorc
 
-    res = ds.map_batches(write_batch, batch_format="pyarrow").materialize()
-    total = 0
-    for b in res.iter_batches(batch_format="pyarrow"):
-        total += int(pc.sum(b["rows"]).as_py() or 0)
-    return total
+    def put(sfs, path: str, sub: pa.Table) -> None:
+        buf = io.BytesIO()
+        paorc.write_table(sub, buf)
+        sfs.write_bytes(path, buf.getvalue())
+
+    return _write_hive(batch, root, partition_cols, ts_col, "orc", put)
 
 
 def write_partitioned(
@@ -190,87 +187,21 @@ def write_partitioned(
     compression: str = "snappy",
     metadata: dict | None = None,
 ) -> int:
-    """Write ``ds`` under ``root`` in hive layout; returns rows written.
-    Consumes the dataset (one streaming pass)."""
-
-    def write_batch(batch: pa.Table) -> pa.Table:
-        return write_batch_partitioned(batch, root, partition_cols, ts_col, compression, metadata)
-
-    res = ds.map_batches(write_batch, batch_format="pyarrow").materialize()
-    total = 0
-    for b in res.iter_batches(batch_format="pyarrow"):
-        total += int(pc.sum(b["rows"]).as_py() or 0)
-    return total
+    """Write ``ds`` under ``root`` in hive layout; returns rows written."""
+    return _write_stream(ds, write_batch_partitioned, root, partition_cols, ts_col,
+                         compression, metadata)
 
 
-def write_batch_orc(
-    batch: pa.Table,
-    root: str,
-    partition_cols: tuple[str, ...] = ("source", "day"),
-    ts_col: str | None = None,
-) -> pa.Table:
-    """ORC twin of ``write_batch_partitioned``: same hive layout and
-    deterministic ``part-<min_ts>.orc`` names (atomic publish via StorageFS),
-    columnar + compressed like the Parquet tier but readable by
-    Hive/Trino-side consumers.  Nested columns are kept — ORC supports
-    lists/structs natively."""
-    import io as _io
-
-    from pyarrow import orc as paorc
-
-    from ..state.uri import StorageFS
-
-    n = batch.num_rows
-    if n == 0:
-        return pa.table({"path": pa.array([], pa.string()), "rows": pa.array([], pa.int64())})
-    sfs = StorageFS(root)
-    codes = np.zeros(n, dtype=np.int64)
-    uniques: list[list] = []
-    per_col_idx: list[np.ndarray] = []
-    for c in partition_cols:
-        d = batch[c].combine_chunks().dictionary_encode()
-        idx = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        uniques.append(d.dictionary.to_pylist())
-        per_col_idx.append(idx)
-        codes = codes * (idx.max() + 1) + idx
-    order = np.argsort(codes, kind="stable")
-    cs = codes[order]
-    starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
-    ends = np.r_[starts[1:], n]
-    sorted_batch = batch.take(pa.array(order, type=pa.int64()))
-    body = sorted_batch.drop_columns(list(partition_cols))
-    tcol = ts_col if ts_col and ts_col in body.column_names else None
-    paths, rows = [], []
-    for s, e in zip(starts, ends):
-        sub = body.slice(s, e - s)
-        row0 = order[s]
-        dirname = sfs.join(
-            *(f"{c}={uniques[k][per_col_idx[k][row0]]}" for k, c in enumerate(partition_cols)),
-        )
-        sfs.makedirs(dirname)
-        tmin = int(pc.min(sub[tcol].combine_chunks().cast(pa.int64())).as_py()) if tcol else int(s)
-        path = f"{dirname}/part-{tmin}.orc"
-        buf = _io.BytesIO()
-        paorc.write_table(sub, buf)
-        sfs.write_bytes(path, buf.getvalue())
-        paths.append(path)
-        rows.append(sub.num_rows)
-    return pa.table({"path": pa.array(paths, pa.string()), "rows": pa.array(rows, pa.int64())})
+def write_csv(ds, root: str, partition_cols: tuple[str, ...] = ("source", "day"),
+              ts_col: str | None = None, metadata: dict | None = None) -> int:
+    """Stream ``ds`` to hive-partitioned CSV under ``root``; returns rows."""
+    return _write_stream(ds, write_batch_csv, root, partition_cols, ts_col, metadata)
 
 
 def write_orc(ds, root: str, partition_cols: tuple[str, ...] = ("source", "day"),
               ts_col: str | None = None) -> int:
     """Stream ``ds`` to hive-partitioned ORC under ``root``; returns rows."""
-
-    def write_batch(batch: pa.Table) -> pa.Table:
-        return write_batch_orc(batch, root, partition_cols, ts_col)
-
-    res = ds.map_batches(write_batch, batch_format="pyarrow").materialize()
-    total = 0
-    for b in res.iter_batches(batch_format="pyarrow"):
-        total += int(pc.sum(b["rows"]).as_py() or 0)
-    return total
-
+    return _write_stream(ds, write_batch_orc, root, partition_cols, ts_col)
 
 def compact_tier(root: str, tier: str, run_id: str = "compact") -> dict:
     """Small-file compaction for a tier store: every committed partition

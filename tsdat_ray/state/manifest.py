@@ -78,6 +78,19 @@ class Manifest:
         self.sfs.append_line(self.path, json.dumps(rec, default=str) + "\n")
 
     # ------------------------------------------------------------------ utils
+    @staticmethod
+    def tier_names(tiers: tuple[str, ...], encode_tiers: tuple[str, ...] = ()) -> list[str]:
+        """The store's tier dirs: ``raw``, ``t<t>`` per rollup tier, then
+        ``t<t>_enc`` per encoded tier that is also a rollup tier."""
+        return (["raw"] + [f"t{t}" for t in tiers]
+                + [f"t{t}_enc" for t in encode_tiers if t in tiers])
+
+    @staticmethod
+    def parse_partition(part: str) -> tuple[str, str]:
+        """``"source=<s>/day=<d>"`` → ``(s, d)``."""
+        src, day = part.split("/")
+        return src.split("=", 1)[1], day.split("=", 1)[1]
+
     def tier_dir(self, tier: str) -> str:
         """Root-form (URI-preserving) tier directory — valid as a
         ``read_parquet`` source and as a writer root."""

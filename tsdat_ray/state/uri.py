@@ -1,17 +1,19 @@
 """URI-addressable storage layer for writers + manifest.
 
-The round-1 fast writer hard-coded POSIX paths (os.makedirs/os.replace),
-which on a real multi-node cluster without shared NFS would scatter tier
-partitions across worker-local disks.  This wraps ``pyarrow.fs`` so every
-write path accepts ``file://``, ``s3://``, ``gs://``-style roots (parity with
-the reference's FileSystemS3 —
-/root/reference/tsdat/io/storage/file_system_s3.py:24+) while keeping the
-measured POSIX fast path (atomic tmp+rename publish) for plain local paths.
+Every root — a plain path, ``file://``, ``s3://``, ``gs://`` — resolves to
+one ``pyarrow.fs`` filesystem (a plain path opens a ``LocalFileSystem``), so
+each method has one body for every root (parity with the reference's
+FileSystemS3 — tsdat/io/storage/file_system_s3.py:24+).  On
+a multi-node cluster without shared NFS, an object-store root keeps tier
+partitions off worker-local disks.
 
-Atomicity model: local filesystems publish via tmp-file + ``os.replace``
-(a torn file can never be observed under a final name); object stores get
-single-request PUTs, which are already atomic at the object level — no
-rename needed or possible.
+One publish rule for every write (``write_table_atomic``, ``write_bytes``,
+``write_text``), chosen by the filesystem the root resolves to, not by how
+the root is spelled: a local filesystem writes a temp name in the target
+directory and then moves it over the final name, so a torn file can never
+be observed under a final name; an object store gets a single PUT, which is
+already atomic at the object level.  Manifest appends on a local filesystem
+are ``O_APPEND`` + ``fsync`` writes (durable at the record level).
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import os
 import posixpath
 import re
+
+from pyarrow import fs as pafs
 
 _URI_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*://")
 
@@ -28,202 +32,135 @@ def is_uri(root: str) -> bool:
 
 
 class StorageFS:
-    """Minimal filesystem facade: plain paths use os.* (fast path, atomic
-    rename); URIs go through ``pyarrow.fs.FileSystem.from_uri``.  ``file://``
-    URIs resolve to a LocalFileSystem but still publish atomically.  Every
-    method accepts either fs-form paths (``self.join``) or root-form URIs
+    """Minimal filesystem facade over ``pyarrow.fs``.  Every method accepts
+    either fs-form paths (``self.join``) or root-form URIs
     (``self.join_root``) — URIs are normalized to fs-form on entry."""
 
     def __init__(self, root: str):
-        self.root = root.rstrip("/") if is_uri(root) else root
         if is_uri(root):
-            from pyarrow import fs as pafs
-
+            self.root = root.rstrip("/")
             self.fs, self.path = pafs.FileSystem.from_uri(root)
-            self.local = isinstance(self.fs, pafs.LocalFileSystem)
-            # "file:///tmp/x" → fs path "/tmp/x", prefix "file://"
-            self.prefix = self.root[: len(self.root) - len(self.path)]
         else:
-            self.fs, self.path = None, root
-            self.local = True
-            self.prefix = ""
+            self.root = root
+            self.fs, self.path = pafs.LocalFileSystem(), root
+        self.local = isinstance(self.fs, pafs.LocalFileSystem)
+        # "file:///tmp/x" → fs path "/tmp/x", prefix "file://"; plain → ""
+        self.prefix = self.root[: len(self.root) - len(self.path)]
 
     def _n(self, p: str) -> str:
         """Normalize a root-form (URI) path to the fs-form this FS expects."""
-        return p[len(self.prefix):] if self.prefix and p.startswith(self.prefix) else p
+        return p[len(self.prefix):] if p.startswith(self.prefix) else p
 
     # -------------------------------------------------------------- paths
     def join(self, *parts: str) -> str:
         """fs-form join (for use with this object's own methods)."""
-        return (os.path.join if self.fs is None else posixpath.join)(self.path, *parts)
+        return posixpath.join(self.path, *parts)
 
     def join_root(self, *parts: str) -> str:
         """Root-form join: keeps the URI scheme, so the result works with
         ``ray.data.read_parquet`` / ``StorageFS(...)`` round-trips."""
-        if self.fs is None:
-            return os.path.join(self.root, *parts)
-        return "/".join((self.root, *parts))
+        return posixpath.join(self.root, *parts)
 
     # ---------------------------------------------------------- directories
     def makedirs(self, path: str) -> None:
-        path = self._n(path)
-        if self.fs is None:
-            os.makedirs(path, exist_ok=True)
-        else:
-            self.fs.create_dir(path, recursive=True)
+        self.fs.create_dir(self._n(path), recursive=True)
 
     def listdir(self, path: str) -> list[str]:
         """Names of immediate children (files and dirs); [] if absent."""
-        path = self._n(path)
-        if self.fs is None:
-            return sorted(os.listdir(path)) if os.path.isdir(path) else []
-        from pyarrow import fs as pafs
-
         try:
-            infos = self.fs.get_file_info(pafs.FileSelector(path, recursive=False))
-        except (FileNotFoundError, OSError):
+            infos = self.fs.get_file_info(pafs.FileSelector(self._n(path)))
+        except OSError:
             return []
         return sorted(posixpath.basename(i.path) for i in infos)
 
     def isdir(self, path: str) -> bool:
-        path = self._n(path)
-        if self.fs is None:
-            return os.path.isdir(path)
-        from pyarrow import fs as pafs
-
-        return self.fs.get_file_info(path).type == pafs.FileType.Directory
+        return self.fs.get_file_info(self._n(path)).type == pafs.FileType.Directory
 
     def rmtree(self, path: str) -> None:
-        path = self._n(path)
-        if self.fs is None:
-            import shutil
-
-            shutil.rmtree(path, ignore_errors=True)
-        else:
-            self.fs.delete_dir(path)
+        try:
+            self.fs.delete_dir(self._n(path))
+        except FileNotFoundError:
+            pass
 
     def rmdir_if_empty(self, path: str) -> None:
-        path = self._n(path)
-        if self.fs is None:
-            if os.path.isdir(path) and not os.listdir(path):
-                os.rmdir(path)
-        elif self.isdir(path) and not self.listdir(path):
-            self.fs.delete_dir(path)
+        if self.isdir(path) and not self.listdir(path):
+            self.fs.delete_dir(self._n(path))
 
     # --------------------------------------------------------------- files
     def exists(self, path: str) -> bool:
-        path = self._n(path)
-        if self.fs is None:
-            return os.path.exists(path)
-        from pyarrow import fs as pafs
-
-        return self.fs.get_file_info(path).type != pafs.FileType.NotFound
+        return self.fs.get_file_info(self._n(path)).type != pafs.FileType.NotFound
 
     def remove_file(self, path: str) -> None:
-        path = self._n(path)
-        if self.fs is None:
-            if os.path.exists(path):
-                os.remove(path)
-        else:
-            from pyarrow import fs as pafs
-
-            if self.fs.get_file_info(path).type != pafs.FileType.NotFound:
-                self.fs.delete_file(path)
+        if self.exists(path):
+            self.fs.delete_file(self._n(path))
 
     def rename(self, src: str, dst: str) -> None:
-        """Atomic-on-local rename (os.replace); remote FS uses move()."""
-        src, dst = self._n(src), self._n(dst)
-        if self.fs is None:
-            os.replace(src, dst)
-        else:
-            self.fs.move(src, dst)
+        """Replace ``dst`` with ``src`` (an atomic rename on local FS)."""
+        self.fs.move(self._n(src), self._n(dst))
 
     def getsize(self, path: str) -> int:
+        return self.fs.get_file_info(self._n(path)).size
+
+    def _publish(self, path: str, write) -> None:
+        """The one publish rule: ``write(fs_path)`` creates the file; local
+        → a temp name, then ``move`` over the final name; object store →
+        the final name directly (a single PUT is atomic)."""
         path = self._n(path)
-        if self.fs is None:
-            return os.path.getsize(path)
-        return self.fs.get_file_info(path).size
+        if not self.local:
+            write(path)
+            return
+        tmp = f"{path}.tmp{os.getpid()}"
+        write(tmp)
+        self.fs.move(tmp, path)
 
     def write_table_atomic(self, table, path: str, compression: str = "snappy") -> None:
-        """Publish a parquet file so a final name is never torn: local →
-        tmp + os.replace; remote FS → direct write (object PUT is atomic)."""
+        """Publish ``table`` as one Parquet file under the publish rule."""
         import pyarrow.parquet as pq
 
-        path = self._n(path)
-        if self.fs is None:
-            tmp = f"{path}.tmp{os.getpid()}"
-            pq.write_table(table, tmp, compression=compression)
-            os.replace(tmp, path)
-        else:
-            pq.write_table(table, path, compression=compression, filesystem=self.fs)
+        self._publish(path, lambda p: pq.write_table(
+            table, p, compression=compression, filesystem=self.fs))
 
-    def write_text(self, path: str, text: str) -> None:
-        path = self._n(path)
-        if self.fs is None:
-            with open(path, "w") as f:
-                f.write(text)
-        else:
-            with self.fs.open_output_stream(path) as f:
-                f.write(text.encode())
+    def write_bytes(self, path: str, data: bytes) -> None:
+        """Publish raw bytes under the publish rule."""
 
-    def write_bytes(self, path: str, data: bytes, atomic: bool = True) -> None:
-        """Publish raw bytes; local writes go through tmp+rename when
-        ``atomic`` (same torn-file guarantee as parquet publishes)."""
-        path = self._n(path)
-        if self.fs is None:
-            if atomic:
-                tmp = f"{path}.tmp{os.getpid()}"
-                with open(tmp, "wb") as f:
-                    f.write(data)
-                os.replace(tmp, path)
-            else:
-                with open(path, "wb") as f:
-                    f.write(data)
-        else:
-            with self.fs.open_output_stream(path) as f:
+        def put(p: str) -> None:
+            with self.fs.open_output_stream(p, compression=None) as f:
                 f.write(data)
 
+        self._publish(path, put)
+
+    def write_text(self, path: str, text: str) -> None:
+        self.write_bytes(path, text.encode())
+
     def read_bytes(self, path: str) -> bytes:
-        path = self._n(path)
-        if self.fs is None:
-            with open(path, "rb") as f:
-                return f.read()
-        with self.fs.open_input_stream(path) as f:
+        with self.fs.open_input_stream(self._n(path), compression=None) as f:
             return f.read()
 
     def read_text(self, path: str) -> str:
-        path = self._n(path)
-        if self.fs is None:
-            with open(path) as f:
-                return f.read()
-        with self.fs.open_input_stream(path) as f:
-            return f.read().decode()
+        return self.read_bytes(path).decode()
 
     def append_line(self, path: str, line: str) -> None:
         """Append one record line.  Local: O_APPEND + fsync (atomic at the
-        record level).  Remote: pyarrow's append stream when the FS supports
-        it, else read-modify-write (manifest appends happen only on the
-        driver, serially, so RMW has no concurrent writers)."""
+        record level).  Object store: pyarrow's append stream when the FS
+        supports it, else read-modify-write (manifest appends happen only on
+        the driver, serially, so RMW has no concurrent writers)."""
         path = self._n(path)
-        if self.fs is None:
+        if self.local:
             with open(path, "a") as f:
                 f.write(line)
                 f.flush()
                 os.fsync(f.fileno())
             return
         try:
-            with self.fs.open_append_stream(path) as f:
+            with self.fs.open_append_stream(path, compression=None) as f:
                 f.write(line.encode())
         except (NotImplementedError, OSError):
             prev = self.read_text(path) if self.exists(path) else ""
-            with self.fs.open_output_stream(path) as f:
+            with self.fs.open_output_stream(path, compression=None) as f:
                 f.write((prev + line).encode())
 
     def parquet_num_rows(self, path: str) -> int:
         import pyarrow.parquet as pq
 
-        path = self._n(path)
-        if self.fs is None:
-            return pq.ParquetFile(path).metadata.num_rows
-        with self.fs.open_input_file(path) as f:
+        with self.fs.open_input_file(self._n(path)) as f:
             return pq.ParquetFile(f).metadata.num_rows
