@@ -312,10 +312,12 @@ def _forget_partition(man, tier, part):
         man.append(dict(r))
 
 
-def _assert_same_partition(man_a, man_b, tier, part):
-    """Bit-equal rows (NaN equal to NaN) of one partition in two stores."""
-    key = "ts" if tier == "raw" else "bucket"
-    a, b = (pq.read_table(m.partition_dir(tier, part)).sort_by(key) for m in (man_a, man_b))
+def _assert_same_partition(man_a, man_b, tier, part, drop=()):
+    """Bit-equal rows (NaN equal to NaN) of one partition in two stores,
+    leaving out the columns in ``drop``."""
+    key = "ts" if tier == "raw" else "window" if tier.endswith("_enc") else "bucket"
+    a, b = (pq.read_table(m.partition_dir(tier, part)).sort_by(key).drop_columns(list(drop))
+            for m in (man_a, man_b))
     assert a.schema == b.schema and a.num_rows == b.num_rows, (tier, part)
     for c in a.column_names:
         if pa.types.is_floating(a[c].type):
@@ -572,9 +574,12 @@ def test_run_report_persisted(ray_session, tmp_path):
     rep = json.load(open(path))
     assert {"raw", "1m", "1h", "1d"} <= set(rep)
     assert rep["raw"]["new_partitions"] > 0
-    # every tier of the one graph reports the graph wall
-    walls = {rep[t]["wall_s"] for t in ("raw", "1m", "1h", "1d")}
+    # every tier of the one graph reports the graph wall, plus the seconds
+    # its own tasks spent rolling up, encoding and writing it
+    walls = {rep[t]["wall_s"] for t in ("raw", "1m", "1h", "1d", "1m_enc")}
     assert len(walls) == 1 and walls.pop() > 0
+    for t in ("raw", "1m", "1h", "1d", "1m_enc"):
+        assert rep[t]["task_s"] > 0, t
     man = Manifest(store)
     for tier in ("raw", "1m", "1h", "1d"):
         name = "raw" if tier == "raw" else f"t{tier}"
@@ -736,3 +741,127 @@ def test_encode_store_drops_stale_parts_of_aborted_run(ray_session, corpus, tmp_
     assert again["new_partitions"] == 1
     assert sorted(os.listdir(vdir)) == files
     assert (again["bytes_raw"], again["bytes_enc"]) == (first["bytes_raw"], first["bytes_enc"])
+
+
+STORE_DIRS = ("raw", "t1m", "t1h", "t1d", "t1m_enc")
+
+
+def _assert_same_store(man_a, man_b):
+    for tier in STORE_DIRS:
+        parts = sorted(man_a.completed(tier))
+        assert parts and parts == sorted(man_b.completed(tier)), tier
+        # raw qc_ts is CheckMonotonic over each (batch, source) run of the
+        # input (standardize.py), so it follows the read's block layout by
+        # design; no tier reads it
+        drop = ("qc_ts",) if tier == "raw" else ()
+        for part in parts:
+            _assert_same_partition(man_a, man_b, tier, part, drop)
+
+
+def test_skip_completed_matches_partition_string_rule():
+    """The (source code, day index) match drops exactly the rows whose
+    ``source=<s>/day=<d>`` name is done, for an empty done set and for done
+    partitions of sources the batch lacks."""
+    from tsdat_ray.pipelines.rollup_pipeline import _skip_completed
+
+    rng = np.random.default_rng(3)
+    n = 500
+    ts = EPOCH_US + rng.integers(-2, 5 * 86400, n) * US  # one row before the epoch day
+    src = rng.choice(["web", "news", "code"], n)
+    batch = pa.table({"source": pa.array(src), "ts": pa.array(ts).cast(pa.timestamp("us"))})
+    days = (ts // (86400 * US)).astype("datetime64[D]").astype(str)
+    names = np.char.add(np.char.add("source=", src), np.char.add("/day=", days))
+    some = sorted(set(names))[::3]
+    for done in (frozenset(), frozenset(some), frozenset(some + ["source=gone/day=2022-04-05"]),
+                 frozenset(["source=gone/day=2022-04-05"]), frozenset(names)):
+        want = batch.filter(pa.array(~np.isin(names, list(done))))
+        assert _skip_completed(batch, "ts", done).equals(want), sorted(done)[:3]
+
+
+def test_fresh_graph_has_one_shuffle_and_no_encode_job(ray_session, corpus, tmp_path, monkeypatch):
+    """A fresh run executes one Dataset: the corpus read with the clean
+    shuffle as its only all-to-all.  The tiers and the encoded store are
+    written inside that shuffle's tasks, with no disk feed and no other
+    Ray job."""
+    import ray.data as rd
+    from ray.data._internal.logical.operators.all_to_all_operator import AbstractAllToAll
+
+    runs, calls = [], {"read_parquet": 0, "from_items": 0}
+    for method in ("take_all", "count", "materialize", "sum", "iter_batches", "to_pandas"):
+        orig = getattr(rd.Dataset, method)
+
+        def wrapped(self, *a, _orig=orig, **kw):
+            runs.append(self._logical_plan.dag)
+            return _orig(self, *a, **kw)
+
+        monkeypatch.setattr(rd.Dataset, method, wrapped)
+    for fn in calls:
+        orig = getattr(rd, fn)
+
+        def counted(*a, _orig=orig, _fn=fn, **kw):
+            calls[_fn] += 1
+            return _orig(*a, **kw)
+
+        monkeypatch.setattr(rd, fn, counted)
+
+    stats = run_pipeline(corpus, PipelineConfig(out_root=str(tmp_path / "s"), resume=False))
+    assert stats["1m_enc"]["new_partitions"] == stats["1m"]["new_partitions"] > 0
+    assert calls == {"read_parquet": 1, "from_items": 0}
+    assert len(runs) == 1
+
+    def ops(op):
+        yield op
+        for dep in op.input_dependencies:
+            yield from ops(dep)
+
+    assert sum(isinstance(op, AbstractAllToAll) for op in ops(runs[0])) == 1
+
+
+def test_tiers_independent_of_layout(ray_session, corpus, tmp_path):
+    """Fresh runs at 4 and 16 input blocks, and the staged entry points
+    (ingest_raw → rollup_tier ×3 → encode_tier_store), give bit-equal
+    raw/t1m/t1h/t1d/t1m_enc partitions (raw's per-batch qc_ts aside)."""
+    from tsdat_ray.pipelines.rollup_pipeline import encode_tier_store
+
+    mans = []
+    for par in (4, 16):
+        out = str(tmp_path / f"p{par}")
+        run_pipeline(corpus, PipelineConfig(out_root=out, resume=False, parallelism=par))
+        mans.append(Manifest(out))
+    _assert_same_store(*mans)
+
+    staged = PipelineConfig(out_root=str(tmp_path / "staged"), resume=False, parallelism=16)
+    assert ingest_raw(corpus, staged)["new_partitions"] > 0
+    for tier in ("1m", "1h", "1d"):
+        assert rollup_tier(tier, staged)["new_partitions"] > 0
+    enc = encode_tier_store("1m", staged)
+    assert enc["new_partitions"] > 0 and enc["compression_ratio"] > 1
+    _assert_same_store(mans[0], Manifest(staged.out_root))
+
+
+def test_mixed_resume_rebuilds_each_lost_partition_from_its_own_source(
+        ray_session, corpus, tmp_path):
+    """Raw partition p and t1h partition q≠p are lost with their records:
+    the resume recomputes raw p from the input and t1h q from the t1m on
+    disk, and nothing else; both equal the fresh store, and the tiers it
+    did not write keep their commit times."""
+    out = str(tmp_path / "store")
+    run_pipeline(corpus, PipelineConfig(out_root=out, run_id="r1"))
+    fresh = Manifest(str(tmp_path / "fresh"))
+    shutil.copytree(out, fresh.root)
+    man = Manifest(out)
+    p = sorted(man.completed("raw"))[0]
+    q = next(x for x in sorted(man.completed("t1h")) if x != p)
+    for tier, part in (("raw", p), ("t1h", q)):
+        shutil.rmtree(man.partition_dir(tier, part))
+        _forget_partition(man, tier, part)
+    n_recs = len(man.records())
+    before = {t: man.last_modified(t) for t in ("t1m", "t1d", "t1m_enc")}
+
+    stats = run_pipeline(corpus, PipelineConfig(out_root=out, run_id="r2"))
+    assert {k: v["new_partitions"] for k, v in stats.items()} == {
+        "raw": 1, "1m": 0, "1h": 1, "1d": 0, "1m_enc": 0}
+    assert [(r["tier"], r["partition"]) for r in man.records()[n_recs:]] == [("raw", p), ("t1h", q)]
+    assert {t: man.last_modified(t) for t in before} == before
+    _assert_same_partition(man, fresh, "raw", p)
+    _assert_same_partition(man, fresh, "t1h", q)

@@ -966,6 +966,9 @@ def test_kmeans_quantized_matches_integer_reference(ray_session):
     for i in range(n):
         assert got[i] == int(a[i]), (i, got[i], int(a[i]))
     assert got[10] == got[11] and got[12] == got[13]
+    # filtered to nothing: blocks without a schema still give an empty result
+    none = rd.from_arrow(tbl).filter(lambda r: r["vec_id"] < 0)
+    assert kmeans_quantized(none, k=k, n_iter=1).count() == 0
 
 
 def test_pca_power_quantized_recovers_principal_axis(ray_session):

@@ -1,32 +1,28 @@
-"""The flagship pipeline: sequences Parquet → raw tier → 1m → 1h → 1d,
-partitioned by (source, day), resumable from the lineage manifest, with
-retention pruning per tier.
+"""The flagship pipeline: sequences Parquet → raw tier → 1m → 1h → 1d (+ the
+Gorilla-encoded 1m store), partitioned by (source, day), resumable from the
+lineage manifest, with retention pruning per tier.
 
 Recasts the reference's ingest + transformation pipeline lifecycle
 (/root/reference/tsdat/pipeline/pipelines/ingest_pipeline.py:34-49,
-transformation_pipeline.py:29-75) as one streaming Ray Data graph in which
-the full token payload crosses the cluster exactly ONCE:
+transformation_pipeline.py:29-75) as one streaming Ray Data graph with ONE
+shuffle.  Every 1m, 1h and 1d bucket lies inside one day, so the task the
+clean shuffle hands a whole (source, day) rolls every tier of it up itself
+(*Partition, Don't Sort!*, VLDB 2024):
 
-    read_parquet(inputs)                                   # pruned columns
-      → map_batches(standardize)                           # stateless
-      → [skip done(raw) partitions]                        # resume filter
-      → groupby(_pkey).map_groups(clean + write raw/)      # THE shuffle:
-        _pkey = crc32(source)<<32 | day — one int64 key    #   sort+dedup+QC
-      → for t in 1m, 1h, 1d (src = the tier before t):
-          [in-memory rows of src, minus done(t)]           # partition
-          ∪ [disk read of done(src) minus done(t)]         #   elimination
-          → partial → barrier → groupby(key, window)       # combiner push-
-            .map_groups(combine + write t<t>/)             #   down
-    retention: prune day partitions older than the per-tier horizon
+    read_parquet(inputs) → map_batches(standardize) → [skip done(raw)]
+      → groupby(_pkey).map_groups(            # THE shuffle, one int64 key:
+          clean + QC + write raw/             #   crc32(source)<<32 | day
+          → _roll_partition)                  # t1m, t1m_enc, t1h, t1d
+    ∪ from_items(partitions raw holds that a later dir lacks)
+      → map_batches(read the tier below the lowest missing dir
+                    → _roll_partition)        # no shuffle
+    → commit raw, t1m, t1h, t1d, t1m_enc; prune by retention horizon
 
-Fresh, resumed and reprocess runs all build this one graph (``_cascade``).
-Before it starts, every tier's committed set done(t) is read from the
-manifest and its uncommitted partition dirs are wiped; committed partitions
-are then eliminated ahead of each tier instead of being recomputed, and a
-tier re-reads from disk only the source partitions it is missing (e.g. t1m
-when a crash lost t1h).  Every tier commits after the graph completes, so a
-killed run leaves only uncommitted dirs and resumes idempotently.  With an
-empty manifest there is no skip filter and no disk read: the fresh graph.
+Fresh, resumed and reprocess runs and the staged entry points all build
+this graph (``_cascade``), told which store dirs to write.  Every dir
+commits after the graph completes, so a killed run leaves only uncommitted
+dirs, which the next resume wipes.  With an empty manifest there is no skip
+filter and no disk feed: the fresh graph.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from __future__ import annotations
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -42,31 +38,30 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import DEFAULT_RETENTION_S, TIERS
+from ..stages.encode import EncodeConfig, encode_group
 from ..stages.qc import QCConfig, QCStage
-from ..stages.rollup import RollupConfig, _add_window, _key_change, dedup_order, rollup_batch
+from ..stages.rollup import RollupConfig, _key_change, _key_codes, dedup_order, rollup_batch
 from ..stages.standardize import StandardizeConfig, standardize_batch
-from ..stages.writers import write_batch_partitioned, write_partitioned
+from ..stages.writers import write_batch_partitioned
 from ..state.manifest import Manifest
 
 US = 1_000_000
 DAY_US = 86400 * US
 
 
-def _day_str_from_us(ts_us: np.ndarray) -> pa.Array:
-    days = (ts_us // DAY_US) * DAY_US
-    return pc.strftime(pa.array(days, type=pa.int64()).cast(pa.timestamp("us")), format="%Y-%m-%d")
-
-
 def _add_day(batch: pa.Table, ts_col: str) -> pa.Table:
+    """Append ``day`` (``%Y-%m-%d``); strftime runs once per distinct day."""
     ts_us = batch[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-    return batch.append_column("day", _day_str_from_us(ts_us))
+    days, inv = np.unique(ts_us // DAY_US, return_inverse=True)
+    names = pc.strftime(pa.array(days * DAY_US).cast(pa.timestamp("us")), format="%Y-%m-%d")
+    return batch.append_column("day", names.take(pa.array(inv.reshape(-1))))
 
 
 def _add_pkey(batch: pa.Table, ts_col: str) -> pa.Table:
     """Single int64 partition key (crc32(source) << 32 | day index): sorting
     one int column shuffles ~3× faster than sorting (string, string) keys.
-    A crc collision merges two sources into one group — harmless, because
-    every group consumer segments by source again."""
+    A crc collision merges two sources into one group, which the group task
+    splits again."""
     ts_us = batch[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     day = ts_us // DAY_US
     d = batch["source"].combine_chunks().dictionary_encode()
@@ -78,14 +73,18 @@ def _add_pkey(batch: pa.Table, ts_col: str) -> pa.Table:
 
 def _skip_completed(batch: pa.Table, ts_col: str, done: frozenset) -> pa.Table:
     """Partition elimination: drop rows whose (source, day) partition is in
-    ``done``.  Exact for every tier, because a row's day is the day of its
-    1m, 1h and 1d buckets alike."""
+    ``done``.  Matches (source dictionary code, day index) pairs against the
+    few done pairs whose source occurs in the batch, never a per-row
+    string."""
+    d = batch["source"].combine_chunks().dictionary_encode()
+    code_of = {s: i for i, s in enumerate(d.dictionary.to_pylist())}
+    pairs = [(code_of[s], np.datetime64(day, "D").astype(np.int64))
+             for s, day in map(Manifest.parse_partition, done) if s in code_of]
     ts_us = batch[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-    day = _day_str_from_us(ts_us).to_numpy(zero_copy_only=False)
-    src = batch["source"].to_numpy(zero_copy_only=False)
-    parts = np.char.add(np.char.add(np.char.add("source=", src.astype(str)), "/day="), day.astype(str))
-    keep = ~np.isin(parts, list(done))
-    return batch.filter(pa.array(keep))
+    key = d.indices.to_numpy(zero_copy_only=False).astype(np.int64) << np.int64(32)
+    key |= (ts_us // DAY_US) & np.int64(0xFFFFFFFF)
+    drop = np.array([(c << 32) | (day & 0xFFFFFFFF) for c, day in pairs], np.int64)
+    return batch.filter(pa.array(~np.isin(key, drop)))
 
 
 def clean_group(g: pa.Table) -> pa.Table:
@@ -93,21 +92,14 @@ def clean_group(g: pa.Table) -> pa.Table:
     (source, ts) rows keeping the smallest doc_id, so the caller can run the
     order-dependent QC managers on the sorted slice.  Segments by source so a
     _pkey hash collision can never merge rows across sources."""
-    if "_pkey" in g.column_names:
-        g = g.drop_columns(["_pkey"])
     ts_us = g["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     doc_id = g["doc_id"].to_numpy(zero_copy_only=False)
-    codes = g["source"].combine_chunks().dictionary_encode().indices.to_numpy(
-        zero_copy_only=False
-    ).astype(np.int64)
+    codes = _key_codes(g["source"])[0]
     order = dedup_order(g, doc_id, ts_us, codes)
     ts_s, code_s = ts_us[order], codes[order]
     keep = _key_change(ts_s, code_s)
     t = g.take(pa.array(order[keep], type=pa.int64()))
-    drop = [c for c in ("_tb", "_tb2") if c in t.column_names]
-    if drop:
-        t = t.drop_columns(drop)
-    return t
+    return t.drop_columns([c for c in ("_pkey", "_tb", "_tb2") if c in t.column_names])
 
 
 @dataclass
@@ -118,7 +110,6 @@ class PipelineConfig:
     values: tuple[str, ...] = ("n_tok", "tok_mean")
     carry_tokens: bool = True
     tiers: tuple[str, ...] = ("1m", "1h", "1d")
-    window_s: dict = field(default_factory=lambda: {"1m": 3600 * 6, "1h": 86400, "1d": 86400 * 16})
     retention_s: dict = field(default_factory=lambda: dict(DEFAULT_RETENTION_S))
     resume: bool = True
     run_id: str = ""
@@ -129,7 +120,7 @@ class PipelineConfig:
     # scale leave None — blocks are then bounded by target_max_block_size.
     parallelism: Optional[int] = None
     # Tiers additionally stored as delta-of-delta timestamp + Gorilla-XOR
-    # value blobs (one blob row per (source, window)) under t<tier>_enc/.
+    # value blobs (one blob row per (source, day)) under t<tier>_enc/.
     encode_tiers: tuple[str, ...] = ("1m",)
     # fail_pipeline tolerance breaches: False → raise (job aborts, reference
     # FailPipeline semantics); True → divert the partition's pre-QC rows to
@@ -151,15 +142,6 @@ def _num_blocks(cfg: PipelineConfig) -> int:
     return max(8, 2 * int(ray.cluster_resources().get("CPU", 8)))
 
 
-def _tier_rcfg(tier: str, cfg: PipelineConfig) -> RollupConfig:
-    return RollupConfig(
-        interval_s=TIERS[tier],
-        values=cfg.values,
-        window_s=cfg.window_s.get(tier, 86400),
-        carry_tokens=cfg.carry_tokens,
-    )
-
-
 def _qc_file_metadata(qc_stage, run_id: str = "") -> dict:
     """Parquet footer attrs for raw-tier files: QC bit tables per variable
     (flag_masks / flag_meanings / flag_assessments — the ACT convention the
@@ -175,16 +157,62 @@ def _qc_file_metadata(qc_stage, run_id: str = "") -> dict:
     return meta
 
 
+def _src_level(name: str, chain: list) -> int:
+    """Index in ``chain`` of the tier dir ``name`` is made from: the tier
+    before it, or the tier itself for ``t<tier>_enc``."""
+    return chain.index(name[:-4]) if name.endswith("_enc") else chain.index(name) - 1
+
+
+def _stats(times: list) -> pa.Table:
+    """One ``(tier, task_s)`` row per store dir write."""
+    return pa.Table.from_pylist([{"tier": n, "task_s": s} for n, s in times],
+                                schema=pa.schema([("tier", pa.string()), ("task_s", pa.float64())]))
+
+
+def _roll_partition(cur: pa.Table, level: int, day: str, write: set, cfg: PipelineConfig) -> list:
+    """The per-partition kernel: from the rows of one (source, day) of tier
+    ``chain[level]``, roll each later tier up (partial, then the combine
+    pass of ``rollup_fast``) and write each dir of ``write``, an encoded dir
+    right after its tier, until all are written.  Returns ``(dir, seconds
+    of rollup + encode + write since the previous write)`` per dir."""
+    chain, man, left = Manifest.tier_names(cfg.tiers), Manifest(cfg.out_root), set(write)
+    times, t0 = [], time.perf_counter()
+
+    def put(name: str, t: pa.Table, ts_col: str) -> None:
+        nonlocal t0
+        write_batch_partitioned(t.append_column("day", pa.repeat(day, t.num_rows)),
+                                man.tier_dir(name), ts_col=ts_col)
+        left.discard(name)
+        times.append((name, time.perf_counter() - t0))
+        t0 = time.perf_counter()
+
+    for lvl in range(level, len(chain)):
+        name = chain[lvl]
+        if lvl > level:
+            rcfg = RollupConfig(interval_s=TIERS[name[1:]], values=cfg.values,
+                                carry_tokens=cfg.carry_tokens)
+            cur = rollup_batch(rollup_batch(cur, rcfg, from_tier=lvl > 1), rcfg, from_tier=True)
+            if name in left:
+                put(name, cur, "bucket")
+        if f"{name}_enc" in left:  # one blob row per (source, day)
+            ecfg = EncodeConfig(values=tuple(f"{v}_mean" for v in cfg.values))
+            put(f"{name}_enc", encode_group(cur, ecfg), "window")
+        if not left:
+            break
+    return times
+
+
 def _clean_write_group(g: pa.Table, qc_stage, raw_root: str,
                        quarantine_root: str | None, metadata: dict | None = None,
-                       finalize_hook=None) -> pa.Table:
+                       finalize_hook=None) -> pa.Table | None:
     """Clean one (source, day) group, run QC with per-partition counters,
     write the partition + a ``_qc.json`` lineage sidecar (QC counts land in
     the manifest record at commit), and return the cleaned rows onward.
 
     ``fail_pipeline`` tolerance breaches either abort the job (reference
     FailPipeline semantics, quarantine_root=None) or divert the partition's
-    pre-QC rows to ``quarantine/`` and keep the job going (SURVEY §7.4-4)."""
+    pre-QC rows to ``quarantine/`` and keep the job going (SURVEY §7.4-4);
+    a diverted partition returns None."""
     import json
 
     from ..stages.qc import DataQualityError, QCReport
@@ -202,8 +230,7 @@ def _clean_write_group(g: pa.Table, qc_stage, raw_root: str,
             qfs = StorageFS(quarantine_root)
             for p in {os.path.dirname(x) for x in res["path"].to_pylist()}:
                 qfs.write_text(f"{p}/_qc_error.txt", str(e))
-            empty = qc_stage(t.slice(0, 0))
-            return empty.drop_columns(["day"])
+            return None
         t = t_qc
     if finalize_hook is not None:
         t = finalize_hook(t)
@@ -216,10 +243,11 @@ def _clean_write_group(g: pa.Table, qc_stage, raw_root: str,
     return t.drop_columns(["day"])
 
 
-def _clean_dataset(input_paths, cfg: PipelineConfig, done: frozenset, write_root: str):
+def _clean_feed(input_paths, cfg: PipelineConfig, done: dict, later: tuple):
     """read → standardize → resume-skip → ONE groupby(_pkey) clean shuffle,
-    with the raw partition write (+ QC sidecars/quarantine) fused into the
-    shuffle's reduce tasks."""
+    whose tasks split each group by source (a crc collision can merge two),
+    clean and write each raw partition (+ QC sidecars/quarantine), then roll
+    it into the dirs of ``later`` it lacks.  Emits ``_stats`` rows."""
     import ray.data as rd
 
     qc_stage = QCStage(cfg.qc) if cfg.qc else None
@@ -245,124 +273,103 @@ def _clean_dataset(input_paths, cfg: PipelineConfig, done: frozenset, write_root
     ds = ds.map_batches(lambda b: standardize_batch(b, std_cfg), batch_format="pyarrow")
     if cfg.hooks.get("customize") is not None:
         ds = ds.map_batches(cfg.hooks["customize"], batch_format="pyarrow")
-    if done:
-        ds = ds.map_batches(lambda b: _skip_completed(b, "ts", done), batch_format="pyarrow")
+    if done["raw"]:
+        ds = ds.map_batches(lambda b: _skip_completed(b, "ts", done["raw"]), batch_format="pyarrow")
     ds = ds.map_batches(lambda b: _add_day(b, "ts"), batch_format="pyarrow")
     ds = ds.map_batches(lambda b: _add_pkey(b, "ts"), batch_format="pyarrow")
+    raw_root = Manifest(cfg.out_root).tier_dir("raw")
     qroot = os.path.join(cfg.out_root, "quarantine") if cfg.qc_quarantine else None
     meta = _qc_file_metadata(qc_stage, cfg.run_id)
     fin = cfg.hooks.get("finalize")
-    return ds.groupby("_pkey").map_groups(
-        lambda g: _clean_write_group(g, qc_stage, write_root, qroot, meta, fin),
-        batch_format="pyarrow",
-    )
+
+    def clean_roll(g: pa.Table) -> pa.Table:
+        times, day = [], g["day"][0].as_py()
+        src = g["source"].combine_chunks().dictionary_encode()
+        for code, source in enumerate(src.dictionary.to_pylist()):
+            t0 = time.perf_counter()
+            part = g.filter(pc.equal(src.indices, code)) if len(src.dictionary) > 1 else g
+            t = _clean_write_group(part, qc_stage, raw_root, qroot, meta, fin)
+            times.append(("raw", time.perf_counter() - t0))
+            write = {n for n in later if f"source={source}/day={day}" not in done[n]}
+            if t is not None and t.num_rows and write:
+                times += _roll_partition(t, 0, day, write, cfg)
+        return _stats(times)
+
+    return ds.groupby("_pkey").map_groups(clean_roll, batch_format="pyarrow")
 
 
-def _tname(tier: str) -> str:
-    """Store dir / manifest name of a tier: "raw", "t1m", "t1h", ..."""
-    return tier if tier == "raw" else f"t{tier}"
-
-
-def _done(man: Manifest, tname: str, cfg: PipelineConfig) -> frozenset:
-    """A tier's committed partitions, after wiping its uncommitted partition
-    dirs (partial output of a killed run).  Without resume nothing counts as
-    done and nothing is wiped."""
-    if not cfg.resume:
-        return frozenset()
-    man.wipe_uncommitted(tname)
-    return frozenset(man.completed(tname))
-
-
-def _read_partitions(man: Manifest, tname: str, parts, cfg: PipelineConfig, **kw):
-    """Read only the given (source, day) partitions of a tier; ``source`` and
-    ``day`` come back as hive columns.
-
-    At most one block per file: asked for more blocks than files, Ray splits
-    each file's block, and a bucket whose rows straddle two partial blocks
-    sums its floats in another grouping than the fresh graph does."""
+def _disk_feed(cfg: PipelineConfig, items: list):
+    """One task per item ``{level, part, write}``: read the partition of
+    tier ``chain[level]`` (``source`` re-added from its name, as a hive read
+    would) and roll it into the dirs of ``write``.  Emits ``_stats`` rows."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    fs = man.sfs
-    files = [fs.join(tname, p, fn) for p in parts
-             for fn in fs.listdir(fs.join(tname, p)) if fn.endswith(".parquet")]
-    return rd.read_parquet(files, filesystem=fs.fs,
-                           override_num_blocks=min(len(files), _num_blocks(cfg)), **kw)
+    def roll(batch: pa.Table) -> pa.Table:
+        sfs, times = Manifest(cfg.out_root).sfs, []
+        for level, part, write in zip(*(batch[c].to_pylist() for c in ("level", "part", "write"))):
+            name = Manifest.tier_names(cfg.tiers)[level]
+            cur = pa.concat_tables(pq.read_table(f, filesystem=sfs.fs)
+                                   for f in _part_files(sfs, name, part))
+            source, day = Manifest.parse_partition(part)
+            cur = cur.append_column("source", pa.repeat(source, cur.num_rows))
+            times += _roll_partition(cur, level, day, set(write), cfg)
+        return _stats(times)
+
+    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
+        roll, batch_format="pyarrow", batch_size=1)
 
 
-def _cascade(input_paths, cfg: PipelineConfig, tiers: tuple[str, ...]) -> dict:
-    """Build and run ONE streaming Ray Data graph over ``tiers`` (a
-    contiguous run of ``("raw",) + cfg.tiers``), then commit every tier in
-    order.  Returns per-tier stats.
+def _part_files(sfs, name: str, part: str) -> list[str]:
+    """The Parquet files of one partition of store dir ``name``."""
+    pdir = sfs.join(name, part)
+    return [f"{pdir}/{f}" for f in sfs.listdir(pdir) if f.endswith(".parquet")]
 
-    Each tier step reads the in-memory output of the step before it, minus
-    the partitions already committed to this tier, plus a disk read of only
-    the source tier's committed partitions this tier lacks.  Every tier's
-    write happens inside the task that finalizes it (``write_batch_partitioned``
-    fused into the shuffle's map_groups), so the heavy data never takes an
-    extra trip through the object store.  A crash mid-graph leaves only
-    uncommitted partition dirs, which the next resume wipes."""
+
+def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...]) -> dict:
+    """Build and run ONE Ray Data graph that writes the store dirs ``names``
+    (some of ``Manifest.tier_names``), then commit them in that order.
+    done(n) is read after n's uncommitted dirs (a killed run's output) are
+    wiped; without resume nothing is done.  The clean feed (when raw is
+    written) carries every partition not in done(raw); the disk feed each
+    other partition a dir lacks, read from the tier below the lowest dir it
+    lacks.  Returns per-dir stats keyed "raw", "1m", ..., "1m_enc"."""
     man = Manifest(cfg.out_root)
-    order = ("raw",) + cfg.tiers
-    done = {t: _done(man, _tname(t), cfg) for t in tiers}
+    chain = Manifest.tier_names(cfg.tiers)
+    order = [n for n in Manifest.tier_names(cfg.tiers, cfg.encode_tiers) if n in names]
+    if cfg.resume:  # a killed run's partition dirs were never committed
+        for n in order:
+            man.wipe_uncommitted(n)
+    done = {n: frozenset(man.completed(n) if cfg.resume else ()) for n in order}
+    later = tuple(n for n in order if n != "raw")
     t0 = time.time()
-    prev = None
-    if tiers[0] == "raw":
-        prev = _clean_dataset(input_paths, cfg, done["raw"], man.tier_dir("raw"))
-    for src, tier in zip(order, order[1:]):
-        if tier not in tiers:
-            continue
-        rcfg = _tier_rcfg(tier, cfg)
-        tier_root = man.tier_dir(_tname(tier))
-        from_tier = src != "raw"
-        ts_col = "bucket" if from_tier else "ts"
 
-        def partial(b: pa.Table, rcfg=rcfg, from_tier=from_tier) -> pa.Table:
-            return rollup_batch(b, rcfg, from_tier)
-
-        def combine_write(g: pa.Table, rcfg=rcfg, root=tier_root) -> pa.Table:
-            t = rollup_batch(g.drop_columns(["_window"]), rcfg, from_tier=True)
-            write_batch_partitioned(_add_day(t, "bucket"), root, ts_col="bucket")
-            return t
-
-        feeds = []
-        if prev is not None:
-            if done[tier]:
-                prev = prev.map_batches(
-                    lambda b, d=done[tier], c=ts_col: _skip_completed(b, c, d),
-                    batch_format="pyarrow", batch_size=None)
-            feeds.append(prev)
-        src_done = done[src] if src in done else frozenset(man.completed(_tname(src)))
-        reread = sorted(src_done - done[tier])
-        if reread:
-            feeds.append(_read_partitions(man, _tname(src), reread, cfg).drop_columns(["day"]))
-        if not feeds:  # nothing of this tier to (re)compute
-            prev = None
-            continue
-        parts = [d.map_batches(partial, batch_format="pyarrow", batch_size=None) for d in feeds]
-        p = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-        # barrier on each tier's PARTIALS, never on full-payload rows: each
-        # Ray job then holds exactly one shuffle ([tier-t combine → tier-t+1
-        # partial] fused), the raw clean+write reduce tasks pipeline straight
-        # into the 1m partial aggregation, and only tier-shaped partials sit
-        # at barriers.  One fully-fused graph interleaves all four shuffles,
-        # which thrash at low parallelism (measured 2x slower at 8 CPUs); a
-        # barrier after every combine plus one on the cleaned corpus held the
-        # full token payload in the object store and ran 2 extra jobs
-        # (measured 70.9→61 s at 4 CPUs, 22.7→19.8 s at 16).
-        p = _add_window(p.materialize(), "bucket", rcfg.window_s, from_tier=True)
-        prev = p.groupby([rcfg.key, "_window"]).map_groups(combine_write, batch_format="pyarrow")
-    if prev is not None:
-        prev.count()  # drives the whole fused graph
+    feeds = [_clean_feed(input_paths, cfg, done, later)] if "raw" in done else []
+    have = {lv: man.completed(chain[lv]) for lv in {_src_level(n, chain) for n in later}}
+    items = []
+    for part in sorted(set().union(*have.values())):
+        write = [n for n in later if part not in done[n]]
+        lv = min((_src_level(n, chain) for n in write), default=0)
+        if write and part in have[lv] and not ("raw" in done and part not in done["raw"]):
+            items.append({"level": lv, "part": part, "write": write})
+    if items:
+        feeds.append(_disk_feed(cfg, items))
+    task_s = dict.fromkeys(order, 0.0)
+    if feeds:  # one union; take_all drives the whole graph
+        for r in (feeds[0].union(*feeds[1:]) if len(feeds) > 1 else feeds[0]).take_all():
+            task_s[r["tier"]] += r["task_s"]
     wall = time.time() - t0
 
     corpus = list(input_paths) if isinstance(input_paths, (list, tuple)) else [input_paths]
     stats = {}
-    for src, tier in zip((None,) + order, order):
-        if tier in tiers:  # lineage: the corpus for raw, else the source tier dir
-            lineage = [man.tier_dir(_tname(src))] if src else corpus
-            recs = man.commit_partitions(_tname(tier), lineage, cfg.run_id, wall)
-            stats[tier] = {"tier": tier, "new_partitions": len(recs), "skipped": len(done[tier]),
-                           "rows": sum(r.rows for r in recs), "wall_s": wall}
+    for n in order:  # lineage: the corpus for raw, else the source tier dir
+        lineage = [man.tier_dir(chain[_src_level(n, chain)])] if n != "raw" else corpus
+        recs = man.commit_partitions(n, lineage, cfg.run_id, wall)
+        key = n if n == "raw" else n[1:]
+        stats[key] = {"tier": key, "new_partitions": len(recs), "skipped": len(done[n]),
+                      "rows": sum(r.rows for r in recs), "wall_s": wall, "task_s": task_s[n]}
+        if n.endswith("_enc"):
+            stats[key].update(_enc_totals(man, n))
     return stats
 
 
@@ -374,46 +381,29 @@ def ingest_raw(input_paths, cfg: PipelineConfig) -> dict:
 def rollup_tier(tier: str, cfg: PipelineConfig) -> dict:
     """Aggregate the previous tier into ``tier`` (raw→1m, 1m→1h, 1h→1d),
     reading the source tier's committed partitions that ``tier`` lacks."""
-    return _cascade(None, cfg, (tier,))[tier]
+    return _cascade(None, cfg, (f"t{tier}",))[tier]
+
+
+def _enc_totals(man: Manifest, name: str) -> dict:
+    """``bytes_raw``/``bytes_enc`` over a whole encoded store, one row per
+    partition: a column-pruned read in the calling process, no Ray job."""
+    import pyarrow.dataset as pads
+
+    files = [f for p in man.list_partition_dirs(name) for f in _part_files(man.sfs, name, p)]
+    sch = pa.schema([("bytes_raw", pa.int64()), ("bytes_enc", pa.int64())])
+    t = pads.dataset(files, schema=sch, filesystem=man.sfs.fs).to_table()
+    braw, benc = (int(pc.sum(t[c]).as_py() or 0) for c in ("bytes_raw", "bytes_enc"))
+    return {"bytes_raw": braw, "bytes_enc": benc,
+            "compression_ratio": round(braw / benc, 3) if benc else None}
 
 
 def encode_tier_store(tier: str, cfg: PipelineConfig) -> dict:
-    """Store the Gorilla/DoD-encoded representation of tier ``t<tier>``
-    (pruned columns: bucket + the value means) under ``t<tier>_enc/``, one
-    blob row per (source, window), partitioned like the tiers.  The encoded
-    store is the long-retention format (north star: compressed continuous
-    aggregates); compression ratio lands in the returned stats + manifest.
-
-    Only tier partitions not yet committed to ``t<tier>_enc`` are read and
-    encoded, after the uncommitted enc dirs of a killed run are wiped; the
-    encode window is one day, so each enc partition depends on its own tier
-    partition alone.  Byte totals cover the whole encoded store."""
-    import ray.data as rd
-
-    from ..stages.encode import EncodeConfig, encode_tier
-
-    t0 = time.time()
-    man = Manifest(cfg.out_root)
-    src, enc_name = f"t{tier}", f"t{tier}_enc"
-    todo = sorted(man.completed(src) - _done(man, enc_name, cfg))
-    if todo:
-        ecfg = EncodeConfig(values=tuple(f"{v}_mean" for v in cfg.values))
-        ds = _read_partitions(man, src, todo, cfg, columns=["source", "bucket", *ecfg.values])
-        enc = encode_tier(ds, ecfg)
-        enc = enc.map_batches(lambda b: _add_day(b, "window"), batch_format="pyarrow")
-        write_partitioned(enc, man.tier_dir(enc_name), ts_col="window")
-    recs = man.commit_partitions(enc_name, [man.tier_dir(src)], cfg.run_id, time.time() - t0)
-    braw = benc = 0
-    if man.list_partition_dirs(enc_name):
-        # a projection-pruned distributed read of the two int64 counters
-        # (~16 B per blob row), not a driver drain of the blobs
-        totals = rd.read_parquet(man.tier_dir(enc_name), columns=["bytes_raw", "bytes_enc"]).sum(
-            ["bytes_raw", "bytes_enc"]) or {}
-        braw = int(totals.get("sum(bytes_raw)") or 0)
-        benc = int(totals.get("sum(bytes_enc)") or 0)
-    ratio = round(braw / benc, 3) if benc else None
-    return {"tier": f"{tier}_enc", "new_partitions": len(recs), "bytes_raw": braw,
-            "bytes_enc": benc, "compression_ratio": ratio, "wall_s": time.time() - t0}
+    """Store the Gorilla/DoD-encoded bucket + value means of tier
+    ``t<tier>`` under ``t<tier>_enc/``, one blob row per (source, day): the
+    long-retention format (north star: compressed continuous aggregates).
+    Only tier partitions the encoded store lacks are read and encoded; byte
+    totals and the compression ratio cover the whole encoded store."""
+    return _cascade(None, cfg, (f"t{tier}_enc",))[f"{tier}_enc"]
 
 
 def reprocess_range(input_paths, cfg: PipelineConfig, start_us: int, end_us: int,
@@ -436,8 +426,7 @@ def reprocess_range(input_paths, cfg: PipelineConfig, start_us: int, end_us: int
             if day_lo <= d_us <= day_hi and (sources is None or src in sources):
                 hit.append(part)
         invalidated[tier] = man.invalidate(tier, hit)
-    cfg2 = PipelineConfig(**{**cfg.__dict__, "resume": True})
-    stats = run_pipeline(input_paths, cfg2)
+    stats = run_pipeline(input_paths, replace(cfg, resume=True))
     stats["invalidated"] = invalidated
     return stats
 
@@ -515,8 +504,7 @@ def purge_keys(input_paths, cfg: PipelineConfig, ids,
             reason="purge")
         for t in Manifest.tier_names(cfg.tiers, cfg.encode_tiers)
     }
-    cfg2 = PipelineConfig(**{**cfg.__dict__, "resume": True})
-    stats = run_pipeline(input_paths, cfg2)
+    stats = run_pipeline(input_paths, replace(cfg, resume=True))
     stats["purged"] = {"ids": len(ids), "partitions": sorted(hits),
                        "invalidated": invalidated}
     return stats
@@ -544,11 +532,14 @@ def prune_retention(cfg: PipelineConfig, now_us: int) -> dict:
 
 
 def run_pipeline(input_paths, cfg: PipelineConfig, now_us: Optional[int] = None) -> dict:
-    """Full cascade: ingest + every tier + retention. Returns per-stage stats.
+    """Full cascade: ingest + every tier + the encoded stores + retention.
+    Returns per-stage stats: each written dir reports the graph ``wall_s``
+    and ``task_s``, the summed seconds its tasks spent rolling up, encoding
+    and writing it.
 
     One graph for fresh and resumed runs: partitions already committed to a
-    tier are skipped ahead of it, and only the source partitions a tier is
-    missing are re-read from disk."""
+    dir are skipped, and a partition raw already holds is re-read only from
+    the dir below the lowest one it lacks."""
     man = Manifest(cfg.out_root)
     if not cfg.resume and man.records():
         # fresh-run semantics over an existing store: clear it — part file
@@ -559,10 +550,7 @@ def run_pipeline(input_paths, cfg: PipelineConfig, now_us: Optional[int] = None)
             man.sfs.rmtree(man.tier_dir(tier))
         man.sfs.rmtree(man.sfs.join_root("quarantine"))
         man.sfs.remove_file(man.path)
-    stats = _cascade(input_paths, cfg, ("raw",) + cfg.tiers)
-    for tier in cfg.encode_tiers:
-        if tier in cfg.tiers:
-            stats[f"{tier}_enc"] = encode_tier_store(tier, cfg)
+    stats = _cascade(input_paths, cfg, tuple(Manifest.tier_names(cfg.tiers, cfg.encode_tiers)))
     if cfg.save_report:
         # observability twin of the manifest's lineage: one JSON report per
         # run under <root>/_reports/ with the per-stage wall/partition

@@ -16,10 +16,10 @@ The ENCODER is fully vectorized numpy (bit-matrix + packbits — no per-value
 Python); the decoder is a straightforward bit reader used for verification
 and selective reads.
 
-Pipeline integration: ``encode_tier`` turns a tier Dataset into one row per
-(key, window) holding the binary blobs — a stateful-per-partition stage run
-as ``groupby().map_groups`` so each partition's running state (previous
-timestamp/value) lives entirely inside one task (SURVEY.md §2.4)."""
+Pipeline integration: ``encode_group`` turns the rows of one (key, window)
+into one blob row, so a partition's running state (previous timestamp/value)
+lives inside one task (SURVEY.md §2.4).  The flagship runs it per (source,
+day) in the task that rolls the day up; ``encode_tier`` per group of a tier."""
 
 from __future__ import annotations
 
@@ -262,42 +262,42 @@ class EncodeConfig:
     window_s: int = 86400
 
 
-def encode_tier(ds, cfg: EncodeConfig):
-    """Tier rows → one encoded blob row per (key, window): DoD timestamps +
+def encode_group(g: pa.Table, cfg: EncodeConfig) -> pa.Table:
+    """The rows of one (key, window) → one encoded blob row: DoD timestamps +
     Gorilla-XOR per value column, with raw/encoded byte counts for the
     compression-ratio metrics."""
     from .rollup import floor_bucket_us
 
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[cfg.ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array(floor_bucket_us(ts, cfg.window_s)))
+    ts = g[cfg.ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    row = {
+        cfg.key: g[cfg.key].slice(0, 1),
+        "window": pa.array(floor_bucket_us(ts[:1], cfg.window_s)).cast(pa.timestamp("us")),
+        "n": pa.array([len(ts)], pa.int64()),
+        "ts_blob": pa.array([encode_timestamps(ts)], pa.binary()),
+    }
+    raw_bytes = 8 * len(ts)
+    enc_bytes = len(row["ts_blob"][0].as_py())
+    for v in cfg.values:
+        x = g[v].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)[order]
+        blob = encode_values(x)
+        row[f"{v}_blob"] = pa.array([blob], pa.binary())
+        raw_bytes += 8 * len(x)
+        enc_bytes += len(blob)
+    row["bytes_raw"] = pa.array([raw_bytes], pa.int64())
+    row["bytes_enc"] = pa.array([enc_bytes], pa.int64())
+    return pa.table(row)
 
-    def enc(g: pa.Table) -> pa.Table:
-        ts = g[cfg.ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        order = np.argsort(ts, kind="stable")
-        ts = ts[order]
-        row = {
-            cfg.key: g[cfg.key].slice(0, 1),
-            "window": pa.array([int(g["_window"][0].as_py())]).cast(pa.timestamp("us")),
-            "n": pa.array([len(ts)], pa.int64()),
-            "ts_blob": pa.array([encode_timestamps(ts)], pa.binary()),
-        }
-        raw_bytes = 8 * len(ts)
-        enc_bytes = len(row["ts_blob"][0].as_py())
-        for v in cfg.values:
-            x = g[v].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)[order]
-            blob = encode_values(x)
-            row[f"{v}_blob"] = pa.array([blob], pa.binary())
-            raw_bytes += 8 * len(x)
-            enc_bytes += len(blob)
-        row["bytes_raw"] = pa.array([raw_bytes], pa.int64())
-        row["bytes_enc"] = pa.array([enc_bytes], pa.int64())
-        return pa.table(row)
+
+def encode_tier(ds, cfg: EncodeConfig):
+    """Tier rows → one ``encode_group`` blob row per (key, window)."""
+    from .rollup import _add_window
 
     return (
-        ds.map_batches(add_window, batch_format="pyarrow")
+        _add_window(ds, cfg.ts_col, cfg.window_s, from_tier=False)
         .groupby([cfg.key, "_window"])
-        .map_groups(enc, batch_format="pyarrow")
+        .map_groups(lambda g: encode_group(g, cfg), batch_format="pyarrow")
     )
 
 

@@ -39,8 +39,8 @@ def topk_merge(ds, by, ascending, k: int):
                 .iter_batches(batch_format="pyarrow", batch_size=None))
     tabs = [t for t in tabs if t.num_rows]
     if not tabs:
-        sch = ds.schema()
-        return pa.schema(list(zip(sch.names, sch.types))).empty_table()
+        sch = ds.schema()  # None when no block ever had rows or a schema
+        return pa.schema(list(zip(sch.names, sch.types)) if sch else []).empty_table()
     cat = pa.concat_tables(tabs).combine_chunks()
     return cat.take(_sel(cat))
 

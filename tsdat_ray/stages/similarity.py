@@ -644,19 +644,17 @@ def kmeans_quantized(ds, k: int = 8, n_iter: int = 5,
     import ray
     import ray.data as rd
 
+    from .reduce import topk_merge
     from .text_quant import half_away
 
     # deterministic portable init: the k smallest ids' quantized vectors
-    head = ds.sort(id_col).limit(k).take_all()
-    if not head:  # empty input → typed empty result (pagerank_quantized
+    # (per-block top-k, then one merge of the survivors; no global sort)
+    head = topk_merge(ds.select_columns([id_col, emb_col]), [id_col], [True], k)
+    if not head.num_rows:  # empty input → typed empty result (pagerank_quantized
         return rd.from_arrow(pa.table({  # pattern; np.stack would raise)
             id_col: pa.array([], pa.int64()),
             "cluster": pa.array([], pa.int64())}))
-    ids0 = np.array([r[id_col] for r in head])
-    order0 = np.argsort(ids0, kind="stable")
-    cent = np.stack([half_away(np.asarray(head[int(i)][emb_col],
-                                          dtype=np.float64) * scale)
-                     for i in order0]).astype(np.int64)
+    cent = half_away(_emb_matrix(head[emb_col]) * scale).astype(np.int64)
     kk, d = cent.shape
 
     def quant(b: pa.Table) -> np.ndarray:

@@ -53,24 +53,30 @@ class StandardizeConfig:
     id_digits: int = 8  # doc_id = f"{source}-{i:0{id_digits}d}"
 
 
-def list_column_means(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Vectorized mean over each list in a list<int32> column (NaN for empty)."""
+def list_column_sums(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(length, exact int64 sum) of each list in a list<int> column."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     arr: pa.ListArray = col  # type: ignore[assignment]
-    values = arr.values.to_numpy(zero_copy_only=False).astype(np.float64)
+    values = arr.values.to_numpy(zero_copy_only=False).astype(np.int64)
     offsets = arr.offsets.to_numpy().astype(np.int64)
-    lens = np.diff(offsets)
     # prefix-sum differences: correct for every segment INCLUDING empty
     # lists (reduceat with clamped starts truncated the row before a
-    # trailing empty list — review r3 finding); exact for the integer-
-    # valued token ids this column carries (sums ≪ 2^53)
-    cs = np.concatenate([[0.0], np.cumsum(values)])
-    sums = cs[offsets[1:]] - cs[offsets[:-1]]
-    nonempty = lens > 0
+    # trailing empty list — review r3 finding)
+    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(values)])
+    return np.diff(offsets), cs[offsets[1:]] - cs[offsets[:-1]]
+
+
+def _means(lens: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """sum / len per list, NaN for an empty one.  The same doubles as a
+    float64 prefix sum gives wherever that sum is exact (< 2**53)."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.where(nonempty, sums / np.maximum(lens, 1), np.nan)
-    return means
+        return np.where(lens > 0, sums.astype(np.float64) / np.maximum(lens, 1), np.nan)
+
+
+def list_column_means(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """Vectorized mean over each list in a list<int32> column (NaN for empty)."""
+    return _means(*list_column_sums(col))
 
 
 def list_column_lengths(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -88,15 +94,7 @@ def list_column_tiebreak(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     'keep first by id' alone is ambiguous; ordering by this value makes the
     dedup survivor bit-deterministic AND SQL-reproducible
     (len(tokens)*4294967296 + list_sum(tokens) in DuckDB)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    arr: pa.ListArray = col  # type: ignore[assignment]
-    values = arr.values.to_numpy(zero_copy_only=False).astype(np.int64)
-    offsets = arr.offsets.to_numpy().astype(np.int64)
-    lens = np.diff(offsets)
-    # int prefix sums: exact and empty-segment-safe (see list_column_means)
-    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(values)])
-    sums = cs[offsets[1:]] - cs[offsets[:-1]]
+    lens, sums = list_column_sums(col)
     return lens * np.int64(2**32) + sums
 
 
@@ -140,9 +138,11 @@ def standardize_batch(batch: pa.Table, cfg: StandardizeConfig = StandardizeConfi
                    pa.scalar(cfg.epoch_us, type=pa.int64()))
     ts = pc.cast(ts_us, pa.timestamp("us"))
 
-    # --- token stats (numpy over Arrow list buffers, no per-row Python)
-    actual_len = list_column_lengths(batch["tokens"])
-    tok_mean = list_column_means(batch["tokens"])
+    # --- token stats (numpy over Arrow list buffers, no per-row Python):
+    #     one combined list array, one exact int prefix sum
+    tokens = batch["tokens"].combine_chunks()
+    actual_len, tok_sum = list_column_sums(tokens)
+    tok_mean = _means(actual_len, tok_sum)
 
     n_tok = batch["n_tok"].to_numpy(zero_copy_only=False).astype(np.int64)
     null_in = pc.is_null(batch["n_tok"]).to_numpy(zero_copy_only=False)
@@ -189,8 +189,8 @@ def standardize_batch(batch: pa.Table, cfg: StandardizeConfig = StandardizeConfi
             # dedup tie-breaks for duplicate doc_ids (dropped after dedup):
             # _tb = (len, sum) — SQL-reproducible; _tb2 = order-sensitive
             # content hash — engine-only final total order
-            "_tb": pa.array(list_column_tiebreak(batch["tokens"])),
-            "_tb2": pa.array(list_column_content_hash(batch["tokens"])),
+            "_tb": pa.array(actual_len * np.int64(2**32) + tok_sum),
+            "_tb2": pa.array(list_column_content_hash(tokens)),
         }
     )
 
