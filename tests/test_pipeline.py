@@ -574,6 +574,11 @@ def test_run_report_persisted(ray_session, tmp_path):
     rep = json.load(open(path))
     assert {"raw", "1m", "1h", "1d"} <= set(rep)
     assert rep["raw"]["new_partitions"] > 0
+    # the clean shuffle's reducer count, the read's block count
+    from tsdat_ray.pipelines.rollup_pipeline import _num_blocks
+
+    assert rep["raw"]["shuffle_partitions"] == _num_blocks(PipelineConfig(out_root=store)) >= 8
+    assert "shuffle_partitions" not in rep["1m"]
     # every tier of the one graph reports the graph wall, plus the seconds
     # its own tasks spent rolling up, encoding and writing it
     walls = {rep[t]["wall_s"] for t in ("raw", "1m", "1h", "1d", "1m_enc")}
@@ -818,17 +823,19 @@ def test_fresh_graph_has_one_shuffle_and_no_encode_job(ray_session, corpus, tmp_
 
 
 def test_tiers_independent_of_layout(ray_session, corpus, tmp_path):
-    """Fresh runs at 4 and 16 input blocks, and the staged entry points
-    (ingest_raw → rollup_tier ×3 → encode_tier_store), give bit-equal
+    """Fresh runs at 1, 4 and 16 input blocks (and as many clean shuffle
+    reducers: at 1 one reducer block holds every key), and the staged entry
+    points (ingest_raw → rollup_tier ×3 → encode_tier_store), give bit-equal
     raw/t1m/t1h/t1d/t1m_enc partitions (raw's per-batch qc_ts aside)."""
     from tsdat_ray.pipelines.rollup_pipeline import encode_tier_store
 
     mans = []
-    for par in (4, 16):
+    for par in (1, 4, 16):
         out = str(tmp_path / f"p{par}")
         run_pipeline(corpus, PipelineConfig(out_root=out, resume=False, parallelism=par))
         mans.append(Manifest(out))
-    _assert_same_store(*mans)
+    for a, b in zip(mans, mans[1:]):
+        _assert_same_store(a, b)
 
     staged = PipelineConfig(out_root=str(tmp_path / "staged"), resume=False, parallelism=16)
     assert ingest_raw(corpus, staged)["new_partitions"] > 0
@@ -837,6 +844,36 @@ def test_tiers_independent_of_layout(ray_session, corpus, tmp_path):
     enc = encode_tier_store("1m", staged)
     assert enc["new_partitions"] > 0 and enc["compression_ratio"] > 1
     _assert_same_store(mans[0], Manifest(staged.out_root))
+
+
+def test_pkey_mix_is_injective_and_boundaries_split_evenly():
+    """10⁶ distinct (crc, day) keys map to 10⁶ distinct mixed keys; the
+    fixed boundaries are p−1 increasing int64 points (one below every key
+    for p = 1)."""
+    from tsdat_ray.pipelines.rollup_pipeline import _add_pkey, _mix64, _pkey_boundaries
+
+    rng = np.random.default_rng(7)
+    crcs = np.unique(rng.integers(0, 2**32, 1100, dtype=np.int64))[:1000]
+    assert len(crcs) == 1000
+    days = np.arange(-500, 500, dtype=np.int64)
+    keys = ((crcs[:, None] << np.int64(32)) | (days[None, :] & np.int64(0xFFFFFFFF))).ravel()
+    assert len(np.unique(keys)) == 10**6
+    assert len(np.unique(_mix64(keys))) == 10**6
+    # _add_pkey is the mix of crc32(source) << 32 | day
+    import zlib
+
+    ts = EPOCH_US + np.array([0, 86400, 3 * 86400], np.int64) * US
+    b = pa.table({"source": ["web", "web", "news"], "ts": pa.array(ts).cast(pa.timestamp("us"))})
+    raw = np.array([(zlib.crc32(s.encode()) << 32) | int(t // (86400 * US))
+                    for s, t in zip(["web", "web", "news"], ts)], np.uint64).view(np.int64)
+    assert np.array_equal(_add_pkey(b, "ts")["_pkey"].to_numpy(), _mix64(raw))
+    for p in (2, 3, 8, 16):
+        bnd = np.array(_pkey_boundaries(p), np.int64)
+        assert len(bnd) == p - 1 and (np.diff(bnd) > 0).all()
+        # the mixed keys fall about evenly into the p reducer blocks
+        counts = np.bincount(np.searchsorted(bnd, _mix64(keys), side="right"), minlength=p)
+        assert counts.min() > 0.98 * len(keys) / p
+    assert _pkey_boundaries(1) == [-(2**63)]
 
 
 def test_mixed_resume_rebuilds_each_lost_partition_from_its_own_source(

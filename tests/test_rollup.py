@@ -9,17 +9,25 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsdat_ray.oracle import (
     oracle_rollup_cascade,
     oracle_rollup_raw,
     oracle_standardize,
 )
-from tsdat_ray.stages.rollup import RollupConfig, rollup
-from tsdat_ray.stages.standardize import standardize_batch
+from tsdat_ray.pipelines.rollup_pipeline import clean_group
+from tsdat_ray.stages.rollup import RollupConfig, _key_change, _key_codes, dedup_order, rollup
+from tsdat_ray.stages.standardize import (
+    list_column_content_hash,
+    list_column_tiebreak,
+    standardize_batch,
+)
 from tsdat_ray.synth import generate_sequences_table
 
 N_ROWS = 4000
+US_ = 1_000_000
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +207,106 @@ def test_calendar_rollup_bit_deterministic_across_layouts(ray_session):
     pd.testing.assert_frame_equal(outs[0], outs[1])
     # 90 days from Jan 1 = Jan/Feb/Mar (+ a few Apr rows) per key
     assert outs[0]["bucket"].dt.day.eq(1).all()
+
+
+# ---- dedup order: the content hash, computed only where it decides
+
+_dedup_rows = st.lists(
+    st.tuples(st.integers(0, 1),                              # source
+              st.integers(0, 3),                              # ts (s)
+              st.integers(0, 2),                              # doc_id
+              st.lists(st.integers(0, 5), max_size=4),        # tokens
+              st.sampled_from([0, 1, 2, 4]),                  # qc_n_tok
+              st.booleans(),                                  # n_tok null
+              st.permutations(range(4))),                     # a twin's token order
+    max_size=30)
+
+
+def _dedup_table(rows) -> pa.Table:
+    """Rows with duplicate (source, ts, doc_id).  Each row with a reordered
+    ``perm`` of its tokens gets a twin that only the content hash tells
+    apart: same source, ts, doc_id, n_tok and QC bits, and so the same
+    ``_tb`` (len, sum)."""
+    cols = {c: [] for c in ("source", "ts", "doc_id", "tokens", "qc_n_tok", "n_tok")}
+    for s, t, d, toks, qc, null, perm in rows:
+        twin = [toks[i] for i in perm if i < len(toks)]
+        for tk in ([toks, twin] if twin != toks else [toks]):
+            cols["source"].append("ab"[s])
+            cols["ts"].append(t * US_)
+            cols["doc_id"].append(f"d{d}")
+            cols["tokens"].append(tk)
+            cols["qc_n_tok"].append(qc)
+            cols["n_tok"].append(None if null else len(tk))
+    tokens = pa.array(cols["tokens"], pa.list_(pa.int32()))
+    return pa.table({
+        "doc_id": pa.array(cols["doc_id"], pa.string()),
+        "tokens": tokens,
+        "n_tok": pa.array(cols["n_tok"], pa.int32()),
+        "source": pa.array(cols["source"], pa.string()),
+        "ts": pa.array(cols["ts"], pa.int64()).cast(pa.timestamp("us")),
+        "qc_n_tok": pa.array(cols["qc_n_tok"], pa.int32()),
+        "_tb": pa.array(list_column_tiebreak(tokens)),
+    })
+
+
+def _dedup_keys(g: pa.Table):
+    ts = g["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+    codes = _key_codes(g["source"])[0]
+    return g["doc_id"].to_numpy(zero_copy_only=False), ts, codes
+
+
+def _eager_order(g: pa.Table) -> np.ndarray:
+    """The dedup order with a ``_tb2`` content hash on every row, as
+    standardize once emitted it."""
+    row_id, ts, codes = _dedup_keys(g)
+    bad = ((g["qc_n_tok"].to_numpy() & 3) != 0).astype(np.int8)
+    ntf = np.nan_to_num(g["n_tok"].cast(pa.float64()).to_numpy(zero_copy_only=False),
+                        nan=0.0).astype(np.int64)
+    tb2 = list_column_content_hash(g["tokens"])
+    return np.lexsort((tb2, ntf, bad, g["_tb"].to_numpy(), row_id, ts, codes))
+
+
+def _check_dedup(g: pa.Table) -> None:
+    want = _eager_order(g)
+    assert np.array_equal(dedup_order(g, *_dedup_keys(g)), want)
+    _, ts, codes = _dedup_keys(g)
+    keep = _key_change(ts[want], codes[want])
+    survivors = g.take(pa.array(want[keep], pa.int64())).drop_columns(["_tb"])
+    assert clean_group(g).equals(survivors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dedup_rows, st.integers(0, 60))
+def test_dedup_order_lazy_hash_equals_eager(rows, cut):
+    g = _dedup_table(rows)
+    _check_dedup(g)
+    cut = min(cut, g.num_rows)
+    _check_dedup(pa.concat_tables([g.slice(0, cut), g.slice(cut)]))  # chunked
+
+
+def test_dedup_order_hash_decides_planted_twins_only(monkeypatch):
+    """Empty and single-row tables; a twin pair the hash alone orders; and
+    rows of unique (source, ts) hash nothing."""
+    import tsdat_ray.stages.rollup as rollup_mod
+
+    pair = _dedup_table([(0, 1, 0, [1, 2, 3], 0, False, (2, 1, 0, 3))])
+    assert pair.num_rows == 2 and pair["_tb"][0] == pair["_tb"][1]
+    h = list_column_content_hash(pair["tokens"])
+    assert h[0] != h[1]
+    assert clean_group(pair)["tokens"].to_pylist() == [pair["tokens"][int(np.argmin(h))].as_py()]
+    for g in (pair, pair.slice(0, 0), pair.slice(1, 1)):
+        _check_dedup(g)
+
+    hashed = []
+
+    def spy(col):
+        hashed.append(len(col))
+        return list_column_content_hash(col)
+
+    monkeypatch.setattr(rollup_mod, "list_column_content_hash", spy)
+    unique = _dedup_table([(s, t, 0, [t, 1], 0, False, (0, 1, 2, 3))
+                           for s in (0, 1) for t in range(2, 5)])
+    for g, n_hashed in ((unique, []), (pa.concat_tables([unique, pair]), [2])):
+        hashed.clear()
+        assert np.array_equal(dedup_order(g, *_dedup_keys(g)), _eager_order(g))
+        assert hashed == n_hashed

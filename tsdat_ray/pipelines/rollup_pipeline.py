@@ -10,13 +10,20 @@ clean shuffle hands a whole (source, day) rolls every tier of it up itself
 (*Partition, Don't Sort!*, VLDB 2024):
 
     read_parquet(inputs) → map_batches(standardize) → [skip done(raw)]
-      → groupby(_pkey).map_groups(            # THE shuffle, one int64 key:
-          clean + QC + write raw/             #   crc32(source)<<32 | day
+      → sort(_pkey, fixed boundaries)         # THE shuffle, one int64 key:
+                                              #   mix64(crc32(source)<<32 | day)
+      → map_batches(per _pkey run of a block: # one task per reducer block
+          clean + QC + write raw/
           → _roll_partition)                  # t1m, t1m_enc, t1h, t1d
     ∪ from_items(partitions raw holds that a later dir lacks)
       → map_batches(read the tier below the lowest missing dir
                     → _roll_partition)        # no shuffle
     → commit raw, t1m, t1h, t1d, t1m_enc; prune by retention horizon
+
+The mixed key is uniform over int64, so the sort splits it at p−1 evenly
+spaced points into p = ``_num_blocks(cfg)`` reducer blocks (the read's
+block count): no sampling pass, and the reducer of a (source, day) does
+not depend on how the read split the files.
 
 Fresh, resumed and reprocess runs and the staged entry points all build
 this graph (``_cascade``), told which store dirs to write.  Every dir
@@ -57,18 +64,38 @@ def _add_day(batch: pa.Table, ts_col: str) -> pa.Table:
     return batch.append_column("day", names.take(pa.array(inv.reshape(-1))))
 
 
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer: a bijection of 64-bit ints that spreads any
+    set of distinct keys evenly over int64."""
+    z = np.asarray(x, np.int64).view(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))).view(np.int64)
+
+
 def _add_pkey(batch: pa.Table, ts_col: str) -> pa.Table:
-    """Single int64 partition key (crc32(source) << 32 | day index): sorting
-    one int column shuffles ~3× faster than sorting (string, string) keys.
-    A crc collision merges two sources into one group, which the group task
-    splits again."""
+    """Single int64 partition key, ``_mix64(crc32(source) << 32 | day
+    index)``: sorting one int column shuffles ~3× faster than sorting
+    (string, string) keys, and the mix makes the key uniform over int64, so
+    the clean shuffle splits it at fixed, evenly spaced boundaries
+    (``_pkey_boundaries``) instead of sampling them.  The mix is a
+    bijection, so a key still names one (crc, day) pair; a crc collision
+    merges two sources into one key, which the clean task splits again."""
     ts_us = batch[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     day = ts_us // DAY_US
     d = batch["source"].combine_chunks().dictionary_encode()
     codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     h = np.array([zlib.crc32(s.encode()) for s in d.dictionary.to_pylist()], dtype=np.int64)
     pkey = (h[codes] << np.int64(32)) | (day & np.int64(0xFFFFFFFF))
-    return batch.append_column("_pkey", pa.array(pkey))
+    return batch.append_column("_pkey", pa.array(_mix64(pkey)))
+
+
+def _pkey_boundaries(p: int) -> list[int]:
+    """The p−1 evenly spaced int64 points that split the uniform ``_pkey``
+    into p reducer blocks.  For p = 1 one point at the int64 minimum (Ray
+    samples boundaries when given none), so the second of two blocks holds
+    every key and the first is empty."""
+    return [-(1 << 63) + (i << 64) // p for i in range(1, p)] or [-(1 << 63)]
 
 
 def _skip_completed(batch: pa.Table, ts_col: str, done: frozenset) -> pa.Table:
@@ -99,7 +126,7 @@ def clean_group(g: pa.Table) -> pa.Table:
     ts_s, code_s = ts_us[order], codes[order]
     keep = _key_change(ts_s, code_s)
     t = g.take(pa.array(order[keep], type=pa.int64()))
-    return t.drop_columns([c for c in ("_pkey", "_tb", "_tb2") if c in t.column_names])
+    return t.drop_columns([c for c in ("_pkey", "_tb") if c in t.column_names])
 
 
 @dataclass
@@ -113,11 +140,11 @@ class PipelineConfig:
     retention_s: dict = field(default_factory=lambda: dict(DEFAULT_RETENTION_S))
     resume: bool = True
     run_id: str = ""
-    # Input block count. None → 2×cluster CPUs.  Block count propagates through
-    # the whole chain (shuffle partition count follows input blocks), so
-    # over-blocking small inputs multiplies fixed per-task cost ~4× (measured:
-    # 26s → 12s at sf0.1 going from 200 to 64 blocks on 32 CPUs).  At real
-    # scale leave None — blocks are then bounded by target_max_block_size.
+    # Input block count and the clean shuffle's reducer count. None → 2×
+    # cluster CPUs.  Over-blocking small inputs multiplies fixed per-task
+    # cost ~4× (measured: 26s → 12s at sf0.1 going from 200 to 64 blocks on
+    # 32 CPUs).  At real scale leave None — read blocks are then bounded by
+    # target_max_block_size.
     parallelism: Optional[int] = None
     # Tiers additionally stored as delta-of-delta timestamp + Gorilla-XOR
     # value blobs (one blob row per (source, day)) under t<tier>_enc/.
@@ -243,16 +270,18 @@ def _clean_write_group(g: pa.Table, qc_stage, raw_root: str,
     return t.drop_columns(["day"])
 
 
-def _clean_feed(input_paths, cfg: PipelineConfig, done: dict, later: tuple):
-    """read → standardize → resume-skip → ONE groupby(_pkey) clean shuffle,
-    whose tasks split each group by source (a crc collision can merge two),
-    clean and write each raw partition (+ QC sidecars/quarantine), then roll
-    it into the dirs of ``later`` it lacks.  Emits ``_stats`` rows."""
+def _clean_feed(input_paths, cfg: PipelineConfig, done: dict, later: tuple, p: int):
+    """read (p blocks) → standardize → resume-skip → ONE clean shuffle: a
+    sort on ``_pkey`` into p reducer blocks at fixed boundaries.  Each
+    block's task walks its contiguous ``_pkey`` runs, splits each run by
+    source (a crc collision can merge two), cleans and writes each raw
+    partition (+ QC sidecars/quarantine), then rolls it into the dirs of
+    ``later`` it lacks.  Emits ``_stats`` rows."""
     import ray.data as rd
 
     qc_stage = QCStage(cfg.qc) if cfg.qc else None
     std_cfg = cfg.std
-    ds = rd.read_parquet(input_paths, override_num_blocks=_num_blocks(cfg))
+    ds = rd.read_parquet(input_paths, override_num_blocks=p)
     tomb = _tombstone_values(cfg)
     if tomb is not None and len(tomb):
         # permanent exclusion set (purge_keys): applied on the raw input so
@@ -282,7 +311,7 @@ def _clean_feed(input_paths, cfg: PipelineConfig, done: dict, later: tuple):
     meta = _qc_file_metadata(qc_stage, cfg.run_id)
     fin = cfg.hooks.get("finalize")
 
-    def clean_roll(g: pa.Table) -> pa.Table:
+    def clean_roll(g: pa.Table) -> list:
         times, day = [], g["day"][0].as_py()
         src = g["source"].combine_chunks().dictionary_encode()
         for code, source in enumerate(src.dictionary.to_pylist()):
@@ -293,9 +322,20 @@ def _clean_feed(input_paths, cfg: PipelineConfig, done: dict, later: tuple):
             write = {n for n in later if f"source={source}/day={day}" not in done[n]}
             if t is not None and t.num_rows and write:
                 times += _roll_partition(t, 0, day, write, cfg)
-        return _stats(times)
+        return times
 
-    return ds.groupby("_pkey").map_groups(clean_roll, batch_format="pyarrow")
+    def clean_block(block: pa.Table) -> pa.Table:
+        """One reducer block, sorted by ``_pkey``: clean_roll each key's
+        rows, a zero-copy slice."""
+        if not block.num_rows:  # a reducer that no key fell into
+            return _stats([])
+        key = block["_pkey"].to_numpy()
+        edges = np.r_[0, np.flatnonzero(key[1:] != key[:-1]) + 1, len(key)]
+        return _stats([r for s, e in zip(edges[:-1], edges[1:])
+                       for r in clean_roll(block.slice(s, e - s))])
+
+    return ds.sort("_pkey", boundaries=_pkey_boundaries(p)).map_batches(
+        clean_block, batch_format="pyarrow", batch_size=None)
 
 
 def _disk_feed(cfg: PipelineConfig, items: list):
@@ -344,7 +384,8 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...]) -> dict:
     later = tuple(n for n in order if n != "raw")
     t0 = time.time()
 
-    feeds = [_clean_feed(input_paths, cfg, done, later)] if "raw" in done else []
+    p = _num_blocks(cfg) if "raw" in done else 0
+    feeds = [_clean_feed(input_paths, cfg, done, later, p)] if p else []
     have = {lv: man.completed(chain[lv]) for lv in {_src_level(n, chain) for n in later}}
     items = []
     for part in sorted(set().union(*have.values())):
@@ -368,6 +409,8 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...]) -> dict:
         key = n if n == "raw" else n[1:]
         stats[key] = {"tier": key, "new_partitions": len(recs), "skipped": len(done[n]),
                       "rows": sum(r.rows for r in recs), "wall_s": wall, "task_s": task_s[n]}
+        if n == "raw":  # reducer blocks of the clean shuffle
+            stats[key]["shuffle_partitions"] = len(_pkey_boundaries(p)) + 1
         if n.endswith("_enc"):
             stats[key].update(_enc_totals(man, n))
     return stats

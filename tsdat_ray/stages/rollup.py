@@ -59,6 +59,7 @@ from ..schema import (
     QC_SOME_BAD_INPUTS,
     QC_ZERO_WEIGHT,
 )
+from .standardize import list_column_content_hash
 
 US = 1_000_000
 
@@ -116,7 +117,7 @@ def dedup_order(g: pa.Table, row_id: np.ndarray, ts_us: np.ndarray, codes: np.nd
     #   _tb (len·2³²+Σtokens)  — SQL-reproducible,
     #   bad flag + filled n_tok — SQL-reproducible (covers _tb ties
     #   with divergent injected corruption),
-    #   _tb2 (order-sensitive payload hash) — engine-only final key
+    #   _tb2 (order-sensitive hash of tokens) — engine-only final key
     #   (SQL-checked aggregates are already identical at that depth;
     #   _tb2 pins the carried payload).
     keys = [row_id, ts_us, codes]
@@ -125,17 +126,28 @@ def dedup_order(g: pa.Table, row_id: np.ndarray, ts_us: np.ndarray, codes: np.nd
     def col(c: str) -> np.ndarray:
         return g[c].combine_chunks().to_numpy(zero_copy_only=False)
 
-    if tiebreak and "_tb" in names:
-        keys = [col("_tb")] + keys
-        if "qc_n_tok" in names and "n_tok" in names:
-            bad = ((col("qc_n_tok") & bad_bits) != 0).astype(np.int8)
-            ntf = np.nan_to_num(
-                g["n_tok"].combine_chunks().cast(pa.float64())
-                .to_numpy(zero_copy_only=False), nan=0.0).astype(np.int64)
-            keys = [ntf, bad] + keys
-        if "_tb2" in names:
-            keys = [col("_tb2")] + keys
-    return np.lexsort(tuple(keys))
+    if not (tiebreak and "_tb" in names):
+        return np.lexsort(tuple(keys))
+    keys = [col("_tb")] + keys
+    if "qc_n_tok" in names and "n_tok" in names:
+        bad = ((col("qc_n_tok") & bad_bits) != 0).astype(np.int8)
+        ntf = np.nan_to_num(
+            g["n_tok"].combine_chunks().cast(pa.float64())
+            .to_numpy(zero_copy_only=False), nan=0.0).astype(np.int64)
+        keys = [ntf, bad] + keys
+    order = np.lexsort(tuple(keys))
+    if "tokens" not in names:
+        return order
+    # _tb2 is the last key, so it only orders rows of one (key, ts) run:
+    # hash just the rows of runs longer than one and re-sort those runs,
+    # which keep their places in ``order``
+    new_run = _key_change(ts_us[order], codes[order])
+    pos = np.flatnonzero(~new_run | np.r_[~new_run[1:], False])
+    if len(pos):
+        sub = order[pos]
+        tb2 = list_column_content_hash(g["tokens"].take(pa.array(sub, type=pa.int64())))
+        order[pos] = sub[np.lexsort((tb2,) + tuple(k[sub] for k in keys))]
+    return order
 
 
 def _seg_sum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:

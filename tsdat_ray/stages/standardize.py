@@ -58,12 +58,13 @@ def list_column_sums(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, np.nd
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     arr: pa.ListArray = col  # type: ignore[assignment]
-    values = arr.values.to_numpy(zero_copy_only=False).astype(np.int64)
+    values = arr.values.to_numpy(zero_copy_only=False)
     offsets = arr.offsets.to_numpy().astype(np.int64)
     # prefix-sum differences: correct for every segment INCLUDING empty
     # lists (reduceat with clamped starts truncated the row before a
-    # trailing empty list — review r3 finding)
-    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(values)])
+    # trailing empty list — review r3 finding); accumulated in int64
+    # without an int64 copy of the values
+    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(values, dtype=np.int64)])
     return np.diff(offsets), cs[offsets[1:]] - cs[offsets[:-1]]
 
 
@@ -186,11 +187,11 @@ def standardize_batch(batch: pa.Table, cfg: StandardizeConfig = StandardizeConfi
             "qc_n_tok": pa.array(qc_n_tok),
             "qc_tok_mean": pa.array(qc_tok_mean),
             "qc_ts": pa.array(qc_ts),
-            # dedup tie-breaks for duplicate doc_ids (dropped after dedup):
-            # _tb = (len, sum) — SQL-reproducible; _tb2 = order-sensitive
-            # content hash — engine-only final total order
+            # dedup tie-break for duplicate doc_ids (dropped after dedup):
+            # _tb = (len, sum) — SQL-reproducible; the engine-only final
+            # key, the content hash, is computed by rollup.dedup_order for
+            # the few rows it can decide
             "_tb": pa.array(actual_len * np.int64(2**32) + tok_sum),
-            "_tb2": pa.array(list_column_content_hash(tokens)),
         }
     )
 

@@ -63,7 +63,9 @@ def _write_hive(batch: pa.Table, root: str, partition_cols: tuple[str, ...],
     starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
     ends = np.r_[starts[1:], n]
 
-    body = batch.take(pa.array(order, type=pa.int64())).drop_columns(list(partition_cols))
+    if len(starts) > 1:  # one partition is already in order: no copy
+        batch = batch.take(pa.array(order, type=pa.int64()))
+    body = batch.drop_columns(list(partition_cols))
     tcol = ts_col if ts_col and ts_col in body.column_names else None
     paths, rows = [], []
     for s, e in zip(starts, ends):
