@@ -85,54 +85,35 @@ def _events(sf_dir: str, columns=None):
     return _read(f"{sf_dir}/events.parquet", columns=columns)
 
 
-_SEQ_TIER_DONE: set = set()
+def _seq_store(sf_dir: str):
+    """The flagship store of the sequences corpus at this scale, the one
+    producer of every sequences tier the driver reads.  Pins the corpus the
+    ``seq_*`` oracles read, then resumes ``run_pipeline`` into the store
+    unless every store dir holds raw's committed partitions: ``_cascade``
+    commits dirs one by one, so a killed run can leave ``t1m`` committed
+    and ``t1d`` not, and an invalidated partition must be rebuilt before
+    it is read.  Returns the store's Manifest."""
+    from tsdat_ray.pipelines.rollup_pipeline import PipelineConfig, run_pipeline
+    from tsdat_ray.state.manifest import Manifest
+
+    corpus = _sequences_corpus(sf_dir)
+    cfg = PipelineConfig(out_root=os.path.join(
+        _CACHE, f"seq_store_v{_STORE_VERSION}_{_sf_of(sf_dir)}"), run_id="seq")
+    man = Manifest(cfg.out_root)
+    raw, *later = (man.completed(n) for n in Manifest.tier_names(cfg.tiers, cfg.encode_tiers))
+    if not raw or any(done != raw for done in later):
+        run_pipeline(corpus, cfg)
+    return man
 
 
 def _seq_tiers(sf_dir: str):
-    """Standardized sequences → 1m → 1h → 1d tier Datasets.
-
-    Built once per process and WRITTEN as partitioned Parquet under a
-    versioned /tmp path, then read back lazily — the production shape (a
-    tier is a stored datastream), so the several tier-consuming queries
-    stream from disk instead of recomputing the cascade per query or
-    pinning a materialized Dataset across the sweep."""
-    import shutil
-
+    """The 1m, 1h and 1d tier Datasets of the sequences flagship store
+    (``_seq_store``), read lazily from disk."""
     import ray.data as rd
 
-    from tsdat_ray.stages.rollup import RollupConfig, rollup, rollup_fast
-    from tsdat_ray.stages.standardize import standardize_batch
-
-    root = os.path.join(_CACHE, f"seq_tiers_v{_STORE_VERSION}_{_sf_of(sf_dir)}")
-    if sf_dir not in _SEQ_TIER_DONE and _store_complete(root):
-        _SEQ_TIER_DONE.add(sf_dir)  # finished by an earlier same-layout process
-    if sf_dir not in _SEQ_TIER_DONE:
-        ds = _read(_sequences_corpus(sf_dir))
-        std = ds.map_batches(standardize_batch, batch_format="pyarrow")
-        # grouped plan for 1m (cross-batch dedup on the raw corpus), combiner
-        # plan for the cascades (tier rows unique per (source, bucket))
-        t1m = rollup(std, RollupConfig(interval_s=60, window_s=6 * 3600))
-        # invalidate BEFORE wiping: a crash mid-rebuild must not leave a
-        # stale sentinel pointing at a half-built store
-        try:
-            os.remove(root + ".complete")
-        except OSError:
-            pass
-        shutil.rmtree(root, ignore_errors=True)
-        t1m.write_parquet(os.path.join(root, "1m"))
-        t1m = rd.read_parquet(os.path.join(root, "1m"),
-                              override_num_blocks=_nblocks())
-        t1h = rollup_fast(t1m, RollupConfig(interval_s=3600, window_s=86400), from_tier=True)
-        t1h.write_parquet(os.path.join(root, "1h"))
-        t1h = rd.read_parquet(os.path.join(root, "1h"),
-                              override_num_blocks=_nblocks())
-        rollup_fast(t1h, RollupConfig(interval_s=86400, window_s=16 * 86400),
-                    from_tier=True).write_parquet(os.path.join(root, "1d"))
-        _mark_complete(root)
-        _SEQ_TIER_DONE.add(sf_dir)
-    return tuple(
-        rd.read_parquet(os.path.join(root, lv), override_num_blocks=_nblocks())
-        for lv in ("1m", "1h", "1d"))
+    man = _seq_store(sf_dir)
+    return tuple(rd.read_parquet(man.tier_dir(t), override_num_blocks=_nblocks())
+                 for t in ("t1m", "t1h", "t1d"))
 
 
 def _store_complete(path: str) -> bool:
@@ -160,24 +141,17 @@ def _strip_tokens(ds):
 
 
 def prewarm_stores(sf_dir: str) -> None:
-    """Build every versioned /tmp INPUT store the query sweep reads
-    (sequences tier cascade, events tier cascade, VAP source store, media
-    corpus) if absent or layout-stale.  Called UNTIMED by ``bench.py``
-    before the per-query sweep: a tier store is a production artifact the
-    pipeline writes once (its build cost is the TIMED headline metric), so
-    sweep lines measure steady-state query latency instead of charging
-    whichever query happens to touch a cold store first.  Derived caches
-    that ARE a query's own work (e.g. the n-gram similarity pair list) are
-    deliberately not prewarmed."""
-    from tsdat_ray.pipelines.rollup_pipeline import PipelineConfig, run_pipeline
-    from tsdat_ray.state.manifest import Manifest
-
-    _seq_tiers(sf_dir)
+    """Build every versioned /tmp INPUT store the query sweep reads (the
+    sequences flagship store, which also feeds the VAP queries, the events
+    tier cascade and the media corpus) if absent or unfinished.  Called
+    UNTIMED by ``bench.py`` before the per-query sweep: a tier store is a
+    production artifact the pipeline writes once (its build cost is the
+    TIMED headline metric), so sweep lines measure steady-state query
+    latency instead of charging whichever query happens to touch a cold
+    store first.  Derived caches that ARE a query's own work (e.g. the
+    n-gram similarity pair list) are deliberately not prewarmed."""
+    _seq_store(sf_dir)
     _events_rollup(sf_dir, "1d")  # cascades: builds 1m and 1h too
-    store = _vap_store(sf_dir)
-    if not Manifest(store).completed("t1m"):
-        run_pipeline(_sequences_corpus(sf_dir),
-                     PipelineConfig(out_root=store, run_id="vapq"))
     _media_path()
 
 
@@ -187,7 +161,8 @@ def prewarm_stores(sf_dir: str) -> None:
 
 def entry() -> Any:
     """Flagship pipeline at smoke scale: sequences → standardize → QC/dedup →
-    1m → 1h tier; returns the 1h tier (stable schema, >0 rows)."""
+    1m → 1h → 1d tiers into the flagship store (``_seq_store``); returns
+    the 1h tier without its token payload (stable schema, >0 rows)."""
     _, t1h, _ = _seq_tiers("/root/testdata/sf0.001")
     return _strip_tokens(t1h)
 
@@ -3791,46 +3766,42 @@ def _q_media_audio_fingerprint(sf_dir: str):
 
 
 
-# tier-store semantic version: bump when standardize/dedup/rollup semantics
-# change so stale /tmp stores built by an older engine can't feed the
-# oracle contract (r3: content tie-break changed dedup survivors; v3:
-# extended tie chain — (bad, n_tok) + payload hash)
+# version of the /tmp tier stores (the sequences flagship store of
+# ``_seq_store`` and the events tier cascade): bump when standardize/dedup/
+# rollup semantics change so stale stores built by an older engine can't
+# feed the oracle contract (r3: content tie-break changed dedup survivors;
+# v3: extended tie chain — (bad, n_tok) + payload hash)
 _STORE_VERSION = 3
 # media corpus version: bump when synth_media_table output changes
 _MEDIA_VERSION = 5  # v5: half the videos are real MJPEG (pairs share codec)
 
 
-def _vap_store(sf_dir: str) -> str:
-    return os.path.join(_CACHE, f"vap_store_v{_STORE_VERSION}_{_sf_of(sf_dir)}")
-
-def _q_vap_product(sf_dir: str):
-    """Transformation (VAP) pipeline end-to-end: sequences store (built once
-    per scale under /tmp, manifest-resumed) → fetch padded range from the 1m
-    tier → bin-average onto an hourly grid → product tier; returns the
-    product rows (rows-only driver check — the source is the synthetic
-    corpus, not a registered SQL table)."""
+def _vap_start_us(man) -> int:
+    """Start of the VAP queries' 12 h range: the hour of the first bucket
+    of the first committed 1m partition (by name, so ``source=books``)."""
     import pyarrow.parquet as pq
 
-    from tsdat_ray.pipelines.rollup_pipeline import PipelineConfig, run_pipeline
-    from tsdat_ray.pipelines.vap_pipeline import VapConfig, run_vap
-    from tsdat_ray.state.manifest import Manifest
-
-    store = _vap_store(sf_dir)
-    man = Manifest(store)
-    if not man.completed("t1m"):
-        run_pipeline(_sequences_corpus(sf_dir), PipelineConfig(out_root=store, run_id="vapq"))
-    # derive a 12h range from the first committed 1m partition
-    part = sorted(man.completed("t1m"))[0]
-    pdir = man.partition_dir("t1m", part)
+    pdir = man.partition_dir("t1m", sorted(man.completed("t1m"))[0])
     f0 = sorted(p for p in os.listdir(pdir) if p.endswith(".parquet"))[0]
-    tmin = int(pq.read_table(os.path.join(pdir, f0), columns=["bucket"])["bucket"]
-               .cast(pa.int64()).to_pandas().min())
-    start = (tmin // (3600 * US)) * (3600 * US)
-    run_vap(VapConfig(store_root=store, start_us=start, end_us=start + 12 * 3600 * US,
-                      interval_s=3600, source_tier="t1m", values=("n_tok_mean",),
-                      run_id="vapq"))
+    tmin = pc.min(pq.read_table(os.path.join(pdir, f0), columns=["bucket"])["bucket"])
+    return (tmin.cast(pa.int64()).as_py() // (3600 * US)) * (3600 * US)
+
+
+def _q_vap_product(sf_dir: str):
+    """Transformation (VAP) pipeline end-to-end: the sequences flagship
+    store (``_seq_store``) → fetch padded range from the 1m tier →
+    bin-average onto an hourly grid → product tier; returns the product
+    rows (rows-only driver check — the source is the synthetic corpus, not
+    a registered SQL table)."""
     import ray.data as rd
 
+    from tsdat_ray.pipelines.vap_pipeline import VapConfig, run_vap
+
+    man = _seq_store(sf_dir)
+    start = _vap_start_us(man)
+    run_vap(VapConfig(store_root=man.root, start_us=start, end_us=start + 12 * 3600 * US,
+                      interval_s=3600, source_tier="t1m", values=("n_tok_mean",),
+                      run_id="vapq"))
     out = rd.read_parquet(man.tier_dir("vap"))
     return out.select_columns(["source", "bucket", "n_tok_mean", "qc_n_tok"])
 
@@ -3843,30 +3814,16 @@ def _q_vap_sums(sf_dir: str):
     integer-sum ÷ count (deterministic under any combine order) and the
     full-grid skeleton/QC behavior (empty bins → null + OUTSIDE|BAD) is
     SQL-reproducible."""
-    import pyarrow.parquet as pq
+    import ray.data as rd
 
-    from tsdat_ray.pipelines.rollup_pipeline import PipelineConfig, run_pipeline
     from tsdat_ray.pipelines.vap_pipeline import VapConfig, run_vap
-    from tsdat_ray.state.manifest import Manifest
 
-    store = _vap_store(sf_dir)
-    man = Manifest(store)
-    if not man.completed("t1m"):
-        run_pipeline(_sequences_corpus(sf_dir), PipelineConfig(out_root=store, run_id="vapq"))
-    else:
-        _sequences_corpus(sf_dir)  # pin the oracle's corpus glob to this scale
-    part = sorted(man.completed("t1m"))[0]
-    pdir = man.partition_dir("t1m", part)
-    f0 = sorted(p for p in os.listdir(pdir) if p.endswith(".parquet"))[0]
-    tmin = int(pq.read_table(os.path.join(pdir, f0), columns=["bucket"])["bucket"]
-               .cast(pa.int64()).to_pandas().min())
-    start = (tmin // (3600 * US)) * (3600 * US)
-    run_vap(VapConfig(store_root=store, start_us=start, end_us=start + 12 * 3600 * US,
+    man = _seq_store(sf_dir)
+    start = _vap_start_us(man)
+    run_vap(VapConfig(store_root=man.root, start_us=start, end_us=start + 12 * 3600 * US,
                       interval_s=3600, source_tier="t1m", values=("n_tok_sum_wx",),
                       out_tier="vap_sums", run_id="vapq_sums",
                       extra={"input_width_us": 1}))
-    import ray.data as rd
-
     out = rd.read_parquet(man.tier_dir("vap_sums"))
     return out.select_columns(
         ["source", "bucket", "n_tok_sum_wx_mean",
@@ -3885,11 +3842,12 @@ _SEQ_TIER_COLS = [
 
 def _q_seq_tier(tier: str):
     """The flagship tier's ARITHMETIC contract (standardize → QC → dedup →
-    weighted rollup cascade), projected to the SQL-expressible columns so
-    the driver value-hashes it against DuckDB (round-3 judge item #5).  The
+    weighted rollup cascade): the ``t<tier>`` dir of the sequences flagship
+    store (``_seq_store``), projected to the SQL-expressible columns so the
+    driver value-hashes it against DuckDB (round-3 judge item #5).  The
     float-order-sensitive tok_mean family and the nearest-row token payload
-    stay pinned by pytest (tests/test_rollup.py vs tsdat_ray/oracle.py) and
-    the per-row token-equality invariant of the flagship pipeline."""
+    stay pinned by pytest (tests/test_rollup.py runs ``run_pipeline`` and
+    checks its tiers against tsdat_ray/oracle.py)."""
 
     def run(sf_dir: str):
         t1m, t1h, t1d = _seq_tiers(sf_dir)
@@ -4026,7 +3984,8 @@ def _vap_sums_sql() -> str:
 
 def _seq_corpus_glob() -> str:
     """Parquet glob of the synthetic sequences corpus the Ray side of the
-    sequences queries last generated (the driver/tests run the Ray query
+    sequences queries last pinned (``_sequences_corpus``, which
+    ``_seq_store`` calls on every read; the driver/tests run the Ray query
     before its oracle, so the size always matches); defaults to the
     driver's correctness scale (sf=0.01)."""
     if _LAST_SEQ_CORPUS:

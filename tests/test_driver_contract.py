@@ -41,8 +41,7 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
 
 
-@pytest.mark.parametrize("name", sorted(entrymod.oracle_sql().keys()))
-def test_query_matches_oracle(ray_session, con, name):
+def _check(con, name: str) -> None:
     q = entrymod.queries()[name]
     got = _norm(_to_pdf(q(SF_DIR)))
     exp = _norm(con.sql(entrymod.oracle_sql()[name]).df())
@@ -66,6 +65,31 @@ def test_query_matches_oracle(ray_session, con, name):
                 np.testing.assert_array_equal(an, bn, err_msg=f"{name}.{c}")
             else:
                 np.testing.assert_array_equal(a, b, err_msg=f"{name}.{c}")
+
+
+@pytest.mark.parametrize("name", sorted(entrymod.oracle_sql().keys()))
+def test_query_matches_oracle(ray_session, con, name):
+    _check(con, name)
+
+
+def test_seq_oracle_reads_store_corpus(ray_session, con):
+    """A process that reuses a finished sequences store (a chunked bench
+    sweep, a driver rerun) starts with no corpus pinned; the query must pin
+    it, or its oracle reads the sf0.01 corpus."""
+    entrymod.queries()["seq_rollup_1h"](SF_DIR)  # the store is built
+    entrymod._LAST_SEQ_CORPUS.clear()
+    _check(con, "seq_rollup_1h")
+
+
+def test_seq_store_finishes_invalidated_tier(ray_session, con):
+    """A store whose t1d partitions were invalidated is rebuilt before
+    ``seq_rollup_1d`` reads it."""
+    man = entrymod._seq_store(SF_DIR)
+    parts = man.completed("t1d")
+    assert parts and man.invalidate("t1d", sorted(parts)) == len(parts)
+    assert not man.completed("t1d")
+    _check(con, "seq_rollup_1d")
+    assert man.completed("t1d") == parts
 
 
 def test_entry_smoke(ray_session):

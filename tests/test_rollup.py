@@ -2,7 +2,9 @@
 
 Verifies the per-row invariants from BASELINE.json on a deterministic
 synthetic corpus: exact equality on buckets / counts / QC bits / selected
-token arrays at every tier, float tolerance 1e-9 on means and stds.
+token arrays at every tier, float tolerance 1e-9 on means and stds.  The
+tiers checked are the ones the flagship pipeline (``run_pipeline``) writes
+to its store, plus the events tiers' combiner plan (``rollup_fast``).
 """
 
 import numpy as np
@@ -17,13 +19,14 @@ from tsdat_ray.oracle import (
     oracle_rollup_raw,
     oracle_standardize,
 )
-from tsdat_ray.pipelines.rollup_pipeline import clean_group
-from tsdat_ray.stages.rollup import RollupConfig, _key_change, _key_codes, dedup_order, rollup
+from tsdat_ray.pipelines.rollup_pipeline import PipelineConfig, clean_group, run_pipeline
+from tsdat_ray.stages.rollup import RollupConfig, _key_change, _key_codes, dedup_order
 from tsdat_ray.stages.standardize import (
     list_column_content_hash,
     list_column_tiebreak,
     standardize_batch,
 )
+from tsdat_ray.state.manifest import Manifest
 from tsdat_ray.synth import generate_sequences_table
 
 N_ROWS = 4000
@@ -35,14 +38,28 @@ def seq_table() -> pa.Table:
     return generate_sequences_table(N_ROWS, seed=42)
 
 
-def _engine_tiers(ray_session, seq_table):
-    import ray.data as rd
+def _run_store(tbl: pa.Table, root) -> tuple[dict, Manifest]:
+    """Run the flagship pipeline on ``tbl``, written as a one-file Parquet
+    corpus under ``root``, into a fresh store there."""
+    import pyarrow.parquet as pq
 
-    ds = rd.from_arrow(seq_table).map_batches(standardize_batch, batch_format="pyarrow")
-    t1m = rollup(ds, RollupConfig(interval_s=60, window_s=3600)).materialize()
-    t1h = rollup(t1m, RollupConfig(interval_s=3600, window_s=86400), from_tier=True).materialize()
-    t1d = rollup(t1h, RollupConfig(interval_s=86400, window_s=86400 * 16), from_tier=True).materialize()
-    return t1m, t1h, t1d
+    (root / "corpus").mkdir()
+    pq.write_table(tbl, root / "corpus" / "part-0.parquet")
+    cfg = PipelineConfig(out_root=str(root / "store"), resume=False)
+    return run_pipeline(str(root / "corpus"), cfg), Manifest(cfg.out_root)
+
+
+def _store_tiers(tbl: pa.Table, root) -> list[pd.DataFrame]:
+    """The t1m, t1h and t1d dirs the flagship pipeline writes for ``tbl``,
+    with the hive ``source`` column as str."""
+    import pyarrow.parquet as pq
+
+    man = _run_store(tbl, root)[1]
+    out = []
+    for t in ("t1m", "t1h", "t1d"):
+        df = pq.read_table(man.tier_dir(t)).to_pandas()
+        out.append(_sorted_pdf(df.assign(source=df["source"].astype(str))))
+    return out
 
 
 def _sorted_pdf(ds_or_df) -> pd.DataFrame:
@@ -73,17 +90,17 @@ def _assert_tier_matches(eng: pd.DataFrame, orc: pd.DataFrame, values=("n_tok", 
         assert list(a) == list(b)
 
 
-def test_rollup_tiers_match_oracle(ray_session, seq_table):
-    t1m, t1h, t1d = _engine_tiers(ray_session, seq_table)
+def test_rollup_tiers_match_oracle(ray_session, seq_table, tmp_path):
+    t1m, t1h, t1d = _store_tiers(seq_table, tmp_path)
 
     odf = oracle_standardize(seq_table)
     o1m = oracle_rollup_raw(odf, 60)
     o1h = oracle_rollup_cascade(o1m, 3600)
     o1d = oracle_rollup_cascade(o1h, 86400)
 
-    _assert_tier_matches(_sorted_pdf(t1m), _sorted_pdf(o1m))
-    _assert_tier_matches(_sorted_pdf(t1h), _sorted_pdf(o1h))
-    _assert_tier_matches(_sorted_pdf(t1d), _sorted_pdf(o1d))
+    _assert_tier_matches(t1m, _sorted_pdf(o1m))
+    _assert_tier_matches(t1h, _sorted_pdf(o1h))
+    _assert_tier_matches(t1d, _sorted_pdf(o1d))
 
 
 def test_synth_determinism():
@@ -107,9 +124,10 @@ def test_synth_has_anomalies(seq_table):
     assert gaps > 0, "no gaps injected"
 
 
-def test_rollup_fast_matches_grouped(ray_session, seq_table):
-    """Combiner plan == grouped plan on pre-deduplicated input, even when
-    blocks are tiny so (source, bucket) groups span many partial rows."""
+def test_rollup_fast_matches_oracle(ray_session, seq_table):
+    """Combiner plan == oracle on pre-deduplicated input at 1m and in the
+    1m → 1h cascade, even when blocks are tiny so (source, bucket) groups
+    span many partial rows."""
     import ray.data as rd
 
     from tsdat_ray.stages.rollup import rollup_fast
@@ -118,7 +136,7 @@ def test_rollup_fast_matches_grouped(ray_session, seq_table):
     o1m = oracle_rollup_raw(odf, 60)
 
     # pre-dedup with the flagship clean stage, then force small blocks
-    from tsdat_ray.pipelines.rollup_pipeline import _add_day, _add_pkey, clean_group
+    from tsdat_ray.pipelines.rollup_pipeline import _add_day, _add_pkey
 
     std = (
         rd.from_arrow(seq_table)
@@ -137,27 +155,18 @@ def test_rollup_fast_matches_grouped(ray_session, seq_table):
 
     cfg = RollupConfig(interval_s=60, window_s=3600, dedup=False)
     fast = rollup_fast(shredded, cfg).materialize()
-    slow = rollup(cleaned, cfg).materialize()
+    _assert_tier_matches(_sorted_pdf(fast), _sorted_pdf(o1m))
 
-    fdf, sdf = _sorted_pdf(fast), _sorted_pdf(slow)
-    _assert_tier_matches(fdf, sdf)
-    _assert_tier_matches(fdf, _sorted_pdf(o1m))
-
-    # cascade equality too
     c_cfg = RollupConfig(interval_s=3600, window_s=86400, dedup=False)
     fast_h = rollup_fast(fast.repartition(17), c_cfg, from_tier=True).materialize()
-    slow_h = rollup(slow, c_cfg, from_tier=True).materialize()
-    _assert_tier_matches(_sorted_pdf(fast_h), _sorted_pdf(slow_h))
+    _assert_tier_matches(_sorted_pdf(fast_h), _sorted_pdf(oracle_rollup_cascade(o1m, 3600)))
 
 
-def test_rollup_edge_cases_vs_oracle(ray_session):
-    """Property-style edge cases: tiny/empty/degenerate inputs through both
-    rollup plans vs the oracle (hypothesis-lite: deterministic seeds over the
-    edge-case grid beats flaky random draws in CI)."""
-    import ray.data as rd
-
-    from tsdat_ray.stages.rollup import rollup_fast
-
+def test_rollup_edge_cases_vs_oracle(ray_session, tmp_path):
+    """Property-style edge cases: tiny/degenerate corpora through the
+    flagship pipeline vs the oracle at every tier (hypothesis-lite:
+    deterministic seeds over the edge-case grid beats flaky random draws
+    in CI)."""
     cases = []
     # single row
     cases.append(generate_sequences_table(1, seed=1))
@@ -167,21 +176,22 @@ def test_rollup_edge_cases_vs_oracle(ray_session):
     for s in (3, 4, 5):
         cases.append(generate_sequences_table(60, seed=s))
 
-    for tbl in cases:
-        odf = oracle_standardize(tbl)
-        o1m = oracle_rollup_raw(odf, 60)
-        ds = rd.from_arrow(tbl).map_batches(standardize_batch, batch_format="pyarrow")
-        got = rollup(ds, RollupConfig(interval_s=60, window_s=3600)).materialize()
-        _assert_tier_matches(_sorted_pdf(got), _sorted_pdf(o1m))
+    for i, tbl in enumerate(cases):
+        (tmp_path / str(i)).mkdir()
+        o1m = oracle_rollup_raw(oracle_standardize(tbl), 60)
+        o1h = oracle_rollup_cascade(o1m, 3600)
+        o1d = oracle_rollup_cascade(o1h, 86400)
+        for got, orc in zip(_store_tiers(tbl, tmp_path / str(i)), (o1m, o1h, o1d)):
+            _assert_tier_matches(got, _sorted_pdf(orc))
 
 
-def test_rollup_empty_input(ray_session):
-    import ray.data as rd
-
+def test_rollup_empty_input(ray_session, tmp_path):
     tbl = generate_sequences_table(10, seed=9).slice(0, 0)
-    ds = rd.from_arrow(tbl).map_batches(standardize_batch, batch_format="pyarrow")
-    out = rollup(ds, RollupConfig(interval_s=60, window_s=3600)).to_pandas()
-    assert len(out) == 0
+    stats, man = _run_store(tbl, tmp_path)
+    for n in Manifest.tier_names(("1m", "1h", "1d"), ("1m",)):
+        key = n if n == "raw" else n[1:]
+        assert stats[key]["rows"] == 0 and stats[key]["new_partitions"] == 0, n
+        assert man.list_partition_dirs(n) == [], n
 
 
 def test_calendar_rollup_bit_deterministic_across_layouts(ray_session):

@@ -18,25 +18,22 @@ center (ties → the later row, matching xarray reindex "nearest" tie-breaking
 observed in the reference's 19-point golden) and carries its ``tokens`` array
 verbatim through every tier.
 
-Two physical plans, one shared vectorized kernel (``rollup_batch``):
+One vectorized kernel, ``rollup_batch``, sorts its rows by key and time
+(raw rows by ts, deduplicated on (key, ts) when ``dedup``; tier rows, with
+``from_tier=True``, by bucket then ``_first_ts``) and reduces each
+(key, bucket) run in that order.  Two users:
 
-* ``rollup``      — groupby([key, _window]).map_groups(kernel): ONE all-to-all
-  exchange of the full input; supports cross-batch dedup.  The semantic
-  reference plan.
-* ``rollup_fast`` — combiner push-down (the 100 TB plan): the kernel runs per
-  **batch** first (map_batches, no shuffle), emitting tier-shaped partial
-  rows; only those partials — one per (key, bucket) per block, orders of
-  magnitude smaller than the input and WITHOUT re-shipping every token
-  payload — go through the groupby, where the same kernel (cascade mode, same
-  interval) merges them.  Partials carry ``_first_ts`` (min contributing
-  input ts) and the combine sorts on it, so float summation order and the
-  nearest-row tie-break stay deterministic under any block layout.
-  Requires ``dedup=False`` or upstream-deduplicated input (the flagship
-  pipeline dedups in its clean stage, co-located per (source, day)).
-
-Group size in both plans is bounded by ``window_s`` regardless of source skew
-(a hot source becomes many windows, not one giant group) — the salting
-strategy the north rule asks for, with the time range itself as the salt.
+* the flagship (``pipelines/rollup_pipeline.py:_roll_partition``), whose
+  clean shuffle hands one task a whole deduplicated (source, day) that it
+  rolls into every tier with no further exchange; the driver's sequences
+  tiers are read from its store.
+* ``rollup_fast``, the combiner plan of the driver's events tiers: the
+  kernel runs per **batch** (no shuffle), and only the tier-shaped partials
+  — one per (key, bucket) per block, not every input row — go through the
+  groupby on (key, window), where the kernel merges them in ``_first_ts``
+  order, so float sums and the nearest-row tie-break do not depend on the
+  block layout.  Group size is bounded by ``window_s`` whatever the key
+  skew: the time range itself is the salt.
 """
 
 from __future__ import annotations
@@ -410,27 +407,13 @@ def _add_window(ds, ts_col: str, window_s: int, from_tier: bool):
     return ds.map_batches(add, batch_format="pyarrow")
 
 
-def rollup(ds, cfg: RollupConfig, from_tier: bool = False):
-    """Grouped (semantic-reference) plan: raw rows (from_tier=False) or finer
-    tier rows (from_tier=True) → tier, via ONE full
-    ``groupby([key, _window]).map_groups`` exchange.  Supports cross-batch
-    dedup within each (key, window)."""
-    ds = _add_window(ds, cfg.ts_col, cfg.window_s, from_tier)
-
-    def run(group: pa.Table) -> pa.Table:
-        return rollup_batch(group.drop_columns(["_window"]), cfg, from_tier)
-
-    return ds.groupby([cfg.key, "_window"]).map_groups(run, batch_format="pyarrow")
-
-
 def rollup_fast(ds, cfg: RollupConfig, from_tier: bool = False):
-    """Combiner plan (the scale path): per-batch partial aggregation, then a
-    shuffle of ONLY the tier-shaped partials, merged by the same kernel.
+    """Combiner plan: per-batch partial aggregation, then a shuffle of ONLY
+    the tier-shaped partials, merged by the same kernel.
 
-    Exactly equal to ``rollup`` output (deterministic combine order via
+    Independent of the block layout (deterministic combine order via
     ``_first_ts``) provided input needs no cross-batch dedup: pass
-    ``dedup=False`` or feed upstream-deduplicated data (the flagship's clean
-    stage dedups per (source, day) before this)."""
+    ``dedup=False`` or feed upstream-deduplicated data."""
 
     def partial(batch: pa.Table) -> pa.Table:
         return rollup_batch(batch, cfg, from_tier)
