@@ -902,3 +902,126 @@ def test_mixed_resume_rebuilds_each_lost_partition_from_its_own_source(
     assert {t: man.last_modified(t) for t in before} == before
     _assert_same_partition(man, fresh, "raw", p)
     _assert_same_partition(man, fresh, "t1h", q)
+
+
+def _chunks(path):
+    """``{column path: (encodings, has dictionary page)}`` of a Parquet file's
+    first row group."""
+    rg = pq.read_metadata(path).row_group(0)
+    return {rg.column(i).path_in_schema: (rg.column(i).encodings, rg.column(i).has_dictionary_page)
+            for i in range(rg.num_columns)}
+
+
+def test_int_lists_delta_packed_and_roundtrip(tmp_path):
+    """Token ids are written DELTA_BINARY_PACKED with no dictionary; an
+    empty list, a null list and ids 0 and 50256 read back equal under
+    pyarrow and DuckDB, and the other columns keep the default encoding."""
+    import duckdb
+
+    from tsdat_ray.stages.writers import write_batch_partitioned
+
+    t = pa.table({
+        "source": ["w"] * 4, "day": ["2024-01-01"] * 4,
+        "ts": pa.array(np.arange(4) * 1_000_000).cast(pa.timestamp("us")),
+        "doc_id": ["a", "b", "c", "d"],
+        "tokens": pa.array([[0, 50256, 7], [], None, [50256, 0]], pa.list_(pa.int32())),
+        "sel": pa.array([{"i": [1, 2]}, None, {"i": []}, {"i": [3]}],
+                        pa.struct([("i", pa.list_(pa.int64()))])),
+        "m": pa.array([[("k", 1)], [], None, [("k", 2), ("j", 3)]], pa.map_(pa.string(), pa.int32())),
+    })
+    path = write_batch_partitioned(t, str(tmp_path), ts_col="ts")["path"][0].as_py()
+    body = t.drop_columns(["source", "day"])
+    assert pq.read_table(path).equals(body)
+    con = duckdb.connect()
+    got = con.execute(f"SELECT * FROM read_parquet('{path}') ORDER BY ts").arrow()
+    assert got["tokens"].to_pylist() == body["tokens"].to_pylist()
+    assert got["sel"].to_pylist() == body["sel"].to_pylist()
+    assert got["m"].to_pylist() == body["m"].to_pylist()
+
+    enc = _chunks(path)
+    assert enc.pop("tokens.list.element") == (("RLE", "DELTA_BINARY_PACKED"), False)
+    pq.write_table(body, str(tmp_path / "default.parquet"))
+    default = _chunks(str(tmp_path / "default.parquet"))
+    default.pop("tokens.list.element")
+    assert enc == default  # nested int lists and map leaves keep their dictionary
+
+
+def test_store_token_ids_delta_packed(ray_session, corpus, tmp_path):
+    """In every raw/t1m/t1h/t1d file of a run the token ids are
+    DELTA_BINARY_PACKED with no dictionary page; every other column is
+    encoded as a default write of the same rows encodes it."""
+    import glob
+
+    out = str(tmp_path / "s")
+    run_pipeline(corpus, PipelineConfig(out_root=out, resume=False))
+    for tier in ("raw", "t1m", "t1h", "t1d"):
+        files = glob.glob(f"{out}/{tier}/*/*/*.parquet")
+        assert files, tier
+        for f in files:
+            enc = _chunks(f)
+            assert enc.pop("tokens.list.element") == (("RLE", "DELTA_BINARY_PACKED"), False), f
+            pq.write_table(pq.read_table(f), str(tmp_path / "default.parquet"))
+            default = _chunks(str(tmp_path / "default.parquet"))
+            assert default.pop("tokens.list.element")[1]  # the old dictionary page
+            assert enc == default, f
+
+
+def test_graph_drops_reservation_on_its_own_context(ray_session, corpus, tmp_path, monkeypatch):
+    """The Dataset ``_cascade`` drains runs without Ray Data's per-operator
+    resource reservation, on a fresh run and on a resume run with a disk
+    feed; the global DataContext keeps its setting."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    before = DataContext.get_current().op_resource_reservation_enabled
+    drained, orig = [], rd.Dataset.take_all
+
+    def wrapped(self, *a, **kw):
+        drained.append(self.context.op_resource_reservation_enabled)
+        return orig(self, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "take_all", wrapped)
+    out = str(tmp_path / "s")
+    run_pipeline(corpus, PipelineConfig(out_root=out, resume=False))
+    man = Manifest(out)
+    man.invalidate("t1h", sorted(man.completed("t1h"))[:1])
+    calls, from_items = [], rd.from_items
+    monkeypatch.setattr(rd, "from_items", lambda *a, **kw: calls.append(1) or from_items(*a, **kw))
+    assert run_pipeline(corpus, PipelineConfig(out_root=out))["1h"]["new_partitions"] == 1
+    assert calls == [1]  # the disk feed
+    assert drained == [False, False]
+    assert DataContext.get_current().op_resource_reservation_enabled == before
+
+
+def test_retention_pruned_raw_not_rebuilt(ray_session, corpus, tmp_path):
+    """A run given ``now_us`` does not re-ingest the raw partitions an
+    earlier prune removed while every later dir holds them (or prunes them
+    too): it writes and prunes none.  A t1m partition of such a day that
+    was invalidated is still rebuilt, equal to the fresh store's."""
+    out = str(tmp_path / "store")
+    cfg = PipelineConfig(out_root=out, retention_s={"raw": 86400, "1m": None, "1h": None, "1d": None})
+    run_pipeline(corpus, cfg)
+    fresh = Manifest(str(tmp_path / "fresh"))
+    shutil.copytree(out, fresh.root)
+    man = Manifest(out)
+    days = sorted({Manifest.parse_partition(p)[1] for p in man.completed("raw")})
+    now_us = int(np.datetime64(days[-1], "us").astype("int64")) + 86400 * US
+    first = run_pipeline(corpus, cfg, now_us=now_us)["retention"]["pruned"]["raw"]
+    assert first == len([p for p in fresh.completed("raw") if not p.endswith(days[-1])]) > 0
+
+    again = run_pipeline(corpus, cfg, now_us=now_us)
+    assert again["raw"]["new_partitions"] == 0
+    assert again["retention"]["pruned"].get("raw", 0) == 0
+
+    old = sorted(p for p in man.completed("t1m") if not p.endswith(days[-1]))[0]
+    assert man.invalidate("t1m", [old]) == 1
+    stats = run_pipeline(corpus, cfg, now_us=now_us)
+    assert (stats["1m"]["new_partitions"], stats["retention"]["pruned"]["raw"]) == (1, 1)
+    _assert_same_partition(man, fresh, "t1m", old)
+
+    # days t1m prunes as well: neither raw nor t1m is rebuilt for them
+    both = PipelineConfig(out_root=out, retention_s={**cfg.retention_s, "1m": 86400})
+    assert run_pipeline(corpus, both, now_us=now_us)["retention"]["pruned"]["t1m"] > 0
+    again = run_pipeline(corpus, both, now_us=now_us)
+    assert (again["raw"]["new_partitions"], again["1m"]["new_partitions"]) == (0, 0)
+    assert again["retention"]["pruned"] == {}

@@ -139,3 +139,27 @@ def test_csv_writer_hive_and_preamble(ray_session, tmp_path):
     body = pd.read_csv(path, skiprows=skip)
     assert list(body.columns) == ["ts", "v"]
     assert len(body) == 2  # source=w partition rows
+
+
+def test_tombstones_read_through_store_filesystem(tmp_path, monkeypatch):
+    """On an object-store root the tombstone files are read through the
+    store's filesystem, not as local paths."""
+    import types
+
+    from pyarrow import fs as pafs
+
+    from tsdat_ray.pipelines.rollup_pipeline import PipelineConfig, _tombstone_values
+    from tsdat_ray.state import uri
+    from tsdat_ray.state.manifest import Manifest
+
+    mock = pafs._MockFileSystem()
+    fake = types.SimpleNamespace(
+        FileSystem=types.SimpleNamespace(from_uri=lambda u: (mock, u.split("://", 1)[1])),
+        LocalFileSystem=pafs.LocalFileSystem, FileSelector=pafs.FileSelector,
+        FileType=pafs.FileType)
+    monkeypatch.setattr(uri, "pafs", fake)
+    cfg = PipelineConfig(out_root="mock://bucket/store")
+    sfs = Manifest(cfg.out_root).sfs
+    sfs.makedirs(sfs.join("_tombstones"))
+    sfs.write_table_atomic(pa.table({"doc_id": ["x1", "x2"]}), sfs.join("_tombstones", "tomb-a.parquet"))
+    assert _tombstone_values(cfg).to_pylist() == ["x1", "x2"]

@@ -30,6 +30,19 @@ this graph (``_cascade``), told which store dirs to write.  Every dir
 commits after the graph completes, so a killed run leaves only uncommitted
 dirs, which the next resume wipes.  With an empty manifest there is no skip
 filter and no disk feed: the fresh graph.
+
+The graph runs without Ray Data's per-operator resource reservation
+(``op_resource_reservation_enabled = False`` on its own Dataset context,
+never on ``DataContext.get_current()``).  Ray Data 2.49 reserves, for
+each unfinished operator in graph order, max(0.5 × CPUs / #operators, one
+task's CPU), and only what is left forms the shared pool.  On C CPUs and
+k ≥ C operators the first C operators take one CPU each and the pool is
+0, so every operator runs one task at a time and the first clean tasks
+wait on CPUs that upstream operators hold (on 2 CPUs: one CPU idle while
+the largest input file is read, and again as the clean phase starts).
+The reservation bounds the memory a streaming graph holds in flight;
+here the clean sort is the only all-to-all and holds every block before
+any clean task starts, so dropping it bounds nothing less.
 """
 
 from __future__ import annotations
@@ -366,11 +379,13 @@ def _part_files(sfs, name: str, part: str) -> list[str]:
     return [f"{pdir}/{f}" for f in sfs.listdir(pdir) if f.endswith(".parquet")]
 
 
-def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...]) -> dict:
+def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
+             now_us: Optional[int] = None) -> dict:
     """Build and run ONE Ray Data graph that writes the store dirs ``names``
     (some of ``Manifest.tier_names``), then commit them in that order.
     done(n) is read after n's uncommitted dirs (a killed run's output) are
-    wiped; without resume nothing is done.  The clean feed (when raw is
+    wiped; without resume nothing is done.  Given ``now_us``, done(raw) also
+    holds the partitions ``_retired`` names.  The clean feed (when raw is
     written) carries every partition not in done(raw); the disk feed each
     other partition a dir lacks, read from the tier below the lowest dir it
     lacks.  Returns per-dir stats keyed "raw", "1m", ..., "1m_enc"."""
@@ -382,6 +397,8 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...]) -> dict:
             man.wipe_uncommitted(n)
     done = {n: frozenset(man.completed(n) if cfg.resume else ()) for n in order}
     later = tuple(n for n in order if n != "raw")
+    if "raw" in done and now_us is not None:
+        done["raw"] |= _retired(cfg, done, later, now_us)
     t0 = time.time()
 
     p = _num_blocks(cfg) if "raw" in done else 0
@@ -397,7 +414,11 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...]) -> dict:
         feeds.append(_disk_feed(cfg, items))
     task_s = dict.fromkeys(order, 0.0)
     if feeds:  # one union; take_all drives the whole graph
-        for r in (feeds[0].union(*feeds[1:]) if len(feeds) > 1 else feeds[0]).take_all():
+        ds = feeds[0].union(*feeds[1:]) if len(feeds) > 1 else feeds[0]
+        # this graph's own context copy: no per-operator CPU reservation
+        # (module docstring); DataContext.get_current() is left alone
+        ds.context.op_resource_reservation_enabled = False
+        for r in ds.take_all():
             task_s[r["tier"]] += r["task_s"]
     wall = time.time() - t0
 
@@ -486,7 +507,7 @@ def _tombstone_values(cfg: PipelineConfig, id_col: str = "doc_id"):
     tdir = man.sfs.join("_tombstones")
     if not man.sfs.isdir(tdir):
         return None
-    tabs = [pq.read_table(man.sfs.join("_tombstones", f), columns=[id_col])
+    tabs = [pq.read_table(man.sfs.join("_tombstones", f), columns=[id_col], filesystem=man.sfs.fs)
             for f in sorted(man.sfs.listdir(tdir)) if f.endswith(".parquet")]
     if not tabs:
         return None
@@ -553,6 +574,31 @@ def purge_keys(input_paths, cfg: PipelineConfig, ids,
     return stats
 
 
+def _retention_cutoff(cfg: PipelineConfig, tname: str, now_us: int):
+    """The first day store dir ``tname`` keeps at ``now_us`` (a
+    ``datetime64[D]``), or None when it keeps every day (no retention set;
+    encoded dirs are never pruned)."""
+    horizon = cfg.retention_s.get(tname.lstrip("t") if tname != "raw" else "raw")
+    if horizon is None:
+        return None
+    return np.datetime64((now_us - horizon * US) // DAY_US, "D")
+
+
+def _retired(cfg: PipelineConfig, done: dict, later: tuple, now_us: int) -> frozenset:
+    """Partitions a run pruning at ``now_us`` need not rebuild in raw: the
+    day is before raw's cutoff, and each dir of ``later`` holds it (in
+    ``done``) or would prune it too.  A rebuild would only be pruned again
+    by the same run."""
+    cut = {n: _retention_cutoff(cfg, n, now_us) for n in ("raw", *later)}
+
+    def retired(q: str) -> bool:
+        day = np.datetime64(Manifest.parse_partition(q)[1], "D")
+        gone = {n: c is not None and day < c for n, c in cut.items()}
+        return gone["raw"] and all(q in done[n] or gone[n] for n in later)
+
+    return frozenset(filter(retired, set().union(*(done[n] for n in later))))
+
+
 def prune_retention(cfg: PipelineConfig, now_us: int) -> dict:
     """Delete day partitions older than each tier's retention horizon; every
     prune is recorded in the manifest (so `completed` drops the partition and
@@ -560,11 +606,9 @@ def prune_retention(cfg: PipelineConfig, now_us: int) -> dict:
     man = Manifest(cfg.out_root)
     pruned: dict[str, list[str]] = {}
     for tname in Manifest.tier_names(cfg.tiers):
-        horizon = cfg.retention_s.get(tname.lstrip("t") if tname != "raw" else "raw")
-        if horizon is None:
+        cutoff = _retention_cutoff(cfg, tname, now_us)
+        if cutoff is None:
             continue
-        cutoff_day = ((now_us - horizon * US) // DAY_US) * DAY_US
-        cutoff = np.datetime64(cutoff_day // US, "s").astype("datetime64[D]")
         for part in man.list_partition_dirs(tname):
             day = np.datetime64(Manifest.parse_partition(part)[1], "D")
             if day < cutoff:
@@ -582,7 +626,9 @@ def run_pipeline(input_paths, cfg: PipelineConfig, now_us: Optional[int] = None)
 
     One graph for fresh and resumed runs: partitions already committed to a
     dir are skipped, and a partition raw already holds is re-read only from
-    the dir below the lowest one it lacks."""
+    the dir below the lowest one it lacks.  Given ``now_us``, the run prunes
+    by retention at the end, and raw partitions an earlier prune removed
+    are not rebuilt while every later dir holds them or prunes them too."""
     man = Manifest(cfg.out_root)
     if not cfg.resume and man.records():
         # fresh-run semantics over an existing store: clear it — part file
@@ -593,7 +639,8 @@ def run_pipeline(input_paths, cfg: PipelineConfig, now_us: Optional[int] = None)
             man.sfs.rmtree(man.tier_dir(tier))
         man.sfs.rmtree(man.sfs.join_root("quarantine"))
         man.sfs.remove_file(man.path)
-    stats = _cascade(input_paths, cfg, tuple(Manifest.tier_names(cfg.tiers, cfg.encode_tiers)))
+    stats = _cascade(input_paths, cfg, tuple(Manifest.tier_names(cfg.tiers, cfg.encode_tiers)),
+                     now_us)
     if cfg.save_report:
         # observability twin of the manifest's lineage: one JSON report per
         # run under <root>/_reports/ with the per-stage wall/partition

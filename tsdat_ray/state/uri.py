@@ -113,12 +113,15 @@ class StorageFS:
         write(tmp)
         self.fs.move(tmp, path)
 
-    def write_table_atomic(self, table, path: str, compression: str = "snappy") -> None:
-        """Publish ``table`` as one Parquet file under the publish rule."""
+    def write_table_atomic(self, table, path: str, compression: str = "snappy",
+                           **options) -> None:
+        """Publish ``table`` as one Parquet file under the publish rule;
+        ``options`` go to ``pq.write_table`` (e.g. ``use_dictionary``,
+        ``column_encoding``)."""
         import pyarrow.parquet as pq
 
         self._publish(path, lambda p: pq.write_table(
-            table, p, compression=compression, filesystem=self.fs))
+            table, p, compression=compression, filesystem=self.fs, **options))
 
     def write_bytes(self, path: str, data: bytes) -> None:
         """Publish raw bytes under the publish rule."""
