@@ -574,10 +574,16 @@ def test_run_report_persisted(ray_session, tmp_path):
     rep = json.load(open(path))
     assert {"raw", "1m", "1h", "1d"} <= set(rep)
     assert rep["raw"]["new_partitions"] > 0
-    # the clean shuffle's reducer count, the read's block count
+    # the clean shuffle's reducer count, and the input it read: every row
+    # group of a fresh run, by the footers' row counts
     from tsdat_ray.pipelines.rollup_pipeline import _num_blocks
+    from tsdat_ray.sources.declared import parquet_files
 
     assert rep["raw"]["shuffle_partitions"] == _num_blocks(PipelineConfig(out_root=store)) >= 8
+    mds = [pq.read_metadata(f) for f in parquet_files(corpus)]
+    n_groups = sum(md.num_row_groups for md in mds)
+    assert rep["raw"]["input_row_groups"] == {"read": n_groups, "total": n_groups} and n_groups
+    assert rep["raw"]["input_rows_read"] == sum(md.num_rows for md in mds) > 0
     assert "shuffle_partitions" not in rep["1m"]
     # every tier of the one graph reports the graph wall, plus the seconds
     # its own tasks spent rolling up, encoding and writing it
@@ -597,6 +603,12 @@ def test_run_report_persisted(ray_session, tmp_path):
             assert r["inputs"] == [corpus]
         elif r["tier"] in src:
             assert r["inputs"] == [man.tier_dir(src[r["tier"]])], r
+    # a resume over the complete store reads no input row group
+    again = run_pipeline(corpus, PipelineConfig(out_root=store, run_id="rpt2"))
+    rep2 = json.load(open(os.path.join(store, "_reports", "run_rpt2.json")))
+    assert rep2["raw"] == again["raw"]
+    assert rep2["raw"]["input_row_groups"] == {"read": 0, "total": n_groups}
+    assert (rep2["raw"]["input_rows_read"], rep2["raw"]["shuffle_partitions"]) == (0, 0)
 
 
 def test_compact_tier_crash_recovery_no_duplication(ray_session, tmp_path):
@@ -755,12 +767,20 @@ def _assert_same_store(man_a, man_b):
     for tier in STORE_DIRS:
         parts = sorted(man_a.completed(tier))
         assert parts and parts == sorted(man_b.completed(tier)), tier
-        # raw qc_ts is CheckMonotonic over each (batch, source) run of the
-        # input (standardize.py), so it follows the read's block layout by
-        # design; no tier reads it
-        drop = ("qc_ts",) if tier == "raw" else ()
         for part in parts:
-            _assert_same_partition(man_a, man_b, tier, part, drop)
+            _assert_same_partition(man_a, man_b, tier, part)
+
+
+def _rewrite_corpus(src, dst, row_group_size):
+    """A copy of corpus ``src`` under ``dst``: the same files and rows, in
+    row groups of ``row_group_size`` rows."""
+    from tsdat_ray.sources.declared import parquet_files
+
+    os.makedirs(dst)
+    for f in parquet_files(src):
+        pq.write_table(pq.read_table(f), os.path.join(dst, os.path.basename(f)),
+                       row_group_size=row_group_size)
+    return dst
 
 
 def test_skip_completed_matches_partition_string_rule():
@@ -784,8 +804,8 @@ def test_skip_completed_matches_partition_string_rule():
 
 
 def test_fresh_graph_has_one_shuffle_and_no_encode_job(ray_session, corpus, tmp_path, monkeypatch):
-    """A fresh run executes one Dataset: the corpus read with the clean
-    shuffle as its only all-to-all.  The tiers and the encoded store are
+    """A fresh run executes one Dataset: the input row groups, one task
+    each, with the clean shuffle as its only all-to-all.  The tiers and the encoded store are
     written inside that shuffle's tasks, with no disk feed and no other
     Ray job."""
     import ray.data as rd
@@ -811,7 +831,7 @@ def test_fresh_graph_has_one_shuffle_and_no_encode_job(ray_session, corpus, tmp_
 
     stats = run_pipeline(corpus, PipelineConfig(out_root=str(tmp_path / "s"), resume=False))
     assert stats["1m_enc"]["new_partitions"] == stats["1m"]["new_partitions"] > 0
-    assert calls == {"read_parquet": 1, "from_items": 0}
+    assert calls == {"read_parquet": 0, "from_items": 1}  # the input unit list
     assert len(runs) == 1
 
     def ops(op):
@@ -823,16 +843,22 @@ def test_fresh_graph_has_one_shuffle_and_no_encode_job(ray_session, corpus, tmp_
 
 
 def test_tiers_independent_of_layout(ray_session, corpus, tmp_path):
-    """Fresh runs at 1, 4 and 16 input blocks (and as many clean shuffle
-    reducers: at 1 one reducer block holds every key), and the staged entry
-    points (ingest_raw → rollup_tier ×3 → encode_tier_store), give bit-equal
-    raw/t1m/t1h/t1d/t1m_enc partitions (raw's per-batch qc_ts aside)."""
+    """Fresh runs at 1, 4 and 16 clean shuffle reducers (at 1 one reducer
+    block holds every key), over copies of the corpus rewritten in row
+    groups of 1,000 and 50,000 rows, and the staged entry points
+    (ingest_raw → rollup_tier ×3 → encode_tier_store), give bit-equal
+    raw/t1m/t1h/t1d/t1m_enc partitions, raw's qc_ts included."""
     from tsdat_ray.pipelines.rollup_pipeline import encode_tier_store
 
     mans = []
     for par in (1, 4, 16):
         out = str(tmp_path / f"p{par}")
         run_pipeline(corpus, PipelineConfig(out_root=out, resume=False, parallelism=par))
+        mans.append(Manifest(out))
+    for rgs in (1_000, 50_000):
+        copy = _rewrite_corpus(corpus, str(tmp_path / f"rg{rgs}"), rgs)
+        out = str(tmp_path / f"s{rgs}")
+        run_pipeline(copy, PipelineConfig(out_root=out, resume=False))
         mans.append(Manifest(out))
     for a, b in zip(mans, mans[1:]):
         _assert_same_store(a, b)
@@ -1025,3 +1051,132 @@ def test_retention_pruned_raw_not_rebuilt(ray_session, corpus, tmp_path):
     again = run_pipeline(corpus, both, now_us=now_us)
     assert (again["raw"]["new_partitions"], again["1m"]["new_partitions"]) == (0, 0)
     assert again["retention"]["pruned"] == {}
+
+
+def test_footer_plan_keeps_row_groups_it_cannot_place(tmp_path):
+    """The unit plan skips a row group only when its footer places every
+    row in a done (source, day): it keeps one without statistics, one
+    holding two sources, one whose doc_ids do not parse as fixed-width
+    indexes, one that reaches a day not done, and every row group when a
+    customize hook may move rows."""
+    from tsdat_ray.pipelines.rollup_pipeline import _plan_units
+    from tsdat_ray.schema import NOMINAL_INTERVAL_S
+
+    per_day = 86400 // NOMINAL_INTERVAL_S
+    day0 = str(np.datetime64(int(EPOCH_US) // (86400 * US), "D"))
+    day1 = str(np.datetime64(int(EPOCH_US) // (86400 * US) + 1, "D"))
+
+    def write(name, sources, ids, **kw):
+        pq.write_table(pa.table({"doc_id": ids, "tokens": pa.array([[1]] * len(ids), pa.list_(pa.int32())),
+                                 "n_tok": pa.array([1] * len(ids), pa.int32()), "source": sources}),
+                       str(tmp_path / "in" / name), **kw)
+
+    os.makedirs(tmp_path / "in")
+    first = [f"web-{i:08d}" for i in range(4)]           # day 0
+    write("a_done.parquet", ["web"] * 4, first)
+    write("b_nostats.parquet", ["web"] * 4, first, write_statistics=False)
+    write("c_two_sources.parquet", ["web", "web", "news", "news"], first)
+    write("d_unparsed.parquet", ["web"] * 4, ["web-0000000x", *first[1:]])
+    write("e_widths.parquet", ["web"] * 4, [*first[:3], "web-100000000"])
+    write("f_next_day.parquet", ["web"] * 2, [first[0], f"web-{per_day:08d}"])
+    write("g_groups.parquet", ["web"] * 4, [*first[:2], f"web-{per_day:08d}", f"web-{per_day + 1:08d}"],
+          row_group_size=2)
+    cfg = PipelineConfig(out_root=str(tmp_path / "s"))
+    done = frozenset([f"source=web/day={day0}", f"source=news/day={day0}"])
+    units, total = _plan_units(str(tmp_path / "in"), cfg, done)
+    assert total == 8
+    assert [(os.path.basename(u["path"]), u["row_group"], u["rows"]) for u in units] == [
+        ("b_nostats.parquet", 0, 4), ("c_two_sources.parquet", 0, 4),
+        ("d_unparsed.parquet", 0, 4), ("e_widths.parquet", 0, 4),
+        ("f_next_day.parquet", 0, 2), ("g_groups.parquet", 1, 2)]
+    assert len(_plan_units(str(tmp_path / "in"), cfg, done | {f"source=web/day={day1}"})[0]) == 4
+    hooked = PipelineConfig(out_root=cfg.out_root, hooks={"customize": lambda b: b})
+    assert len(_plan_units(str(tmp_path / "in"), hooked, done)[0]) == 8
+
+
+def test_resume_over_complete_store_reads_no_input(ray_session, corpus, tmp_path, monkeypatch):
+    """A resume over a store where every dir is complete plans no input
+    unit, builds no clean feed and drains no Dataset."""
+    import ray.data as rd
+
+    out = str(tmp_path / "s")
+    run_pipeline(corpus, PipelineConfig(out_root=out, resume=False))
+    calls = []
+    for fn in ("from_items", "read_parquet"):
+        monkeypatch.setattr(rd, fn, lambda *a, _fn=fn, **kw: calls.append(_fn))
+    stats = run_pipeline(corpus, PipelineConfig(out_root=out))
+    assert calls == []
+    assert {k: v["new_partitions"] for k, v in stats.items()} == dict.fromkeys(
+        ("raw", "1m", "1h", "1d", "1m_enc"), 0)
+    assert stats["raw"]["input_row_groups"]["read"] == stats["raw"]["input_rows_read"] == 0
+    assert stats["raw"]["input_row_groups"]["total"] > 0
+
+
+def test_reprocess_reads_only_row_groups_of_its_days(ray_session, tmp_path):
+    """``reprocess_range`` over the corpus's last two days reads exactly the
+    input row groups holding rows of those days, and the partitions it
+    rebuilds in raw, t1m, t1h, t1d and t1m_enc are bit-equal to a fresh
+    run's, raw's qc_ts included."""
+    from tsdat_ray.pipelines.rollup_pipeline import reprocess_range
+    from tsdat_ray.sources.declared import parquet_files
+    from tsdat_ray.stages.standardize import doc_ts_us
+
+    # 40k rows: the web source spans four days, the others fewer
+    corpus = generate_sequences_parquet(str(tmp_path / "gen"), n_rows=40_000, seed=42)
+    src = _rewrite_corpus(corpus, str(tmp_path / "c"), 2_000)
+    fresh = Manifest(str(tmp_path / "fresh"))
+    run_pipeline(src, PipelineConfig(out_root=fresh.root, resume=False))
+    out = str(tmp_path / "s")
+    shutil.copytree(fresh.root, out)
+    days = sorted({Manifest.parse_partition(p)[1] for p in fresh.completed("raw")})[-2:]
+    lo = int(np.datetime64(days[0], "us").astype(np.int64))
+    touching, rows, total = 0, 0, 0
+    for f in parquet_files(src):
+        pf = pq.ParquetFile(f)
+        for k in range(pf.num_row_groups):
+            ts = doc_ts_us(pf.read_row_group(k, columns=["doc_id"])["doc_id"]).to_numpy()
+            total += 1
+            if (ts >= lo).any():
+                touching, rows = touching + 1, rows + pf.metadata.row_group(k).num_rows
+    assert 0 < touching < total
+
+    stats = reprocess_range(src, PipelineConfig(out_root=out, run_id="late"), lo, lo + 2 * 86400 * US)
+    assert stats["raw"]["input_row_groups"] == {"read": touching, "total": total}
+    assert stats["raw"]["input_rows_read"] == rows
+    man = Manifest(out)
+    for tier in STORE_DIRS:
+        rebuilt = sorted(p for p in man.completed(tier) if Manifest.parse_partition(p)[1] in days)
+        assert rebuilt and rebuilt == sorted(p for p in fresh.completed(tier)
+                                             if Manifest.parse_partition(p)[1] in days), tier
+        for part in rebuilt:
+            _assert_same_partition(man, fresh, tier, part)
+
+
+def test_compact_tier_keeps_token_ids_delta_packed(ray_session, tmp_path):
+    """The merge ``compact_tier`` writes keeps the token ids
+    DELTA_BINARY_PACKED with no dictionary page, and the same rows."""
+    import ray.data as rd
+
+    from tsdat_ray.stages.writers import compact_tier, write_partitioned
+
+    root = str(tmp_path / "store")
+    n = 300
+    rng = np.random.default_rng(5)
+    tbl = pa.table({
+        "ts": pa.array(np.sort(rng.integers(0, 86400, n)) * US).cast(pa.timestamp("us")),
+        "source": ["a"] * n, "day": ["1970-01-01"] * n,
+        "tokens": pa.array([list(rng.integers(0, 50257, int(k))) for k in rng.integers(0, 9, n)],
+                           pa.list_(pa.int32())),
+    })
+    write_partitioned(rd.from_arrow(tbl).repartition(4), root + "/raw", ts_col="ts")
+    man = Manifest(root)
+    man.commit_partitions("raw", inputs=["synthetic"])
+    pdir = man.partition_dir("raw", man.list_partition_dirs("raw")[0])
+    before = pa.concat_tables(pq.read_table(os.path.join(pdir, f)) for f in sorted(os.listdir(pdir))
+                              if f.endswith(".parquet"))
+    assert compact_tier(root, "raw")["compacted"] == 1
+    [merged] = [os.path.join(pdir, f) for f in os.listdir(pdir) if f.endswith(".parquet")]
+    assert _chunks(merged)["tokens.list.element"] == (("RLE", "DELTA_BINARY_PACKED"), False)
+    after = pq.read_table(merged).replace_schema_metadata(None)
+    key = [("ts", "ascending")]
+    assert after.sort_by(key).equals(before.replace_schema_metadata(None).sort_by(key))

@@ -302,6 +302,53 @@ def test_prune_parquet_files_skips_nonoverlapping(ray_session, tmp_path):
     assert names == ["d1.parquet", "d2.parquet"]
 
 
+def test_prune_parquet_files_reads_the_ts_leaf_by_path(tmp_path):
+    """A struct column before ``ts`` shifts the Parquet leaf index: the
+    pruner must compare ``ts``'s own statistics, and keep a file whose
+    ``ts`` column has no leaf of that name."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from tsdat_ray.sources.declared import prune_parquet_files
+
+    s = pa.array([{"a": 1, "b": 100}, {"a": 2, "b": 200}, {"a": 3, "b": 300}],
+                 pa.struct([("a", pa.int64()), ("b", pa.int64())]))
+    ts = pa.array([10, 20, 30], pa.timestamp("us"))
+    pq.write_table(pa.table({"s": s, "ts": ts}), str(tmp_path / "a.parquet"))
+    assert prune_parquet_files(str(tmp_path), "ts", 10, 31) == [str(tmp_path / "a.parquet")]
+    assert prune_parquet_files(str(tmp_path), "ts", 31, 40) == []
+    pq.write_table(pa.table({"ts": s}), str(tmp_path / "b.parquet"))
+    assert prune_parquet_files(str(tmp_path / "b.parquet"), "ts", 31, 40) == [
+        str(tmp_path / "b.parquet")]
+
+
+def test_parquet_files_match_read_parquet(ray_session, tmp_path):
+    """The input expansion reads the files ``read_parquet`` reads from a
+    directory holding ``_SUCCESS``, hidden files, ``_``/``.`` subdirs and
+    a nested dir; a ``file://`` URI keeps its scheme."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from tsdat_ray.sources.declared import parquet_files
+
+    d = tmp_path / "in"
+    for sub in ("nested/deeper", "_tmp", ".hid"):
+        (d / sub).mkdir(parents=True)
+    for i, name in enumerate(("a.parquet", "nested/b.parquet", "nested/deeper/c.parquet",
+                              "noext", ".hidden.parquet", "_x.parquet", "_tmp/d.parquet",
+                              ".hid/e.parquet", "nested/_y.parquet")):
+        pq.write_table(pa.table({"x": [i]}), str(d / name))
+    (d / "_SUCCESS").write_text("")
+    got = parquet_files(str(d))
+    assert got == sorted(rd.read_parquet(str(d)).input_files())
+    assert [f.rsplit("/in/", 1)[1] for f in got] == [
+        "a.parquet", "nested/b.parquet", "nested/deeper/c.parquet", "noext"]
+    assert parquet_files(f"file://{d}") == [f"file://{f}" for f in got]
+    assert parquet_files([str(d / "_x.parquet"), str(d / "nested")]) == [
+        str(d / "_x.parquet"), *got[1:3]]
+
+
 def test_a2e_csv_writer_dim_groups(tmp_path):
     """A2e-standard CSV write: dim-group file splitting, suffix naming, and
     the metadata-preamble grammar (parity: A2eCSVWriter,

@@ -65,3 +65,28 @@ def test_standardize_tok_mean_and_tiebreak_unchanged():
     tokens = tbl["tokens"].combine_chunks()
     assert np.array_equal(_bits(out["tok_mean"].to_numpy()), _bits(_float_prefix_means(tokens)))
     assert np.array_equal(out["_tb"].to_numpy(), list_column_tiebreak(tokens))
+
+
+def test_check_monotonic_carries_prev_across_batches():
+    """qc_ts of a table standardized in pieces, each given the row before
+    it as ``prev``, equals qc_ts of the whole table; the first row is
+    flagged only against a row of its own source at or after its ts."""
+    from tsdat_ray.schema import QC_BIT_MONOTONIC
+
+    tbl = generate_sequences_table(3000, seed=5)
+    whole = standardize_batch(tbl)["qc_ts"].to_numpy()
+    assert whole.any()
+    cuts = [0, 1, 700, 701, 1900, 3000]
+    pieces = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        prev = None if a == 0 else (tbl["source"][a - 1].as_py(), tbl["doc_id"][a - 1].as_py())
+        pieces.append(standardize_batch(tbl.slice(a, b - a), prev=prev)["qc_ts"].to_numpy())
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+    row = tbl.slice(0, 1)
+    src, doc = row["source"][0].as_py(), row["doc_id"][0].as_py()
+    for prev, flagged in (((src, doc), True), (("other", doc), False),
+                          ((src, doc[:-8] + "99999999"), True), ((src, doc[:-8] + "00000000"),
+                                                                 doc[-8:] == "00000000")):
+        got = standardize_batch(row, prev=prev)["qc_ts"][0].as_py()
+        assert got == (QC_BIT_MONOTONIC if flagged else 0), prev

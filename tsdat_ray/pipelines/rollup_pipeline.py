@@ -9,7 +9,11 @@ shuffle.  Every 1m, 1h and 1d bucket lies inside one day, so the task the
 clean shuffle hands a whole (source, day) rolls every tier of it up itself
 (*Partition, Don't Sort!*, VLDB 2024):
 
-    read_parquet(inputs) → map_batches(standardize) → [skip done(raw)]
+    plan (calling process, footers only): one unit per input row group that
+      may touch a (source, day) outside done(raw)   # none → no clean feed
+    from_items(units) → map_batches(one task per unit: read its row group
+          → tombstone → standardize → customize → [skip done(raw)]
+          → day → _pkey)
       → sort(_pkey, fixed boundaries)         # THE shuffle, one int64 key:
                                               #   mix64(crc32(source)<<32 | day)
       → map_batches(per _pkey run of a block: # one task per reducer block
@@ -21,9 +25,17 @@ clean shuffle hands a whole (source, day) rolls every tier of it up itself
     → commit raw, t1m, t1h, t1d, t1m_enc; prune by retention horizon
 
 The mixed key is uniform over int64, so the sort splits it at p−1 evenly
-spaced points into p = ``_num_blocks(cfg)`` reducer blocks (the read's
-block count): no sampling pass, and the reducer of a (source, day) does
-not depend on how the read split the files.
+spaced points into p = ``_num_blocks(cfg)`` reducer blocks: no sampling
+pass, and the reducer of a (source, day) does not depend on how the files
+split into row groups.
+
+The unit plan maps each row group to the (source, day) set its rows can
+fall in, from the ``source`` and ``doc_id`` min/max of its footer (the
+row-group pruner of ``sources/declared.py``); a reprocess of two days reads
+only the row groups that hold them, and a resume over a complete raw dir
+reads none.  The read runs inside the unit's task with the whole
+standardize chain: no separate read operator whose output crosses the
+object store before standardize, and no plan-time sampling task.
 
 Fresh, resumed and reprocess runs and the staged entry points all build
 this graph (``_cascade``), told which store dirs to write.  Every dir
@@ -58,10 +70,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import DEFAULT_RETENTION_S, TIERS
+from ..sources.declared import parquet_files, parquet_row_groups
 from ..stages.encode import EncodeConfig, encode_group
 from ..stages.qc import QCConfig, QCStage
 from ..stages.rollup import RollupConfig, _key_change, _key_codes, dedup_order, rollup_batch
-from ..stages.standardize import StandardizeConfig, standardize_batch
+from ..stages.standardize import StandardizeConfig, doc_ts_us, standardize_batch
 from ..stages.writers import write_batch_partitioned
 from ..state.manifest import Manifest
 
@@ -153,11 +166,11 @@ class PipelineConfig:
     retention_s: dict = field(default_factory=lambda: dict(DEFAULT_RETENTION_S))
     resume: bool = True
     run_id: str = ""
-    # Input block count and the clean shuffle's reducer count. None →
-    # max(8, 2× cluster CPUs): 2 CPUs still get 8.  Over-blocking small inputs multiplies fixed per-task
-    # cost ~4× (measured: 26s → 12s at sf0.1 going from 200 to 64 blocks on
-    # 32 CPUs).  At real scale leave None — read blocks are then bounded by
-    # target_max_block_size.
+    # The clean shuffle's reducer count (the read is one task per input row
+    # group, whatever this is). None → max(8, 2× cluster CPUs): 2 CPUs
+    # still get 8.  Over-blocking small inputs multiplies fixed per-task
+    # cost ~4× (measured: 26s → 12s at sf0.1 going from 200 to 64 blocks
+    # on 32 CPUs).
     parallelism: Optional[int] = None
     # Tiers additionally stored as delta-of-delta timestamp + Gorilla-XOR
     # value blobs (one blob row per (source, day)) under t<tier>_enc/.
@@ -283,42 +296,106 @@ def _clean_write_group(g: pa.Table, qc_stage, raw_root: str,
     return t.drop_columns(["day"])
 
 
-def _clean_feed(input_paths, cfg: PipelineConfig, done: dict, later: tuple, p: int):
-    """read (p blocks) → standardize → resume-skip → ONE clean shuffle: a
-    sort on ``_pkey`` into p reducer blocks at fixed boundaries.  Each
-    block's task walks its contiguous ``_pkey`` runs, splits each run by
-    source (a crc collision can merge two), cleans and writes each raw
-    partition (+ QC sidecars/quarantine), then rolls it into the dirs of
-    ``later`` it lacks.  Emits ``_stats`` rows."""
+def _unit_span(g: dict, std: StandardizeConfig):
+    """``(source, first day, last day)`` that the rows of input row group
+    ``g`` (a ``parquet_row_groups`` entry) fall in, from its footer: one
+    ``source`` value, and ``doc_id`` min/max parsed by standardize's own
+    rule (``doc_ts_us``).  doc_ids are fixed-width (``StandardizeConfig``),
+    so min and max of one source share the part before the index digits and
+    their lexicographic order is the index order.  None — the row group may
+    touch every partition — when stats are missing, it spans sources, or
+    min and max are not one prefix and ``id_digits`` ASCII digits."""
+    src, ids = g["stats"]["source"], g["stats"]["doc_id"]
+    if src is None or ids is None or src[0] != src[1]:
+        return None
+    lo, hi = (v.decode() if isinstance(v, bytes) else v for v in ids)
+    d = std.id_digits
+    if len(lo) != len(hi) or lo[:-d] != hi[:-d] or not all(
+            x[-d:].isascii() and x[-d:].isdigit() for x in (lo, hi)):
+        return None
+    t = doc_ts_us(pa.array([lo, hi], pa.string()), std).to_numpy()
+    return src[0], int(t[0] // DAY_US), int(t[1] // DAY_US)
+
+
+def _plan_units(input_paths, cfg: PipelineConfig, done_raw: frozenset) -> tuple[list, int]:
+    """The input units the clean feed reads, one ``{path, row_group, rows}``
+    per row group that may touch a partition outside ``done_raw``, planned
+    from Parquet footers alone; and the inputs' row group count.  Skipping
+    is an optimisation, never a filter: a row group whose span is unknown,
+    or any row group when a ``customize`` hook may rewrite source or ts, is
+    read, and ``_skip_completed`` still drops done rows."""
+    groups = parquet_row_groups(parquet_files(input_paths), ["source", "doc_id"])
+    have: dict[str, set] = {}
+    for s, day in map(Manifest.parse_partition, done_raw):
+        have.setdefault(s, set()).add(int(np.datetime64(day, "D").astype(np.int64)))
+    blind = cfg.hooks.get("customize") is not None
+
+    def needed(g: dict) -> bool:
+        span = None if blind else _unit_span(g, cfg.std)
+        if span is None:
+            return True
+        done_days = have.get(span[0], ())
+        return any(d not in done_days for d in range(span[1], span[2] + 1))
+
+    units = [{"path": g["path"], "row_group": g["row_group"], "rows": g["rows"]}
+             for g in groups if g["rows"] and needed(g)]
+    return units, len(groups)
+
+
+def _drop_tombstoned(b: pa.Table, tomb) -> pa.Table:
+    """``b`` without the rows whose doc_id is in ``tomb`` (None: none)."""
+    return b if tomb is None else b.filter(pc.invert(pc.is_in(b["doc_id"], value_set=tomb)))
+
+
+def _clean_feed(units: list, cfg: PipelineConfig, done: dict, later: tuple, p: int):
+    """One task per input unit (``_plan_units``) reads its row group and
+    runs tombstone → standardize → customize → resume-skip → day → pkey;
+    then ONE clean shuffle: a sort on ``_pkey`` into p reducer blocks at
+    fixed boundaries.  Each block's task walks its contiguous ``_pkey``
+    runs, splits each run by source (a crc collision can merge two), cleans
+    and writes each raw partition (+ QC sidecars/quarantine), then rolls it
+    into the dirs of ``later`` it lacks.  Emits ``_stats`` rows."""
+    import ray
     import ray.data as rd
 
     qc_stage = QCStage(cfg.qc) if cfg.qc else None
-    std_cfg = cfg.std
-    ds = rd.read_parquet(input_paths, override_num_blocks=p)
+    std_cfg, customize = cfg.std, cfg.hooks.get("customize")
     tomb = _tombstone_values(cfg)
-    if tomb is not None and len(tomb):
-        # permanent exclusion set (purge_keys): applied on the raw input so
-        # no run — fresh, resume, or reprocess — can resurrect purged rows.
-        # Broadcast once via ray.put (bounded by purge-history size; a purge
-        # list beyond broadcast budget should move to an anti-join stage).
-        import ray
+    # permanent exclusion set (purge_keys): applied on the raw input so no
+    # run — fresh, resume, or reprocess — can resurrect purged rows.
+    # Broadcast once via ray.put (bounded by purge-history size; a purge
+    # list beyond broadcast budget should move to an anti-join stage).
+    tref = ray.put(tomb) if tomb is not None and len(tomb) else None
 
-        tref = ray.put(tomb)
+    def read_unit(item: pa.Table) -> pa.Table:
+        """One row group through the standardize chain.  CheckMonotonic runs
+        per input file: the row group's first row is compared with the last
+        surviving (source, doc_id) before it in the file."""
+        import pyarrow.parquet as pq
+        import ray as _r
 
-        def _drop_tombstoned(b: pa.Table) -> pa.Table:
-            import ray as _r
+        from ..state.uri import StorageFS
 
-            return b.filter(pc.invert(pc.is_in(b["doc_id"],
-                                               value_set=_r.get(tref))))
+        path, rg = item["path"][0].as_py(), item["row_group"][0].as_py()
+        tset = _r.get(tref) if tref is not None else None
+        sfs, prev = StorageFS(path), None
+        with sfs.fs.open_input_file(sfs.path) as fh:
+            pf = pq.ParquetFile(fh)
+            b = _drop_tombstoned(pf.read_row_group(rg), tset)
+            for k in range(rg - 1, -1, -1):
+                t = _drop_tombstoned(pf.read_row_group(k, columns=["source", "doc_id"]), tset)
+                if t.num_rows:
+                    prev = (t["source"][-1].as_py(), t["doc_id"][-1].as_py())
+                    break
+        b = standardize_batch(b, std_cfg, prev)
+        if customize is not None:
+            b = customize(b)
+        if done["raw"]:
+            b = _skip_completed(b, "ts", done["raw"])
+        return _add_pkey(_add_day(b, "ts"), "ts")
 
-        ds = ds.map_batches(_drop_tombstoned, batch_format="pyarrow")
-    ds = ds.map_batches(lambda b: standardize_batch(b, std_cfg), batch_format="pyarrow")
-    if cfg.hooks.get("customize") is not None:
-        ds = ds.map_batches(cfg.hooks["customize"], batch_format="pyarrow")
-    if done["raw"]:
-        ds = ds.map_batches(lambda b: _skip_completed(b, "ts", done["raw"]), batch_format="pyarrow")
-    ds = ds.map_batches(lambda b: _add_day(b, "ts"), batch_format="pyarrow")
-    ds = ds.map_batches(lambda b: _add_pkey(b, "ts"), batch_format="pyarrow")
+    ds = rd.from_items(units, override_num_blocks=len(units)).map_batches(
+        read_unit, batch_format="pyarrow", batch_size=1)
     raw_root = Manifest(cfg.out_root).tier_dir("raw")
     qroot = os.path.join(cfg.out_root, "quarantine") if cfg.qc_quarantine else None
     meta = _qc_file_metadata(qc_stage, cfg.run_id)
@@ -388,7 +465,9 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
     holds the partitions ``_retired`` names.  The clean feed (when raw is
     written) carries every partition not in done(raw); the disk feed each
     other partition a dir lacks, read from the tier below the lowest dir it
-    lacks.  Returns per-dir stats keyed "raw", "1m", ..., "1m_enc"."""
+    lacks.  The clean feed reads only the input row groups that may touch a
+    partition outside done(raw) and is not built when there are none.
+    Returns per-dir stats keyed "raw", "1m", ..., "1m_enc"."""
     man = Manifest(cfg.out_root)
     chain = Manifest.tier_names(cfg.tiers)
     order = [n for n in Manifest.tier_names(cfg.tiers, cfg.encode_tiers) if n in names]
@@ -401,8 +480,9 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
         done["raw"] |= _retired(cfg, done, later, now_us)
     t0 = time.time()
 
-    p = _num_blocks(cfg) if "raw" in done else 0
-    feeds = [_clean_feed(input_paths, cfg, done, later, p)] if p else []
+    units, n_groups = _plan_units(input_paths, cfg, done["raw"]) if "raw" in done else ([], 0)
+    p = _num_blocks(cfg) if units else 0
+    feeds = [_clean_feed(units, cfg, done, later, p)] if units else []
     have = {lv: man.completed(chain[lv]) for lv in {_src_level(n, chain) for n in later}}
     items = []
     for part in sorted(set().union(*have.values())):
@@ -430,8 +510,11 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
         key = n if n == "raw" else n[1:]
         stats[key] = {"tier": key, "new_partitions": len(recs), "skipped": len(done[n]),
                       "rows": sum(r.rows for r in recs), "wall_s": wall, "task_s": task_s[n]}
-        if n == "raw":  # reducer blocks of the clean shuffle
-            stats[key]["shuffle_partitions"] = len(_pkey_boundaries(p)) + 1
+        if n == "raw":  # the input the clean feed read, and its reducer blocks
+            stats[key].update(
+                input_row_groups={"read": len(units), "total": n_groups},
+                input_rows_read=sum(u["rows"] for u in units),
+                shuffle_partitions=len(_pkey_boundaries(p)) + 1 if units else 0)
         if n.endswith("_enc"):
             stats[key].update(_enc_totals(man, n))
     return stats

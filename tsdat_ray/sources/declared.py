@@ -141,43 +141,77 @@ def schema_drift(paths, schema: "DeclaredSchema"):
         check, batch_format="pyarrow")
 
 
-def prune_parquet_files(paths, ts_col: str, lo_us: int, hi_us: int) -> list[str]:
-    """File-level data skipping from parquet FOOTER statistics: keep only
-    files whose ``ts_col`` min/max row-group range overlaps [lo_us, hi_us).
-    Complements hive-partition pruning — inside a partition (or for
-    unpartitioned drops) the footers carry per-row-group min/max, so a
-    time-range fetch skips whole files without reading a row.  Files with
-    no statistics are conservatively kept (skipping is an optimization,
-    never a filter)."""
-    import glob as _glob
+def parquet_files(paths, suffix: str = "") -> list[str]:
+    """The files ``ray.data.read_parquet(paths)`` reads: a file path names
+    itself; a directory is walked recursively, in sorted order, skipping
+    every file whose path below it has a part that starts with ``.`` or
+    ``_`` (``_SUCCESS``, hidden files, ``_tmp/`` subtrees).  A URI opens
+    through ``pyarrow.fs`` (``StorageFS``) and its files keep the scheme.
+    Files found in a directory must also end with ``suffix``."""
+    from pyarrow import fs as pafs
 
-    import numpy as np
+    from ..state.uri import StorageFS
+
+    out: list[str] = []
+    for p in [paths] if isinstance(paths, str) else paths:
+        sfs = StorageFS(p)
+        if not sfs.isdir(sfs.path):
+            out.append(p)
+            continue
+        base = sfs.path.rstrip("/") + "/"
+        infos = sfs.fs.get_file_info(pafs.FileSelector(sfs.path, recursive=True))
+        out += sorted(sfs.prefix + i.path for i in infos
+                      if i.is_file and i.path.endswith(suffix)
+                      and not any(part.startswith((".", "_"))
+                                  for part in i.path[len(base):].split("/")))
+    return out
+
+
+def parquet_row_groups(files, columns) -> list[dict]:
+    """Footer statistics of every row group of ``files`` (see
+    :func:`parquet_files`), one ``{"path", "row_group", "rows", "stats"}``
+    per row group in file order.  ``stats[c]`` is the ``(min, max)`` of the
+    leaf column named ``c``, looked up by its Parquet path (a struct or list
+    column before it shifts the leaf index), or None when the file has no
+    such leaf or the chunk has no min/max or may hold nulls: a caller that
+    prunes on it must keep that row group."""
     import pyarrow.parquet as pq
 
-    if isinstance(paths, str):
-        paths = sorted(_glob.glob(f"{paths}/**/*.parquet", recursive=True)) \
-            if not paths.endswith(".parquet") else [paths]
-    keep = []
-    for p in paths:
-        md = pq.read_metadata(p)
-        names = md.schema.to_arrow_schema().names
-        if ts_col not in names:
-            keep.append(p)
-            continue
-        ci = names.index(ts_col)
-        fmin, fmax = None, None
-        ok = True
+    from ..state.uri import StorageFS
+
+    out = []
+    for f in files:
+        sfs = StorageFS(f)
+        with sfs.fs.open_input_file(sfs.path) as fh:
+            md = pq.read_metadata(fh)
+        leaf = {md.schema.column(i).path: i for i in range(md.num_columns)}
         for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(ci).statistics
-            if st is None or not st.has_min_max:
-                ok = False
-                break
-            mn = np.datetime64(st.min, "us").astype(np.int64) \
-                if not isinstance(st.min, (int, float)) else int(st.min)
-            mx = np.datetime64(st.max, "us").astype(np.int64) \
-                if not isinstance(st.max, (int, float)) else int(st.max)
-            fmin = mn if fmin is None else min(fmin, mn)
-            fmax = mx if fmax is None else max(fmax, mx)
-        if not ok or fmin is None or (fmax >= lo_us and fmin < hi_us):
-            keep.append(p)
-    return keep
+            g = md.row_group(rg)
+            stats = {}
+            for c in columns:
+                st = g.column(leaf[c]).statistics if c in leaf else None
+                ok = st is not None and st.has_min_max and st.has_null_count and not st.null_count
+                stats[c] = (st.min, st.max) if ok else None
+            out.append({"path": f, "row_group": rg, "rows": g.num_rows, "stats": stats})
+    return out
+
+
+def _stat_us(v) -> int:
+    """A timestamp statistic as µs since the epoch."""
+    return int(v) if isinstance(v, (int, float)) else int(np.datetime64(v, "us").astype(np.int64))
+
+
+def prune_parquet_files(paths, ts_col: str, lo_us: int, hi_us: int) -> list[str]:
+    """File-level data skipping from parquet FOOTER statistics: keep only
+    the ``.parquet`` files with a row group whose ``ts_col`` min/max range
+    overlaps [lo_us, hi_us).  Complements hive-partition pruning — inside a
+    partition (or for unpartitioned drops) the footers carry per-row-group
+    min/max, so a time-range fetch skips whole files without reading a row.
+    A row group without statistics (or without a ``ts_col`` leaf) keeps its
+    file (skipping is an optimization, never a filter)."""
+    keep: dict[str, None] = {}
+    for g in parquet_row_groups(parquet_files(paths, suffix=".parquet"), [ts_col]):
+        mm = g["stats"][ts_col]
+        if mm is None or (_stat_us(mm[1]) >= lo_us and _stat_us(mm[0]) < hi_us):
+            keep[g["path"]] = None
+    return list(keep)

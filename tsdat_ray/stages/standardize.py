@@ -3,7 +3,8 @@
 Ray-Data-first re-expression of the reference's retrieval + standardization
 step (rename/cast/fill/derive; see /root/reference/tsdat/pipeline/base/
 pipeline.py:59-148 and io/retrievers/_rename_variables.py:16-91): one
-vectorized ``map_batches(standardize_batch, batch_format="pyarrow")`` that
+vectorized ``standardize_batch`` over a pyarrow batch (in the flagship, one
+input row group, inside the task that reads it) that
 
 * derives the deterministic event time ``ts`` from ``doc_id``
   (``EPOCH + i * interval``),
@@ -15,10 +16,11 @@ vectorized ``map_batches(standardize_batch, batch_format="pyarrow")`` that
   check_max.py:11-42), bit-packing results into ``qc_n_tok`` in manager order
   (record_quality_results.py:74-83) and nulling failed values
   (RemoveFailedValues, remove_failed_values.py:8-26),
-* flags locally out-of-order arrival on ``qc_ts`` (CheckMonotonic semantics,
-  check_monotonic.py:74-99, evaluated per (batch, source) run — the
-  distributed deviation from the reference's whole-slice view is documented
-  in SURVEY.md §4.2).
+* flags out-of-order arrival on ``qc_ts`` (CheckMonotonic semantics,
+  check_monotonic.py:74-99, evaluated per input file: each row against the
+  row before it in the file when both share a source — a batch that does
+  not start a file gets that row as ``prev``.  The deviation from the
+  reference's whole-slice view is documented in SURVEY.md §4.2).
 
 Stateless: a plain function, not an actor, since there is no per-worker state
 to amortize.
@@ -130,13 +132,24 @@ def list_column_content_hash(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return h.view(np.int64)
 
 
-def standardize_batch(batch: pa.Table, cfg: StandardizeConfig = StandardizeConfig()) -> pa.Table:
+def doc_ts_us(doc_id, cfg: StandardizeConfig = StandardizeConfig()):
+    """Event time in µs since the Unix epoch from ``doc_id``: its last
+    ``id_digits`` characters as the sequence index, times ``interval_s``,
+    plus ``epoch_us``.  Raises ``pa.ArrowInvalid`` on an id that does not
+    parse."""
+    i = pc.cast(pc.utf8_slice_codeunits(doc_id, start=-cfg.id_digits), pa.int64())
+    return pc.add(pc.multiply(i, pa.scalar(cfg.interval_s * 1_000_000, type=pa.int64())),
+                  pa.scalar(cfg.epoch_us, type=pa.int64()))
+
+
+def standardize_batch(batch: pa.Table, cfg: StandardizeConfig = StandardizeConfig(),
+                      prev: tuple[str, str] | None = None) -> pa.Table:
+    """``prev`` is the ``(source, doc_id)`` of the input row just before
+    ``batch`` in its file (None when the batch starts the file); the first
+    row's CheckMonotonic compares against it."""
     n = batch.num_rows
     # --- derive ts from the per-source sequence index encoded in doc_id
-    idx_str = pc.utf8_slice_codeunits(batch["doc_id"], start=-cfg.id_digits)
-    i = pc.cast(idx_str, pa.int64())
-    ts_us = pc.add(pc.multiply(i, pa.scalar(cfg.interval_s * 1_000_000, type=pa.int64())),
-                   pa.scalar(cfg.epoch_us, type=pa.int64()))
+    ts_us = doc_ts_us(batch["doc_id"], cfg)
     ts = pc.cast(ts_us, pa.timestamp("us"))
 
     # --- token stats (numpy over Arrow list buffers, no per-row Python):
@@ -161,7 +174,7 @@ def standardize_batch(batch: pa.Table, cfg: StandardizeConfig = StandardizeConfi
         mask=(missing | bad_range),
     )
 
-    # --- CheckMonotonic on ts per (source) run inside this batch
+    # --- CheckMonotonic on ts per (source) run of the input file
     ts_np = ts_us.to_numpy(zero_copy_only=False)
     src = batch["source"]
     same_src = np.ones(n, dtype=bool)
@@ -172,6 +185,9 @@ def standardize_batch(batch: pa.Table, cfg: StandardizeConfig = StandardizeConfi
     ooo = np.zeros(n, dtype=bool)
     if n > 1:
         ooo[1:] = (np.diff(ts_np) <= 0) & same_src[1:]
+    if prev is not None and n:
+        prev_ts = doc_ts_us(pa.array([prev[1]], pa.string()), cfg)[0].as_py()
+        ooo[0] = src[0].as_py() == prev[0] and ts_np[0] <= prev_ts
     qc_ts = (ooo * QC_BIT_MONOTONIC).astype(np.int32)
 
     qc_tok_mean = np.zeros(n, dtype=np.int32)

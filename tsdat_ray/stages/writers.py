@@ -326,7 +326,7 @@ def compact_tier(root: str, tier: str, run_id: str = "compact") -> dict:
             merged = merged.replace_schema_metadata(
                 {**(merged.schema.metadata or {}),
                  b"compact_inputs": "\n".join(files).encode()})
-            m.sfs.write_table_atomic(merged, tmp)
+            m.sfs.write_table_atomic(merged, tmp, **_parquet_options(merged.schema))
             for f in files:                       # step 4: clear old parts
                 m.sfs.remove_file(f"{pdir}/{f}")
             # step 5: publish under the deterministic name
