@@ -116,23 +116,6 @@ def _seq_tiers(sf_dir: str):
                  for t in ("t1m", "t1h", "t1d"))
 
 
-def _store_complete(path: str) -> bool:
-    """True iff a sibling ``<path>.complete`` sentinel records a finished
-    build at THIS session's block layout.  Lets a fresh process (the
-    chunked bench sweep, a driver rerun) reuse a /tmp tier store instead
-    of rebuilding, while preserving the rerun-at-different-parallelism
-    protection (CLAUDE.md bug class: part names follow the block layout)."""
-    try:
-        return open(path + ".complete").read() == str(_nblocks())
-    except OSError:
-        return False
-
-
-def _mark_complete(path: str) -> None:
-    with open(path + ".complete", "w") as f:
-        f.write(str(_nblocks()))
-
-
 def _strip_tokens(ds):
     def drop(b: pa.Table) -> pa.Table:
         return b.drop_columns([c for c in ("tokens",) if c in b.column_names])
@@ -151,7 +134,7 @@ def prewarm_stores(sf_dir: str) -> None:
     store first.  Derived caches that ARE a query's own work (e.g. the
     n-gram similarity pair list) are deliberately not prewarmed."""
     _seq_store(sf_dir)
-    _events_rollup(sf_dir, "1d")  # cascades: builds 1m and 1h too
+    _events_rollup(sf_dir, "1d")  # one job builds all three events tiers
     _media_path()
 
 
@@ -180,60 +163,41 @@ _ROLLUP_SELECT = [
 ]
 
 
-_TIER_DONE: set = set()
-
-
 def _events_rollup(sf_dir: str, tier: str):
-    """Events tier cascade; finer tiers are WRITTEN once per process as
-    partitioned Parquet under /tmp and read back lazily by coarser tiers /
-    gapfill / encode queries — the production shape (a tier is a stored
+    """One events tier (``1m``, ``1h`` or ``1d``), read lazily from the
+    events store at this scale: the production shape (a tier is a stored
     datastream, not a live object-store Dataset), so repeated consumers
     stream from disk instead of pinning a materialized tier in Ray's
-    object store across the whole query sweep (judge r2 harness note)."""
+    object store across the whole query sweep.
+
+    ``rollup_tiers`` builds all three tiers in one job into
+    ``<store>.building``, wiped first (a killed build's leftover), and one
+    rename publishes it: the store dir exists only complete, and as the
+    tiers do not depend on the block layout, any later process reuses it."""
+    import shutil
+
     import ray.data as rd
 
-    from tsdat_ray.stages.rollup import RollupConfig, rollup_fast
+    from tsdat_ray.schema import TIERS
+    from tsdat_ray.stages.rollup import RollupConfig, rollup_tiers
 
-    base = dict(
-        key="event_type", ts_col="ts", values=("value",), carry_tokens=False,
-        id_col="event_id", carry_cols=(), dedup=False,
-    )
-
-    def cached(level: str):
-        key = (sf_dir, level)
-        path = os.path.join(
-            _CACHE, f"events_tier_v{_STORE_VERSION}_{_sf_of(sf_dir)}", level)
-        if key not in _TIER_DONE and _store_complete(path):
-            _TIER_DONE.add(key)  # finished by an earlier same-layout process
-        if key not in _TIER_DONE:
-            if level == "1m":
-                ds = _events(sf_dir, columns=["event_id", "ts", "event_type", "value"])
-                t = rollup_fast(ds, RollupConfig(interval_s=60, window_s=86400, **base))
-            elif level == "1h":
-                t = rollup_fast(cached("1m"), RollupConfig(interval_s=3600, window_s=86400 * 8, **base), from_tier=True)
-            else:
-                t = rollup_fast(cached("1h"), RollupConfig(interval_s=86400, window_s=86400 * 64, **base), from_tier=True)
-            # fresh dir per process start: a rerun at different parallelism
-            # must not interleave with stale part files (CLAUDE.md bug class)
-            import shutil
-
-            try:
-                os.remove(path + ".complete")
-            except OSError:
-                pass
-            shutil.rmtree(path, ignore_errors=True)
-            t.write_parquet(path)
-            _mark_complete(path)
-            _TIER_DONE.add(key)
-        return rd.read_parquet(path, override_num_blocks=_nblocks())
-
-    t = cached(tier)
+    path = os.path.join(_CACHE, f"events_tiers_v{_STORE_VERSION}_{_sf_of(sf_dir)}")
+    if not os.path.isdir(path):
+        tmp = path + ".building"
+        shutil.rmtree(tmp, ignore_errors=True)
+        cfgs = [RollupConfig(interval_s=iv, key="event_type", values=("value",),
+                             carry_tokens=False, id_col="event_id", carry_cols=(), dedup=False)
+                for iv in TIERS.values()]
+        ds = _events(sf_dir, columns=["event_id", "ts", "event_type", "value"])
+        rollup_tiers(ds, cfgs).write_parquet(tmp, partition_cols=["interval_s"])
+        os.rename(tmp, path)
+    t = rd.read_parquet(f"{path}/interval_s={TIERS[tier]}", override_num_blocks=_nblocks())
 
     def finish(b: pa.Table) -> pa.Table:
         # bitwise-robust float contract for the cascaded tiers: value is
-        # cent-quantized, so rounding the sum to cents absorbs the chunked
-        # combine's ulp-level grouping differences, and defining the mean as
-        # rounded-sum / n makes both sides the identical double
+        # cent-quantized, so rounding the sum to cents absorbs the ulp-level
+        # differences of a summation order other than DuckDB's, and defining
+        # the mean as rounded-sum / n makes both sides the identical double
         s = np.round(b["value_sum_wx"].combine_chunks().to_numpy(zero_copy_only=False), 2)
         n = b["n_rows"].combine_chunks().to_numpy(zero_copy_only=False)
         b = b.append_column("value_sum", pa.array(s))

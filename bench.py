@@ -145,8 +145,8 @@ def run_bench() -> dict:
         # trip a fatal Ray reference-count check (observed on this host);
         # per-chunk processes with one retry bound the blast radius to a
         # chunk, so the bench always emits its JSON line.  /tmp tier
-        # stores carry layout-stamped completion sentinels, so chunks
-        # reuse instead of rebuilding them.
+        # stores are published whole by one rename, so chunks reuse
+        # instead of rebuilding them.
         ray.shutdown()
         qtimes = {}
         chunk = int(os.environ.get("GRAFT_SWEEP_CHUNK", "50"))

@@ -92,6 +92,30 @@ def test_seq_store_finishes_invalidated_tier(ray_session, con):
     assert man.completed("t1d") == parts
 
 
+def test_events_store_published_whole(ray_session, con, tmp_path, monkeypatch):
+    """The events tier store: a killed build's leftover temp dir is wiped
+    and the store rebuilt; the published store is reused as it stands by a
+    later call at another block count (the module keeps no state of it);
+    and its tiers match their oracle."""
+    monkeypatch.setattr(entrymod, "_CACHE", str(tmp_path))
+    store = tmp_path / f"events_tiers_v{entrymod._STORE_VERSION}_{entrymod._sf_of(SF_DIR)}"
+    building = tmp_path / f"{store.name}.building"
+    (building / "interval_s=60").mkdir(parents=True)
+    (building / "interval_s=60" / "part-killed.parquet").write_bytes(b"PAR1 torn")
+    entrymod._events_rollup(SF_DIR, "1d")
+    assert store.is_dir() and not building.exists()
+    files = sorted(store.rglob("*.parquet"))
+    assert files and not any("killed" in f.name for f in files)
+    assert {f.parent.name for f in files} == {"interval_s=60", "interval_s=3600", "interval_s=86400"}
+    stamps = [(f, f.stat().st_mtime_ns) for f in files]
+
+    monkeypatch.setattr(entrymod, "_nblocks", lambda: 3)
+    entrymod._events_rollup(SF_DIR, "1m")
+    assert sorted(store.rglob("*.parquet")) == files
+    assert [(f, f.stat().st_mtime_ns) for f in files] == stamps
+    _check(con, "rollup_1h_events")
+
+
 def test_entry_smoke(ray_session):
     res = entrymod.entry()
     pdf = _to_pdf(res)

@@ -54,7 +54,7 @@ def test_dedup_survivor_independent_of_row_order(seed):
         "n_tok": pa.array(lens.astype(np.int32)),
         "source": pa.array(["web"] * n),
     })
-    cfg = RollupConfig(interval_s=60, window_s=3600)
+    cfg = RollupConfig(interval_s=60)
 
     def run(order: np.ndarray) -> pa.Table:
         std = standardize_batch(tbl.take(pa.array(order, type=pa.int64())))

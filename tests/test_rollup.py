@@ -4,7 +4,8 @@ Verifies the per-row invariants from BASELINE.json on a deterministic
 synthetic corpus: exact equality on buckets / counts / QC bits / selected
 token arrays at every tier, float tolerance 1e-9 on means and stds.  The
 tiers checked are the ones the flagship pipeline (``run_pipeline``) writes
-to its store, plus the events tiers' combiner plan (``rollup_fast``).
+to its store, plus the one-job plan of the events tiers (``rollup_tiers``),
+which rolls every tier of a (key, day) in one task.
 """
 
 import numpy as np
@@ -124,42 +125,70 @@ def test_synth_has_anomalies(seq_table):
     assert gaps > 0, "no gaps injected"
 
 
-def test_rollup_fast_matches_oracle(ray_session, seq_table):
-    """Combiner plan == oracle on pre-deduplicated input at 1m and in the
-    1m → 1h cascade, even when blocks are tiny so (source, bucket) groups
-    span many partial rows."""
+def _plan_tiers(rows, n_blocks: int, dedup: bool = False) -> list[pd.DataFrame]:
+    """The 1m, 1h and 1d tables ``rollup_tiers`` makes of ``rows`` spread
+    over ``n_blocks`` blocks, sorted by (source, bucket)."""
+    from tsdat_ray.stages.rollup import rollup_tiers
+
+    cfgs = [RollupConfig(interval_s=iv, dedup=dedup) for iv in (60, 3600, 86400)]
+    df = rollup_tiers(rows.repartition(n_blocks), cfgs).to_pandas()
+    if not len(df):
+        return [df] * len(cfgs)
+    return [_sorted_pdf(df[df["interval_s"] == c.interval_s].drop(columns="interval_s"))
+            for c in cfgs]
+
+
+def _standardized(tbl: pa.Table):
     import ray.data as rd
 
-    from tsdat_ray.stages.rollup import rollup_fast
+    return rd.from_arrow(tbl).map_batches(standardize_batch, batch_format="pyarrow")
 
-    odf = oracle_standardize(seq_table)
-    o1m = oracle_rollup_raw(odf, 60)
 
-    # pre-dedup with the flagship clean stage, then force small blocks
+def _cleaned(tbl: pa.Table):
+    """``tbl`` standardized and deduplicated by the flagship clean stage."""
     from tsdat_ray.pipelines.rollup_pipeline import _add_day, _add_pkey
 
     std = (
-        rd.from_arrow(seq_table)
-        .map_batches(standardize_batch, batch_format="pyarrow")
+        _standardized(tbl)
         .map_batches(lambda b: _add_day(b, "ts"), batch_format="pyarrow")
         .map_batches(lambda b: _add_pkey(b, "ts"), batch_format="pyarrow")
     )
-    cleaned = (
+    return (
         std.groupby("_pkey")
         .map_groups(lambda g: clean_group(g), batch_format="pyarrow")
         .drop_columns(["day"])
         .materialize()
     )
-    # tiny blocks: repartition to force (source, bucket) spans across batches
-    shredded = cleaned.repartition(40)
 
-    cfg = RollupConfig(interval_s=60, window_s=3600, dedup=False)
-    fast = rollup_fast(shredded, cfg).materialize()
-    _assert_tier_matches(_sorted_pdf(fast), _sorted_pdf(o1m))
 
-    c_cfg = RollupConfig(interval_s=3600, window_s=86400, dedup=False)
-    fast_h = rollup_fast(fast.repartition(17), c_cfg, from_tier=True).materialize()
-    _assert_tier_matches(_sorted_pdf(fast_h), _sorted_pdf(oracle_rollup_cascade(o1m, 3600)))
+def test_rollup_tiers_plan_matches_oracle(ray_session, seq_table):
+    """The one-job plan == oracle at 1m, 1h and 1d on
+    pre-deduplicated input, at 40 blocks (so (source, bucket) groups span
+    many blocks) and at 1; the two layouts' tier tables are bit-equal, sum
+    columns included.  With ``dedup`` the plan also deduplicates the
+    standardized rows itself: a group holds all of its (key, day)."""
+    o1m = oracle_rollup_raw(oracle_standardize(seq_table), 60)
+    o1h = oracle_rollup_cascade(o1m, 3600)
+    oracles = (o1m, o1h, oracle_rollup_cascade(o1h, 86400))
+    cleaned = _cleaned(seq_table)
+    shredded, whole = _plan_tiers(cleaned, 40), _plan_tiers(cleaned, 1)
+    deduped = _plan_tiers(_standardized(seq_table), 40, dedup=True)
+    for got, one, own, orc in zip(shredded, whole, deduped, oracles):
+        _assert_tier_matches(got, _sorted_pdf(orc))
+        pd.testing.assert_frame_equal(got, one, check_exact=True)
+        _assert_tier_matches(own, _sorted_pdf(orc))
+
+
+def test_rollup_tiers_plan_empty_and_single_row(ray_session):
+    empty = _plan_tiers(_cleaned(generate_sequences_table(10, seed=9).slice(0, 0)), 1)
+    assert [len(t) for t in empty] == [0, 0, 0]
+    one = generate_sequences_table(1, seed=1)
+    o1m = oracle_rollup_raw(oracle_standardize(one), 60)
+    o1h = oracle_rollup_cascade(o1m, 3600)
+    for got, orc in zip(_plan_tiers(_cleaned(one), 1),
+                        (o1m, o1h, oracle_rollup_cascade(o1h, 86400))):
+        assert len(got) == 1
+        _assert_tier_matches(got, _sorted_pdf(orc))
 
 
 def test_rollup_edge_cases_vs_oracle(ray_session, tmp_path):

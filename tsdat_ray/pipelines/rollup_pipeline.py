@@ -59,6 +59,7 @@ any clean task starts, so dropping it bounds nothing less.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 import zlib
@@ -73,7 +74,7 @@ from ..schema import DEFAULT_RETENTION_S, TIERS
 from ..sources.declared import parquet_files, parquet_row_groups
 from ..stages.encode import EncodeConfig, encode_group
 from ..stages.qc import QCConfig, QCStage
-from ..stages.rollup import RollupConfig, _key_change, _key_codes, dedup_order, rollup_batch
+from ..stages.rollup import RollupConfig, _key_change, _key_codes, dedup_order, roll_tiers
 from ..stages.standardize import StandardizeConfig, doc_ts_us, standardize_batch
 from ..stages.writers import write_batch_partitioned
 from ..state.manifest import Manifest
@@ -224,10 +225,10 @@ def _stats(times: list) -> pa.Table:
 
 def _roll_partition(cur: pa.Table, level: int, day: str, write: set, cfg: PipelineConfig) -> list:
     """The per-partition kernel: from the rows of one (source, day) of tier
-    ``chain[level]``, roll each later tier up (partial, then the combine
-    pass of ``rollup_fast``) and write each dir of ``write``, an encoded dir
-    right after its tier, until all are written.  Returns ``(dir, seconds
-    of rollup + encode + write since the previous write)`` per dir."""
+    ``chain[level]``, roll each later tier up (``roll_tiers``) and write
+    each dir of ``write``, an encoded dir right after its tier, until all
+    are written.  Returns ``(dir, seconds of rollup + encode + write since
+    the previous write)`` per dir."""
     chain, man, left = Manifest.tier_names(cfg.tiers), Manifest(cfg.out_root), set(write)
     times, t0 = [], time.perf_counter()
 
@@ -239,17 +240,15 @@ def _roll_partition(cur: pa.Table, level: int, day: str, write: set, cfg: Pipeli
         times.append((name, time.perf_counter() - t0))
         t0 = time.perf_counter()
 
-    for lvl in range(level, len(chain)):
-        name = chain[lvl]
-        if lvl > level:
-            rcfg = RollupConfig(interval_s=TIERS[name[1:]], values=cfg.values,
-                                carry_tokens=cfg.carry_tokens)
-            cur = rollup_batch(rollup_batch(cur, rcfg, from_tier=lvl > 1), rcfg, from_tier=True)
-            if name in left:
-                put(name, cur, "bucket")
+    rcfgs = [RollupConfig(interval_s=TIERS[n[1:]], values=cfg.values, carry_tokens=cfg.carry_tokens)
+             for n in chain[level + 1:]]
+    tiers = itertools.chain([cur], roll_tiers(cur, rcfgs, from_tier=level > 0))
+    for name, t in zip(chain[level:], tiers):
+        if name in left:
+            put(name, t, "bucket")
         if f"{name}_enc" in left:  # one blob row per (source, day)
             ecfg = EncodeConfig(values=tuple(f"{v}_mean" for v in cfg.values))
-            put(f"{name}_enc", encode_group(cur, ecfg), "window")
+            put(f"{name}_enc", encode_group(t, ecfg), "window")
         if not left:
             break
     return times
@@ -521,13 +520,15 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
 
 
 def ingest_raw(input_paths, cfg: PipelineConfig) -> dict:
-    """sequences Parquet → standardized, deduped, QC'd raw tier on disk."""
+    """sequences Parquet → standardized, deduped, QC'd raw tier on disk.
+    Kept for perfbench's traced flagship, which spans this call."""
     return _cascade(input_paths, cfg, ("raw",))["raw"]
 
 
 def rollup_tier(tier: str, cfg: PipelineConfig) -> dict:
     """Aggregate the previous tier into ``tier`` (raw→1m, 1m→1h, 1h→1d),
-    reading the source tier's committed partitions that ``tier`` lacks."""
+    reading the source tier's committed partitions that ``tier`` lacks.
+    Kept for perfbench's traced flagship, which spans this call."""
     return _cascade(None, cfg, (f"t{tier}",))[tier]
 
 
@@ -549,7 +550,8 @@ def encode_tier_store(tier: str, cfg: PipelineConfig) -> dict:
     ``t<tier>`` under ``t<tier>_enc/``, one blob row per (source, day): the
     long-retention format (north star: compressed continuous aggregates).
     Only tier partitions the encoded store lacks are read and encoded; byte
-    totals and the compression ratio cover the whole encoded store."""
+    totals and the compression ratio cover the whole encoded store.
+    Kept for perfbench's traced flagship, which spans this call."""
     return _cascade(None, cfg, (f"t{tier}_enc",))[f"{tier}_enc"]
 
 

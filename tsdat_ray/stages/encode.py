@@ -292,10 +292,14 @@ def encode_group(g: pa.Table, cfg: EncodeConfig) -> pa.Table:
 
 def encode_tier(ds, cfg: EncodeConfig):
     """Tier rows → one ``encode_group`` blob row per (key, window)."""
-    from .rollup import _add_window
+    from .rollup import floor_bucket_us
+
+    def add_window(b: pa.Table) -> pa.Table:
+        ts = b[cfg.ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+        return b.append_column("_window", pa.array(floor_bucket_us(ts, cfg.window_s)))
 
     return (
-        _add_window(ds, cfg.ts_col, cfg.window_s, from_tier=False)
+        ds.map_batches(add_window, batch_format="pyarrow")
         .groupby([cfg.key, "_window"])
         .map_groups(lambda g: encode_group(g, cfg), batch_format="pyarrow")
     )

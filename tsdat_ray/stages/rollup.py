@@ -21,23 +21,23 @@ verbatim through every tier.
 One vectorized kernel, ``rollup_batch``, sorts its rows by key and time
 (raw rows by ts, deduplicated on (key, ts) when ``dedup``; tier rows, with
 ``from_tier=True``, by bucket then ``_first_ts``) and reduces each
-(key, bucket) run in that order.  Two users:
+(key, bucket) run in that order.  ``roll_tiers`` steps it through a tier
+chain over the rows of one (key, day): every 1m, 1h and 1d bucket lies
+inside one UTC day, so a (key, day) is a complete unit for every tier
+(*Partition, Don't Sort!*, VLDB 2024).  Two users:
 
 * the flagship (``pipelines/rollup_pipeline.py:_roll_partition``), whose
-  clean shuffle hands one task a whole deduplicated (source, day) that it
-  rolls into every tier with no further exchange; the driver's sequences
-  tiers are read from its store.
-* ``rollup_fast``, the combiner plan of the driver's events tiers: the
-  kernel runs per **batch** (no shuffle), and only the tier-shaped partials
-  — one per (key, bucket) per block, not every input row — go through the
-  groupby on (key, window), where the kernel merges them in ``_first_ts``
-  order, so float sums and the nearest-row tie-break do not depend on the
-  block layout.  Group size is bounded by ``window_s`` whatever the key
-  skew: the time range itself is the salt.
+  clean shuffle hands one task a whole deduplicated (source, day); the
+  driver's sequences tiers are read from its store.
+* ``rollup_tiers``, the one-job plan of the driver's events tiers: one
+  groupby on (key, day) hands a task every row of a (key, day), and the
+  task rolls every tier of it, so the tiers are bit-equal under any block
+  layout.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +67,6 @@ class RollupConfig:
     key: str = "source"
     ts_col: str = "ts"
     values: tuple[str, ...] = ("n_tok", "tok_mean")
-    window_s: int = 86400
     carry_tokens: bool = True
     id_col: str = "doc_id"  # deterministic tiebreak + subsample identity
     carry_cols: tuple[str, ...] = ("tokens",)  # payload carried from selected row
@@ -230,9 +229,9 @@ def _select_nearest(
 def rollup_batch(g: pa.Table, cfg: RollupConfig, from_tier: bool = False) -> pa.Table:
     """The shared rollup kernel: any mix of keys/buckets in one Arrow table →
     one tier-shaped row per (key, bucket), fully vectorized (no Python row
-    loop).  Works as the per-group finalizer (grouped plan), the per-batch
-    partial aggregator, and the partial combiner (cascade mode at the same
-    interval merges tier-shaped rows exactly — sums of sums).
+    loop).  Aggregates raw rows, or with ``from_tier`` tier-shaped rows: at
+    the same interval that merges partials exactly (sums of sums), at a
+    coarser one it rolls a tier up.
     """
     codes, key_arr = _key_codes(g[cfg.key])
     iv_us = cfg.interval_s * US
@@ -397,33 +396,40 @@ def _rollup_cascade_sorted(g, cfg, codes, key_arr, iv_us):
     return pa.table(out)
 
 
-def _add_window(ds, ts_col: str, window_s: int, from_tier: bool):
-    src = "bucket" if from_tier else ts_col
+def roll_tiers(rows: pa.Table, cfgs: Sequence[RollupConfig],
+               from_tier: bool = False) -> Iterator[pa.Table]:
+    """Yield each tier of the chain ``cfgs`` (finest first) in turn from the
+    rows of one (key, day): raw rows, or tier-shaped rows with
+    ``from_tier``.  Each step is a partial then a combine at the tier's
+    interval, the first over ``rows``, each later one over the tier before
+    it; a caller that stops iterating rolls no further tier."""
+    for c in cfgs:
+        rows = rollup_batch(rollup_batch(rows, c, from_tier=from_tier), c, from_tier=True)
+        from_tier = True
+        yield rows
 
-    def add(batch: pa.Table) -> pa.Table:
-        ts_us = batch[src].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return batch.append_column("_window", pa.array(floor_bucket_us(ts_us, window_s)))
 
-    return ds.map_batches(add, batch_format="pyarrow")
+def rollup_tiers(ds, cfgs: Sequence[RollupConfig]):
+    """The tier chain ``cfgs`` (finest first, each interval dividing a day)
+    in one job: one groupby on (key, day), and ``roll_tiers`` over each
+    group in its task; an ``interval_s`` column tells the tiers apart.  A
+    group holds every row of its (key, day), so ``dedup`` sees every
+    duplicate and the output is bit-equal under any block layout (per-block
+    partials would sum a bucket split across blocks in another grouping)."""
+    fine = cfgs[0]
 
+    def add_day(batch: pa.Table) -> pa.Table:
+        ts_us = batch[fine.ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+        return batch.append_column("_day", pa.array(floor_bucket_us(ts_us, 86400)))
 
-def rollup_fast(ds, cfg: RollupConfig, from_tier: bool = False):
-    """Combiner plan: per-batch partial aggregation, then a shuffle of ONLY
-    the tier-shaped partials, merged by the same kernel.
+    def roll(group: pa.Table) -> pa.Table:
+        tiers = roll_tiers(group.drop_columns(["_day"]), cfgs)
+        return pa.concat_tables(
+            t.append_column("interval_s", pa.repeat(pa.scalar(c.interval_s, pa.int64()), t.num_rows))
+            for c, t in zip(cfgs, tiers))
 
-    Independent of the block layout (deterministic combine order via
-    ``_first_ts``) provided input needs no cross-batch dedup: pass
-    ``dedup=False`` or feed upstream-deduplicated data."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return rollup_batch(batch, cfg, from_tier)
-
-    def combine(group: pa.Table) -> pa.Table:
-        return rollup_batch(group.drop_columns(["_window"]), cfg, from_tier=True)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    partials = _add_window(partials, "bucket", cfg.window_s, from_tier=True)
-    return partials.groupby([cfg.key, "_window"]).map_groups(combine, batch_format="pyarrow")
+    return (ds.map_batches(add_day, batch_format="pyarrow")
+            .groupby([fine.key, "_day"]).map_groups(roll, batch_format="pyarrow"))
 
 
 def calendar_rollup(ds, key: str, ts_col: str, value_col: str,
