@@ -574,12 +574,14 @@ def test_run_report_persisted(ray_session, tmp_path):
     rep = json.load(open(path))
     assert {"raw", "1m", "1h", "1d"} <= set(rep)
     assert rep["raw"]["new_partitions"] > 0
-    # the clean shuffle's reducer count, and the input it read: every row
-    # group of a fresh run, by the footers' row counts
+    # the clean shuffle's reducer count, one per planned slot: the
+    # (source, day) keys the run rebuilt, at most _num_blocks; and the input
+    # it read: every row group of a fresh run, by the footers' row counts
     from tsdat_ray.pipelines.rollup_pipeline import _num_blocks
     from tsdat_ray.sources.declared import parquet_files
 
-    assert rep["raw"]["shuffle_partitions"] == _num_blocks(PipelineConfig(out_root=store)) >= 8
+    nb = _num_blocks(PipelineConfig(out_root=store))
+    assert rep["raw"]["shuffle_partitions"] == min(nb, rep["raw"]["new_partitions"]) > 1
     mds = [pq.read_metadata(f) for f in parquet_files(corpus)]
     n_groups = sum(md.num_row_groups for md in mds)
     assert rep["raw"]["input_row_groups"] == {"read": n_groups, "total": n_groups} and n_groups
@@ -873,10 +875,19 @@ def test_tiers_independent_of_layout(ray_session, corpus, tmp_path):
 
 
 def test_pkey_mix_is_injective_and_boundaries_split_evenly():
-    """10⁶ distinct (crc, day) keys map to 10⁶ distinct mixed keys; the
-    fixed boundaries are p−1 increasing int64 points (one below every key
-    for p = 1)."""
-    from tsdat_ray.pipelines.rollup_pipeline import _add_pkey, _mix64, _pkey_boundaries
+    """10⁶ distinct (crc, day) keys map to 10⁶ distinct mixed keys.  The
+    plan deals keys to p = min(blocks, keys) slots (all ``blocks`` when some
+    rows have no key) so that no slot carries more than the mean plus the
+    largest key; the fixed boundaries ``r << 32`` put a planned key in its
+    slot's block, and any other key in block ``mix % p``."""
+    import zlib
+
+    from tsdat_ray.pipelines.rollup_pipeline import (
+        _add_pkey,
+        _assign_slots,
+        _mix64,
+        _pkey_boundaries,
+    )
 
     rng = np.random.default_rng(7)
     crcs = np.unique(rng.integers(0, 2**32, 1100, dtype=np.int64))[:1000]
@@ -885,21 +896,101 @@ def test_pkey_mix_is_injective_and_boundaries_split_evenly():
     keys = ((crcs[:, None] << np.int64(32)) | (days[None, :] & np.int64(0xFFFFFFFF))).ravel()
     assert len(np.unique(keys)) == 10**6
     assert len(np.unique(_mix64(keys))) == 10**6
-    # _add_pkey is the mix of crc32(source) << 32 | day
-    import zlib
 
-    ts = EPOCH_US + np.array([0, 86400, 3 * 86400], np.int64) * US
-    b = pa.table({"source": ["web", "web", "news"], "ts": pa.array(ts).cast(pa.timestamp("us"))})
-    raw = np.array([(zlib.crc32(s.encode()) << 32) | int(t // (86400 * US))
-                    for s, t in zip(["web", "web", "news"], ts)], np.uint64).view(np.int64)
-    assert np.array_equal(_add_pkey(b, "ts")["_pkey"].to_numpy(), _mix64(raw))
-    for p in (2, 3, 8, 16):
-        bnd = np.array(_pkey_boundaries(p), np.int64)
-        assert len(bnd) == p - 1 and (np.diff(bnd) > 0).all()
-        # the mixed keys fall about evenly into the p reducer blocks
-        counts = np.bincount(np.searchsorted(bnd, _mix64(keys), side="right"), minlength=p)
-        assert counts.min() > 0.98 * len(keys) / p
+    for n_keys, nb in ((1, 8), (2, 8), (19, 8), (40, 16), (300, 7)):
+        est = {("web", d): float(r) for d, r in enumerate(rng.pareto(1.5, n_keys) * 1000 + 1)}
+        slots, p = _assign_slots(est, nb)
+        assert p == min(nb, n_keys) and set(slots) == set(est)
+        loads = np.bincount(list(slots.values()), weights=[est[k] for k in slots], minlength=p)
+        assert len(loads) == p and loads.min() > 0
+        assert loads.max() <= sum(est.values()) / p + max(est.values()) + 1e-9
+        assert _assign_slots(dict(reversed(est.items())), nb) == (slots, p)  # ties by key
+    slots, p = _assign_slots({("web", 0): 5.0, ("web", 1): 3.0, None: 9.0}, 8)
+    assert p == 8 and set(slots) == {("web", 0), ("web", 1)}
+    assert _assign_slots({None: 9.0}, 8) == ({}, 8)
+
+    # _add_pkey: a planned key in its slot's block, any other by its mix
+    ts = EPOCH_US + np.array([0, 86400, 3 * 86400, 3 * 86400], np.int64) * US
+    src = ["web", "web", "news", "web"]
+    b = pa.table({"source": src, "ts": pa.array(ts).cast(pa.timestamp("us"))})
+    day = [int(t // (86400 * US)) for t in ts]
+    raw = np.array([(zlib.crc32(s.encode()) << 32) | d for s, d in zip(src, day)],
+                   np.uint64).view(np.int64)
+    mix = _mix64(raw).view(np.uint64)
+    p = 5
+    slots = {("web", day[1]): 3, ("news", day[2]): 0, ("blog", day[0]): 1}
+    pkey = _add_pkey(b, "ts", slots, p)["_pkey"].to_numpy()
+    assert np.array_equal(pkey & 0xFFFFFFFF, (mix & np.uint64(0xFFFFFFFF)).astype(np.int64))
+    block = np.searchsorted(np.array(_pkey_boundaries(p)), pkey, side="right")
+    assert block.tolist() == [int(mix[0] % np.uint64(p)), 3, 0, int(mix[3] % np.uint64(p))]
+    assert _pkey_boundaries(p) == [1 << 32, 2 << 32, 3 << 32, 4 << 32]
+    assert (_add_pkey(b, "ts")["_pkey"].to_numpy() >> 32 == 0).all()
     assert _pkey_boundaries(1) == [-(2**63)]
+
+
+def test_token_ids_round_trip_as_bytes():
+    """list<int32> → bytes → take → list gives the taken lists back, type
+    and nulls included: over chunks, a slice whose list and child both have
+    non-zero offsets, null and empty lists, and 0 rows; the bytes are the
+    child buffer itself."""
+    from tsdat_ray.pipelines.rollup_pipeline import _ids_as_bytes, _ids_as_list
+
+    typ = pa.list_(pa.field("element", pa.int32()))
+    child = pa.array(np.arange(100, dtype=np.int32)).slice(3)
+    lists = pa.ListArray.from_arrays(pa.array([0, 2, 2, 5, 9, 9, 20], pa.int32()), child,
+                                     type=typ, mask=pa.array([False, False, True, False, False, False]))
+    part = lists.slice(1, 4)
+    assert part.offset == 1 and part.values.offset == 3
+    tbl = pa.table({"tokens": pa.chunked_array([part, lists, lists.slice(0, 0)], typ),
+                    "x": pa.array(range(10))})
+    moved = _ids_as_bytes(tbl)
+    assert moved["tokens"].type == pa.large_binary() and moved["x"].equals(tbl["x"])
+    assert moved["tokens"].chunk(1).buffers()[2].address == child.buffers()[1].address
+    assert _ids_as_list(tbl) is tbl  # nothing moved, nothing to undo
+    for idx in ([4, 0, 1, 3, 2, 9, 2], list(range(10)), []):
+        want = tbl.take(pa.array(idx, pa.int64()))
+        got = _ids_as_list(moved.take(pa.array(idx, pa.int64())))
+        assert got.schema == want.schema and got.schema.field(0).type.value_field.name == "element"
+        assert got.equals(want) and got["tokens"].null_count == want["tokens"].null_count
+        for c in got["tokens"].chunks:
+            c.validate(full=True)
+    empty = tbl.slice(0, 0)
+    assert _ids_as_list(_ids_as_bytes(empty)).equals(empty)
+    # ids that are not list<int32> without nulls stay as they are
+    other = pa.table({"tokens": pa.array([[1, None]], pa.list_(pa.int32()))})
+    assert _ids_as_bytes(other) is other
+
+
+def test_reducer_plan_follows_the_rebuilt_keys(ray_session, tmp_path):
+    """A reprocess of the last two days of a benchmark-shaped corpus (160k
+    rows, seed 11: both days hold only ``web``) shuffles into 2 reducers
+    and rebuilds them equal to the fresh store; a run with a ``customize``
+    hook, whose keys the plan cannot see, hashes into every block, and its
+    store is bit-equal to the planned run's."""
+    from tsdat_ray.pipelines.rollup_pipeline import reprocess_range
+
+    corpus = generate_sequences_parquet(str(tmp_path / "c"), n_rows=160_000, seed=11)
+    out = str(tmp_path / "fresh")
+    planned = run_pipeline(corpus, PipelineConfig(out_root=out, resume=False, parallelism=32))
+    n_keys = planned["raw"]["new_partitions"]
+    assert planned["raw"]["shuffle_partitions"] == n_keys < 32
+    man = Manifest(out)
+    days = sorted({Manifest.parse_partition(q)[1] for q in man.completed("raw")})
+    shutil.copytree(out, str(tmp_path / "late"))
+    late = str(tmp_path / "late")
+    lo = int(np.datetime64(days[-2], "us").astype(np.int64))
+    st = reprocess_range(corpus, PipelineConfig(out_root=late), lo, lo + 2 * 86400 * US)
+    rebuilt = [q for q in man.completed("raw") if q.split("day=")[1] in days[-2:]]
+    assert sorted(rebuilt) == [f"source=web/day={d}" for d in days[-2:]]
+    assert st["raw"]["new_partitions"] == st["raw"]["shuffle_partitions"] == 2
+    for tier in STORE_DIRS:
+        for part in rebuilt:
+            _assert_same_partition(man, Manifest(late), tier, part)
+
+    hooked = PipelineConfig(out_root=str(tmp_path / "hooked"), resume=False, parallelism=32,
+                            hooks={"customize": lambda b: b})
+    assert run_pipeline(corpus, hooked)["raw"]["shuffle_partitions"] == 32
+    _assert_same_store(man, Manifest(hooked.out_root))
 
 
 def test_mixed_resume_rebuilds_each_lost_partition_from_its_own_source(
@@ -1083,12 +1174,16 @@ def test_footer_plan_keeps_row_groups_it_cannot_place(tmp_path):
           row_group_size=2)
     cfg = PipelineConfig(out_root=str(tmp_path / "s"))
     done = frozenset([f"source=web/day={day0}", f"source=news/day={day0}"])
-    units, total = _plan_units(str(tmp_path / "in"), cfg, done)
+    units, total, est = _plan_units(str(tmp_path / "in"), cfg, done)
     assert total == 8
     assert [(os.path.basename(u["path"]), u["row_group"], u["rows"]) for u in units] == [
         ("b_nostats.parquet", 0, 4), ("c_two_sources.parquet", 0, 4),
         ("d_unparsed.parquet", 0, 4), ("e_widths.parquet", 0, 4),
         ("f_next_day.parquet", 0, 2), ("g_groups.parquet", 1, 2)]
+    # rows a unit of known span holds are spread over the days not done;
+    # the rest have no key
+    d1 = int(EPOCH_US) // (86400 * US) + 1
+    assert est == {None: 16.0, ("web", d1): pytest.approx(2.0)}
     assert len(_plan_units(str(tmp_path / "in"), cfg, done | {f"source=web/day={day1}"})[0]) == 4
     hooked = PipelineConfig(out_root=cfg.out_root, hooks={"customize": lambda b: b})
     assert len(_plan_units(str(tmp_path / "in"), hooked, done)[0]) == 8

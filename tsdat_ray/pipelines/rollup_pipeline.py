@@ -11,12 +11,14 @@ clean shuffle hands a whole (source, day) rolls every tier of it up itself
 
     plan (calling process, footers only): one unit per input row group that
       may touch a (source, day) outside done(raw)   # none → no clean feed
+      + a reducer slot per such (source, day), by its estimated rows
     from_items(units) → map_batches(one task per unit: read its row group
           → tombstone → standardize → customize → [skip done(raw)]
-          → day → _pkey)
+          → day → _pkey → token ids as bytes)
       → sort(_pkey, fixed boundaries)         # THE shuffle, one int64 key:
+                                              #   slot << 32 | low 32 bits of
                                               #   mix64(crc32(source)<<32 | day)
-      → map_batches(per _pkey run of a block: # one task per reducer block
+      → map_batches(per _pkey run of a block: # one task per reducer slot
           clean + QC + write raw/
           → _roll_partition)                  # t1m, t1m_enc, t1h, t1d
     ∪ from_items(partitions raw holds that a later dir lacks)
@@ -24,10 +26,26 @@ clean shuffle hands a whole (source, day) rolls every tier of it up itself
                     → _roll_partition)        # no shuffle
     → commit raw, t1m, t1h, t1d, t1m_enc; prune by retention horizon
 
-The mixed key is uniform over int64, so the sort splits it at p−1 evenly
-spaced points into p = ``_num_blocks(cfg)`` reducer blocks: no sampling
-pass, and the reducer of a (source, day) does not depend on how the files
-split into row groups.
+The plan spreads each unit's footer row count evenly over its ``doc_id``
+time span, so it knows about how many rows each (source, day) the run
+rebuilds holds, and deals those keys to p = min(``_num_blocks(cfg)``,
+keys) reducer slots, largest first onto the least loaded
+(``_assign_slots``; FP-Hadoop, VLDB 2015).  A key's slot is the high half
+of its ``_pkey``, so the sort splits at the fixed points ``r << 32``: no
+sampling pass, and the reducer of a (source, day) does not depend on how
+the files split into row groups.  A key the plan cannot see (a row group
+whose span is unknown, or any key under a ``customize`` hook, which may
+rewrite source or ts) falls back to its mix modulo p, and p stays
+``_num_blocks(cfg)`` when a run has such a row group.  Partition files are
+named by their first ts, so which reducer handles a key leaves no trace in
+the output: the estimates steer balance, never results.
+
+Token ids cross the exchange as one ``large_binary`` value per row, a
+zero-copy view of the list's int32 child buffer (``_ids_as_bytes``): the
+sort's map and reduce and the clean dedup's take then copy bytes instead
+of rebuilding list offsets and child indices.  ``clean_group`` turns them
+back into the same list type, also zero-copy, so QC, the hooks, the raw
+write and the rollups see what the input holds.
 
 The unit plan maps each row group to the (source, day) set its rows can
 fall in, from the ``source`` and ``doc_id`` min/max of its footer (the
@@ -59,6 +77,7 @@ any clean task starts, so dropping it bounds nothing less.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 import time
@@ -100,29 +119,103 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))).view(np.int64)
 
 
-def _add_pkey(batch: pa.Table, ts_col: str) -> pa.Table:
-    """Single int64 partition key, ``_mix64(crc32(source) << 32 | day
-    index)``: sorting one int column shuffles ~3× faster than sorting
-    (string, string) keys, and the mix makes the key uniform over int64, so
-    the clean shuffle splits it at fixed, evenly spaced boundaries
-    (``_pkey_boundaries``) instead of sampling them.  The mix is a
-    bijection, so a key still names one (crc, day) pair; a crc collision
-    merges two sources into one key, which the clean task splits again."""
+def _add_pkey(batch: pa.Table, ts_col: str, slots: dict | None = None, p: int = 1) -> pa.Table:
+    """Single int64 partition key, ``slot << 32 | (low 32 bits of
+    _mix64(crc32(source) << 32 | day index))``: sorting one int column
+    shuffles ~3× faster than sorting (string, string) keys, and the clean
+    shuffle splits it at the fixed points ``_pkey_boundaries(p)``, one
+    reducer per slot, instead of sampling them.  ``slots`` maps a planned
+    (source, day index) to its slot (``_assign_slots``); any other key gets
+    its mix modulo p.  Two keys of one slot can share the low half, so a
+    ``_pkey`` run can hold two (source, day), which the clean task splits
+    again."""
     ts_us = batch[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     day = ts_us // DAY_US
     d = batch["source"].combine_chunks().dictionary_encode()
+    names = d.dictionary.to_pylist()
     codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    h = np.array([zlib.crc32(s.encode()) for s in d.dictionary.to_pylist()], dtype=np.int64)
-    pkey = (h[codes] << np.int64(32)) | (day & np.int64(0xFFFFFFFF))
-    return batch.append_column("_pkey", pa.array(_mix64(pkey)))
+    h = np.array([zlib.crc32(s.encode()) for s in names], dtype=np.int64)
+    mix = _mix64((h[codes] << np.int64(32)) | (day & np.int64(0xFFFFFFFF))).view(np.uint64)
+    slot = (mix % np.uint64(p)).astype(np.int64)
+    code_of = {s: i for i, s in enumerate(names)}
+    planned = sorted(((code_of[s] << 32) | (dy & 0xFFFFFFFF), r)
+                     for (s, dy), r in (slots or {}).items() if s in code_of)
+    if planned:  # the planned (source code, day) pairs of this batch
+        pk, ps = (np.array(v, np.int64) for v in zip(*planned))
+        key = (codes << np.int64(32)) | (day & np.int64(0xFFFFFFFF))
+        i = np.minimum(np.searchsorted(pk, key), len(pk) - 1)
+        hit = pk[i] == key
+        slot[hit] = ps[i[hit]]
+    pkey = (slot << np.int64(32)) | (mix & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    return batch.append_column("_pkey", pa.array(pkey))
 
 
 def _pkey_boundaries(p: int) -> list[int]:
-    """The p−1 evenly spaced int64 points that split the uniform ``_pkey``
-    into p reducer blocks.  For p = 1 one point at the int64 minimum (Ray
-    samples boundaries when given none), so the second of two blocks holds
-    every key and the first is empty."""
-    return [-(1 << 63) + (i << 64) // p for i in range(1, p)] or [-(1 << 63)]
+    """The p−1 points ``r << 32`` that split ``_pkey`` into one reducer
+    block per slot.  For p = 1 one point at the int64 minimum (Ray samples
+    boundaries when given none), so the second of two blocks holds every
+    key and the first is empty."""
+    return [r << 32 for r in range(1, p)] or [-(1 << 63)]
+
+
+#: field metadata of token ids moved as bytes: their list field, as a
+#: serialized one-field schema
+_LIST_TYPE = b"tsdat_ray.list_type"
+
+
+def _list_as_bytes(a: pa.Array) -> pa.Array:
+    """A ``list<int32>`` array as ``large_binary``, one value per list: its
+    bytes are the list's int32 child buffer itself (zero-copy); only the
+    offsets are new.  A slice's offsets index the child from the child's
+    own offset on."""
+    child = a.values
+    off = (a.offsets.to_numpy().astype(np.int64) + child.offset) * 4
+    valid = pc.is_valid(a).buffers()[1] if a.null_count else None
+    data = child.buffers()[1] or pa.py_buffer(b"")
+    return pa.Array.from_buffers(pa.large_binary(), len(a), [valid, pa.py_buffer(off), data],
+                                 a.null_count)
+
+
+def _bytes_as_list(a: pa.Array, typ: pa.DataType) -> pa.Array:
+    """Inverse of ``_list_as_bytes`` into list type ``typ``: the int32
+    child is the bytes buffer itself (zero-copy)."""
+    if not len(a):
+        return pa.array([], typ)
+    off = np.frombuffer(a.buffers()[1], np.int64)[a.offset:a.offset + len(a) + 1]
+    child = pa.Array.from_buffers(pa.int32(), int(off[-1]) // 4, [None, a.buffers()[2]])
+    valid = pc.is_valid(a).buffers()[1] if a.null_count else None
+    return pa.Array.from_buffers(typ, len(a), [valid, pa.py_buffer((off // 4).astype(np.int32))],
+                                 a.null_count, children=[child])
+
+
+def _ids_as_bytes(t: pa.Table) -> pa.Table:
+    """``t`` with its ``list<int32>`` token ids moved to bytes
+    (``_list_as_bytes``), the list field kept in the field metadata for
+    ``_ids_as_list``.  Tokens of any other type, or with null ids, stay as
+    they are."""
+    i = t.schema.get_field_index("tokens")
+    if i < 0:
+        return t
+    fld = t.schema.field(i)
+    if not pa.types.is_list(fld.type) or fld.type.value_type != pa.int32() or any(
+            c.values.null_count for c in t["tokens"].chunks):
+        return t
+    meta = {_LIST_TYPE: pa.schema([fld]).serialize().to_pybytes()}
+    return t.set_column(i, pa.field("tokens", pa.large_binary(), fld.nullable, meta),
+                        pa.chunked_array([_list_as_bytes(c) for c in t["tokens"].chunks],
+                                         pa.large_binary()))
+
+
+def _ids_as_list(t: pa.Table) -> pa.Table:
+    """``t`` with token ids that ``_ids_as_bytes`` moved turned back into
+    their list field; any other table as it is."""
+    i = t.schema.get_field_index("tokens")
+    meta = t.schema.field(i).metadata if i >= 0 else None
+    if not meta or _LIST_TYPE not in meta:
+        return t
+    fld = pa.ipc.read_schema(pa.py_buffer(meta[_LIST_TYPE])).field(0)
+    return t.set_column(i, fld, pa.chunked_array([_bytes_as_list(c, fld.type)
+                                                  for c in t["tokens"].chunks], fld.type))
 
 
 def _skip_completed(batch: pa.Table, ts_col: str, done: frozenset) -> pa.Table:
@@ -145,14 +238,16 @@ def clean_group(g: pa.Table) -> pa.Table:
     """Per (source, day) group: sort by (ts, doc_id) and drop duplicate
     (source, ts) rows keeping the smallest doc_id, so the caller can run the
     order-dependent QC managers on the sorted slice.  Segments by source so a
-    _pkey hash collision can never merge rows across sources."""
+    _pkey hash collision can never merge rows across sources.  Token ids
+    the clean feed moved as bytes are taken as bytes and come back as
+    their list type."""
     ts_us = g["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-    doc_id = g["doc_id"].to_numpy(zero_copy_only=False)
+    doc_id = pc.rank(g["doc_id"], sort_keys="ascending", tiebreaker="min").to_numpy()
     codes = _key_codes(g["source"])[0]
-    order = dedup_order(g, doc_id, ts_us, codes)
+    order = dedup_order(_ids_as_list(g), doc_id, ts_us, codes)
     ts_s, code_s = ts_us[order], codes[order]
     keep = _key_change(ts_s, code_s)
-    t = g.take(pa.array(order[keep], type=pa.int64()))
+    t = _ids_as_list(g.take(pa.array(order[keep], type=pa.int64())))
     return t.drop_columns([c for c in ("_pkey", "_tb") if c in t.column_names])
 
 
@@ -167,11 +262,12 @@ class PipelineConfig:
     retention_s: dict = field(default_factory=lambda: dict(DEFAULT_RETENTION_S))
     resume: bool = True
     run_id: str = ""
-    # The clean shuffle's reducer count (the read is one task per input row
-    # group, whatever this is). None → max(8, 2× cluster CPUs): 2 CPUs
-    # still get 8.  Over-blocking small inputs multiplies fixed per-task
-    # cost ~4× (measured: 26s → 12s at sf0.1 going from 200 to 64 blocks
-    # on 32 CPUs).
+    # Upper bound on the clean shuffle's reducer count (the read is one task
+    # per input row group, whatever this is); a run whose row groups all
+    # have footer spans uses min(this, the (source, day) keys it rebuilds).
+    # None → max(8, 2× cluster CPUs): 2 CPUs still get 8.  Over-blocking
+    # small inputs multiplies fixed per-task cost ~4× (measured: 26s → 12s
+    # at sf0.1 going from 200 to 64 blocks on 32 CPUs).
     parallelism: Optional[int] = None
     # Tiers additionally stored as delta-of-delta timestamp + Gorilla-XOR
     # value blobs (one blob row per (source, day)) under t<tier>_enc/.
@@ -296,11 +392,11 @@ def _clean_write_group(g: pa.Table, qc_stage, raw_root: str,
 
 
 def _unit_span(g: dict, std: StandardizeConfig):
-    """``(source, first day, last day)`` that the rows of input row group
-    ``g`` (a ``parquet_row_groups`` entry) fall in, from its footer: one
-    ``source`` value, and ``doc_id`` min/max parsed by standardize's own
-    rule (``doc_ts_us``).  doc_ids are fixed-width (``StandardizeConfig``),
-    so min and max of one source share the part before the index digits and
+    """``(source, first ts, last ts)`` (µs) of the rows of input row group
+    ``g`` (a ``parquet_row_groups`` entry), from its footer: one ``source``
+    value, and ``doc_id`` min/max parsed by standardize's own rule
+    (``doc_ts_us``).  doc_ids are fixed-width (``StandardizeConfig``), so
+    min and max of one source share the part before the index digits and
     their lexicographic order is the index order.  None — the row group may
     touch every partition — when stats are missing, it spans sources, or
     min and max are not one prefix and ``id_digits`` ASCII digits."""
@@ -313,32 +409,56 @@ def _unit_span(g: dict, std: StandardizeConfig):
             x[-d:].isascii() and x[-d:].isdigit() for x in (lo, hi)):
         return None
     t = doc_ts_us(pa.array([lo, hi], pa.string()), std).to_numpy()
-    return src[0], int(t[0] // DAY_US), int(t[1] // DAY_US)
+    return src[0], int(t[0]), int(t[1])
 
 
-def _plan_units(input_paths, cfg: PipelineConfig, done_raw: frozenset) -> tuple[list, int]:
+def _plan_units(input_paths, cfg: PipelineConfig, done_raw: frozenset) -> tuple[list, int, dict]:
     """The input units the clean feed reads, one ``{path, row_group, rows}``
     per row group that may touch a partition outside ``done_raw``, planned
-    from Parquet footers alone; and the inputs' row group count.  Skipping
-    is an optimisation, never a filter: a row group whose span is unknown,
-    or any row group when a ``customize`` hook may rewrite source or ts, is
-    read, and ``_skip_completed`` still drops done rows."""
+    from Parquet footers alone; the inputs' row group count; and the
+    estimated rows of each (source, day index) outside ``done_raw``: a
+    unit's footer row count spread evenly over its span, with the rows of
+    units whose span is unknown under the key None.  Skipping is an
+    optimisation, never a filter: a row group whose span is unknown, or any
+    row group when a ``customize`` hook may rewrite source or ts, is read,
+    and ``_skip_completed`` still drops done rows."""
     groups = parquet_row_groups(parquet_files(input_paths), ["source", "doc_id"])
     have: dict[str, set] = {}
     for s, day in map(Manifest.parse_partition, done_raw):
         have.setdefault(s, set()).add(int(np.datetime64(day, "D").astype(np.int64)))
     blind = cfg.hooks.get("customize") is not None
-
-    def needed(g: dict) -> bool:
+    units, est = [], {}
+    for g in groups:
         span = None if blind else _unit_span(g, cfg.std)
         if span is None:
-            return True
-        done_days = have.get(span[0], ())
-        return any(d not in done_days for d in range(span[1], span[2] + 1))
+            todo = {None: 1.0}
+        else:  # the share of the span each day outside done(raw) holds
+            src, lo, hi = span
+            done_days = have.get(src, ())
+            todo = {(src, d): (min(hi, (d + 1) * DAY_US - 1) - max(lo, d * DAY_US) + 1)
+                    / (hi - lo + 1) for d in range(lo // DAY_US, hi // DAY_US + 1)
+                    if d not in done_days}
+        if g["rows"] and todo:
+            units.append({"path": g["path"], "row_group": g["row_group"], "rows": g["rows"]})
+            for k, f in todo.items():
+                est[k] = est.get(k, 0.0) + f * g["rows"]
+    return units, len(groups), est
 
-    units = [{"path": g["path"], "row_group": g["row_group"], "rows": g["rows"]}
-             for g in groups if g["rows"] and needed(g)]
-    return units, len(groups)
+
+def _assign_slots(est: dict, nb: int) -> tuple[dict, int]:
+    """The clean shuffle's reducer count p and each planned key's slot
+    (``_plan_units``'s ``est``): p = min(nb, keys), or nb when some rows
+    have no key (None); keys go largest first, ties by key, each onto the
+    least loaded slot (longest processing time first), so the largest load
+    is at most the mean plus the largest key."""
+    keys = sorted((k for k in est if k is not None), key=lambda k: (-est[k], k))
+    p = nb if None in est or not keys else min(nb, len(keys))
+    loads, slots = [(0.0, r) for r in range(p)], {}
+    for k in keys:
+        load, r = heapq.heappop(loads)
+        slots[k] = r
+        heapq.heappush(loads, (load + est[k], r))
+    return slots, p
 
 
 def _drop_tombstoned(b: pa.Table, tomb) -> pa.Table:
@@ -346,14 +466,16 @@ def _drop_tombstoned(b: pa.Table, tomb) -> pa.Table:
     return b if tomb is None else b.filter(pc.invert(pc.is_in(b["doc_id"], value_set=tomb)))
 
 
-def _clean_feed(units: list, cfg: PipelineConfig, done: dict, later: tuple, p: int):
+def _clean_feed(units: list, cfg: PipelineConfig, done: dict, later: tuple,
+                slots: dict, p: int):
     """One task per input unit (``_plan_units``) reads its row group and
-    runs tombstone → standardize → customize → resume-skip → day → pkey;
-    then ONE clean shuffle: a sort on ``_pkey`` into p reducer blocks at
-    fixed boundaries.  Each block's task walks its contiguous ``_pkey``
-    runs, splits each run by source (a crc collision can merge two), cleans
-    and writes each raw partition (+ QC sidecars/quarantine), then rolls it
-    into the dirs of ``later`` it lacks.  Emits ``_stats`` rows."""
+    runs tombstone → standardize → customize → resume-skip → day → pkey
+    (``slots``/p: ``_assign_slots``) → token ids as bytes; then ONE clean
+    shuffle: a sort on ``_pkey`` into p reducer blocks at fixed boundaries.
+    Each block's task walks its contiguous ``_pkey`` runs, splits each run
+    by (source, day) (two keys can share one), cleans and writes each raw
+    partition (+ QC sidecars/quarantine), then rolls it into the dirs of
+    ``later`` it lacks.  Emits ``_stats`` rows."""
     import ray
     import ray.data as rd
 
@@ -391,7 +513,7 @@ def _clean_feed(units: list, cfg: PipelineConfig, done: dict, later: tuple, p: i
             b = customize(b)
         if done["raw"]:
             b = _skip_completed(b, "ts", done["raw"])
-        return _add_pkey(_add_day(b, "ts"), "ts")
+        return _ids_as_bytes(_add_pkey(_add_day(b, "ts"), "ts", slots, p))
 
     ds = rd.from_items(units, override_num_blocks=len(units)).map_batches(
         read_unit, batch_format="pyarrow", batch_size=1)
@@ -401,11 +523,14 @@ def _clean_feed(units: list, cfg: PipelineConfig, done: dict, later: tuple, p: i
     fin = cfg.hooks.get("finalize")
 
     def clean_roll(g: pa.Table) -> list:
-        times, day = [], g["day"][0].as_py()
-        src = g["source"].combine_chunks().dictionary_encode()
-        for code, source in enumerate(src.dictionary.to_pylist()):
+        times = []
+        src, dd = (g[c].combine_chunks().dictionary_encode() for c in ("source", "day"))
+        key = (src.indices.to_numpy().astype(np.int64) << 32) | dd.indices.to_numpy()
+        keys = np.unique(key)
+        for k in keys:
             t0 = time.perf_counter()
-            part = g.filter(pc.equal(src.indices, code)) if len(src.dictionary) > 1 else g
+            source, day = src.dictionary[k >> 32].as_py(), dd.dictionary[k & 0xFFFFFFFF].as_py()
+            part = g.filter(pa.array(key == k)) if len(keys) > 1 else g
             t = _clean_write_group(part, qc_stage, raw_root, qroot, meta, fin)
             times.append(("raw", time.perf_counter() - t0))
             write = {n for n in later if f"source={source}/day={day}" not in done[n]}
@@ -479,9 +604,10 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
         done["raw"] |= _retired(cfg, done, later, now_us)
     t0 = time.time()
 
-    units, n_groups = _plan_units(input_paths, cfg, done["raw"]) if "raw" in done else ([], 0)
-    p = _num_blocks(cfg) if units else 0
-    feeds = [_clean_feed(units, cfg, done, later, p)] if units else []
+    units, n_groups, est = _plan_units(input_paths, cfg, done["raw"]) if "raw" in done \
+        else ([], 0, {})
+    slots, p = _assign_slots(est, _num_blocks(cfg)) if units else ({}, 0)
+    feeds = [_clean_feed(units, cfg, done, later, slots, p)] if units else []
     have = {lv: man.completed(chain[lv]) for lv in {_src_level(n, chain) for n in later}}
     items = []
     for part in sorted(set().union(*have.values())):

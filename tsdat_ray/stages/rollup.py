@@ -105,7 +105,14 @@ def _key_change(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dedup_order(g: pa.Table, row_id: np.ndarray, ts_us: np.ndarray, codes: np.ndarray,
                 bad_bits: int = BAD_ASSESSMENT_BITS, tiebreak: bool = True) -> np.ndarray:
     """Row order for the exact (key, ts) dedup: by key code, ts, then id, so
-    the first row of each (key, ts) run is the survivor."""
+    the first row of each (key, ts) run is the survivor.  ``row_id`` is any
+    array in the ids' order; callers pass their ``pc.rank`` (UTF-8 byte
+    order is code-point order, so string ids rank as they compare), which
+    sorts faster than an object-dtype array of the strings.  Rows whose
+    (key, ts) already strictly increase are returned as they are."""
+    if len(ts_us) < 2 or ((np.diff(codes) > 0) | ((codes[1:] == codes[:-1])
+                                                  & (ts_us[1:] > ts_us[:-1]))).all():
+        return np.arange(len(ts_us))
     # duplicate ids exist (same doc resent with a different payload): with
     # ``tiebreak`` the survivor is chosen by a CONTENT total order so dedup
     # is bit-deterministic under any arrival order.  Chain (standardize.py
@@ -243,7 +250,7 @@ def rollup_batch(g: pa.Table, cfg: RollupConfig, from_tier: bool = False) -> pa.
 
 def _rollup_raw_sorted(g, cfg, codes, key_arr, iv_us):
     ts_us = g[cfg.ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-    row_id = g[cfg.id_col].to_numpy(zero_copy_only=False)
+    row_id = pc.rank(g[cfg.id_col], sort_keys="ascending", tiebreaker="min").to_numpy()
     order = dedup_order(g, row_id, ts_us, codes, cfg.bad_bits, tiebreak=cfg.dedup)
     ts_s = ts_us[order]
     code_s = codes[order]
@@ -400,11 +407,13 @@ def roll_tiers(rows: pa.Table, cfgs: Sequence[RollupConfig],
                from_tier: bool = False) -> Iterator[pa.Table]:
     """Yield each tier of the chain ``cfgs`` (finest first) in turn from the
     rows of one (key, day): raw rows, or tier-shaped rows with
-    ``from_tier``.  Each step is a partial then a combine at the tier's
+    ``from_tier``.  Each step is one ``rollup_batch`` at the tier's
     interval, the first over ``rows``, each later one over the tier before
-    it; a caller that stops iterating rolls no further tier."""
+    it; a step sees the whole (key, day), so its output already has one
+    row per (key, bucket).  A caller that stops iterating rolls no further
+    tier."""
     for c in cfgs:
-        rows = rollup_batch(rollup_batch(rows, c, from_tier=from_tier), c, from_tier=True)
+        rows = rollup_batch(rows, c, from_tier=from_tier)
         from_tier = True
         yield rows
 
