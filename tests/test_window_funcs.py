@@ -1,6 +1,7 @@
 """Distributed window-function operators vs sequential references."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data as rd
@@ -264,14 +265,39 @@ def test_time_weighted_avg_matches_sequential(log):
         assert row["twa"] == float(sw) / (100.0 * float(sd))  # identical IEEE expr
 
 
+def _window_scan_ops():
+    """Every operator on ``window_scan``, as name -> f(ds, window_s)."""
+    from tsdat_ray.stages import window_funcs as wf
+
+    kw = dict(key="k", ts_col="ts", value_col="v", id_col="eid")
+    return {
+        "lag": lambda d, w: wf.partitioned_lag(d, window_s=w, **kw),
+        "lag_k": lambda d, w: wf.partitioned_lag_k(d, offset_k=3, window_s=w, **kw),
+        "lead": lambda d, w: wf.partitioned_lead(d, window_s=w, **kw),
+        "cumsum": lambda d, w: wf.partitioned_cumsum(d, value_scale=100, window_s=w, **kw),
+        "rolling_sum": lambda d, w: wf.partitioned_rolling_sum(d, frame_n=4, window_s=w, **kw),
+        "rolling_zscore": lambda d, w: wf.partitioned_rolling_zscore(d, frame_n=5, window_s=w, **kw),
+        "rolling_minmax": lambda d, w: wf.partitioned_rolling_minmax(d, frame_n=4, window_s=w, **kw),
+        "rolling_median": lambda d, w: wf.partitioned_rolling_median(d, frame_n=5, window_s=w, **kw),
+        "decay_score": lambda d, w: wf.partitioned_decay_score(d, k_terms=8, window_s=w, **kw),
+        "ewma": lambda d, w: wf.partitioned_ewma(d, window_s=w, **kw),
+        "time_weighted_avg": lambda d, w: wf.time_weighted_avg(d, window_s=w, **kw),
+        "counter_increase": lambda d, w: wf.counter_increase(d, window_s=w, **kw),
+        "cusum": lambda d, w: wf.partitioned_cusum(d, drift=1.0, threshold=2.0, window_s=w, **kw),
+        "interval_union": lambda d, w: wf.interval_union(
+            d, key="k", ts_col="ts", dur_col="v", id_col="eid", window_s=w),
+        "session_ids": lambda d, w: wf.session_ids(
+            d, key="k", ts_col="ts", id_col="eid", gap_s=600, window_s=w),
+    }
+
+
 def test_window_ops_empty_and_single_row(ray_session):
-    """Degenerate inputs (empty table, one row) flow through every window
-    operator without error and with the sequential semantics."""
-    from tsdat_ray.stages.window_funcs import (
-        partitioned_lead,
-        partitioned_rolling_sum,
-        time_weighted_avg,
-    )
+    """Degenerate inputs (empty table, one row) flow through every
+    ``window_scan`` / ``time_windows`` operator without error and with the
+    sequential semantics."""
+    from tsdat_ray.stages import window_funcs as wf
+    from tsdat_ray.stages.sampling import pack_sequences_global
+    from tsdat_ray.stages.text_quant import half_away
 
     empty = pa.table({
         "k": pa.array([], pa.string()),
@@ -285,23 +311,75 @@ def test_window_ops_empty_and_single_row(ray_session):
         "ts": pa.array([1_000_000], pa.int64()).cast(pa.timestamp("us")),
         "v": pa.array([3.25]),
     })
+    # the one-row answer of each operator (SQL semantics)
+    nan = float("nan")
+    expect = {
+        "lag": {"v_lag": nan}, "lag_k": {"v_lag3": nan}, "lead": {"v_lead": nan},
+        "cumsum": {"v_cumsum": 3.25},
+        "rolling_sum": {"v_rsum": 3.25, "v_rcnt": 1},
+        "rolling_zscore": {"v_zscore": nan},
+        "rolling_minmax": {"v_rmin": 3.25, "v_rmax": 3.25},
+        "rolling_median": {"v_rmed": 3.25},
+        "decay_score": {"v_decay_q": int(half_away(wf.decay_weights(0.1, 8)[:1] * 3.25)[0])},
+        "ewma": {"v_ewma": 3.25},
+        "counter_increase": {"increase": 0.0},
+        "cusum": {"cusum": 2.25, "alarm": True},
+        "interval_union": {"covered_us": 3_250_000},
+        "session_ids": {"session_id": 1},
+    }
     for t in (empty, one):
         ds = rd.from_arrow(t)
-        lead = partitioned_lead(ds, key="k", ts_col="ts", value_col="v",
-                                id_col="eid").to_pandas()
-        assert len(lead) == t.num_rows
+        for name, op in _window_scan_ops().items():
+            out = op(ds, 6 * 3600).to_pandas()
+            if name == "time_weighted_avg":
+                assert len(out) == 0, name  # no next step anywhere
+                continue
+            assert len(out) == t.num_rows, name
+            for col, want in (expect[name].items() if t.num_rows else ()):
+                got = out[col].iloc[0]
+                if name == "ewma":  # (1-α)·v + α·v rounds
+                    assert np.isclose(got, want, rtol=1e-15, atol=0), got
+                else:
+                    assert got == want or (np.isnan(got) and np.isnan(want)), \
+                        (name, col, got)
+        agg = wf.grouped_string_agg(ds, key="k", ts_col="ts", id_col="eid").to_pandas()
+        gap = wf.grouped_max_gap(ds, key="k", ts_col="ts").to_pandas()
+        assert len(agg) == len(gap) == t.num_rows
         if t.num_rows:
-            assert np.isnan(lead["v_lead"]).all()
-        roll = partitioned_rolling_sum(ds, key="k", ts_col="ts", value_col="v",
-                                       id_col="eid", frame_n=4,
-                                       value_scale=100).to_pandas()
-        assert len(roll) == t.num_rows
-        if t.num_rows:
-            assert roll["v_rsum"].iloc[0] == 3.25
-            assert roll["v_rcnt"].iloc[0] == 1
-        twa = time_weighted_avg(ds, key="k", ts_col="ts", value_col="v",
-                                id_col="eid").to_pandas()
-        assert len(twa) == 0  # no next step anywhere
+            assert agg["agg"][0] == "7" and agg["n"][0] == 1
+            assert gap["max_gap_us"].isna().all()
+        tr = wf.transition_counts(ds.map_batches(
+            lambda b: b.append_column("c", b["k"]), batch_format="pyarrow"),
+            key="k", ts_col="ts", cat_col="c", id_col="eid").to_pandas()
+        assert len(tr) == 0  # one event has no transition
+        docs = pa.table({"doc_id": pa.array(["d0"] * t.num_rows, pa.string()),
+                         "tokens": pa.array([[1, 2, 3]] * t.num_rows,
+                                            pa.list_(pa.int32()))})
+        packed = pack_sequences_global(rd.from_arrow(docs), context_len=8).to_pandas()
+        assert packed.to_dict("records") == (
+            [{"example_id": 0, "n_tok": 3, "n_docs": 1}] if t.num_rows else [])
+
+
+@pytest.mark.parametrize("name", sorted(_window_scan_ops()))
+def test_window_scan_ops_independent_of_layout(log, name):
+    """Each ``window_scan`` operator returns the same frame at 1 and 7 input
+    blocks and at 6 h and 3 d windows.  EWMA is exact across block counts
+    only: its closed form reassociates float products at each window edge,
+    so other window widths agree to round-off."""
+    op = _window_scan_ops()[name]
+
+    def run(nblocks, window_s):
+        df = op(rd.from_arrow(log).repartition(nblocks), window_s).to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    base = run(1, 6 * 3600)
+    assert len(base)
+    pd.testing.assert_frame_equal(run(7, 6 * 3600), base, check_exact=True)
+    wide = run(7, 3 * 86400)
+    if name == "ewma":
+        pd.testing.assert_frame_equal(wide, base, rtol=1e-12)
+    else:
+        pd.testing.assert_frame_equal(wide, base, check_exact=True)
 
 
 def test_ewma_matches_sequential(log):

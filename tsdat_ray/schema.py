@@ -105,32 +105,3 @@ DEFAULT_RETENTION_S = {
     "1d": None,
 }
 
-
-def tier_agg_fields(value_cols: tuple[str, ...] = ("n_tok", "tok_mean")) -> list:
-    """Arrow fields of a tier aggregate table for the given value columns."""
-    fields = [
-        pa.field("source", pa.string()),
-        pa.field("bucket", pa.timestamp("us")),
-        pa.field("n_rows", pa.int64()),
-    ]
-    for v in value_cols:
-        fields += [
-            pa.field(f"{v}_mean", pa.float64()),
-            pa.field(f"{v}_std", pa.float64()),
-            pa.field(f"{v}_goodfraction", pa.float64()),
-            pa.field(f"qc_{v}", pa.int32()),
-            # carried partial sums so the next tier aggregates exactly
-            pa.field(f"{v}_sum_w", pa.float64()),
-            pa.field(f"{v}_sum_wx", pa.float64()),
-            pa.field(f"{v}_sum_wx2", pa.float64()),
-            pa.field(f"{v}_n", pa.int64()),
-            pa.field(f"{v}_n_bad", pa.int64()),
-            pa.field(f"{v}_n_ind", pa.int64()),
-        ]
-    # nearest-neighbor subsample carry (token-array invariant)
-    fields += [
-        pa.field("sel_doc_id", pa.string()),
-        pa.field("sel_ts", pa.timestamp("us")),
-        pa.field("tokens", pa.list_(pa.int32())),
-    ]
-    return fields

@@ -1,36 +1,29 @@
-"""Distributed cross-window carry for the two-phase window-function family.
+"""``window_scan``: the one two-phase scan of the window-function family.
 
-Round-2 shape (judge finding #1): every two-phase operator drained its tiny
-per-(key, window) summary table to the DRIVER, folded it in a Python loop
-into a dict, and ``ray.put`` the dict.  Bounded by keys × windows — fine at
-1M keys, but at ~1e9 user-grade keys the driver would build and broadcast a
-billion-entry Python dict: OOM plus a single-threaded fold.
+An operator ordered by (ts, id) within a key (lag, running sums, rolling
+frames, sessions, ...) splits each key's history into fixed time windows
+and runs in two phases:
 
-Round-3 shape (this module): the fold itself is distributed —
+1. one shuffle on (key, ``_window``) (:func:`window_groups`) runs the
+   operator's ``local`` kernel per group.  It computes every in-window
+   result and repeats the window's tiny summary (a total, a last value, a
+   tail) on each of its rows, so Ray's block splitting cannot lose it.  The
+   output streams to a Parquet checkpoint
+   (:func:`~tsdat_ray.stages.spill.checkpoint_with_summary`), whose map
+   task also writes the summary rows (<= one per group per block) to a
+   sidecar;
+2. ``fold_carry`` shuffles the summaries by a salted ``hash(key)``; each
+   task sorts them by (key, window), dedups and hands every key segment to
+   the operator's vectorized ``fold``, which returns one carry per window
+   (the state of all earlier windows).  ``attach_carry`` joins the carry
+   back onto the checkpointed rows by (key, window): a small carry is
+   broadcast as one Arrow table and probed per batch; a large one takes a
+   bucketed hash join.  Neither holds per-key state on the driver.
 
-1. ``summary_from_part``: per-batch dedup of the repeated summary columns
-   (phase 1 repeats each group's summary on EVERY row, so any block
-   fragment yields it) → a tiny Dataset with ≤1 row per (key, window) per
-   block fragment;
-2. ``fold_carry``: ONE shuffle of that tiny Dataset, salted by
-   ``hash(key)`` so every key's windows co-locate while keys spread over
-   ``salt_mod`` tasks; inside each task a single lexsort + exact dedup
-   yields key segments, and the operator's vectorized ``fold`` turns each
-   segment's window summaries into per-window carries.  No per-key Ray
-   group (the ~100 µs/group overhead law) and no driver state — the fold
-   scales with keys × windows / salt_mod per task;
-3. ``attach_carry``: budget-gated join-back.  A small carry Dataset is
-   broadcast as ONE Arrow table (the driver only concatenates the
-   already-folded blocks — it never iterates rows or builds Python
-   structures) and looked up per batch with a process-cached
-   ``pd.MultiIndex.get_indexer`` (vectorized C hash probe) + typed Arrow
-   gather.  A carry that exceeds the budget takes the bucketed
-   :func:`~tsdat_ray.stages.joins.hash_join` on (key, window) instead —
-   zero driver state at any key cardinality.
-
-The carry columns attach with left-join semantics (a missing pair → typed
-null), so both paths are value-identical; operators consume them in the
-final vectorized map.
+The operator's finish, a map over the result, combines each row's local
+value with its window's carry.  The window width sets how the work
+spreads; integer and order-free arithmetic give the same rows at every
+width.
 """
 
 from __future__ import annotations
@@ -41,6 +34,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+US = 1_000_000
 
 # process-level cache: broadcast-table object ref hex -> (table, MultiIndex)
 _LOOKUP_CACHE: dict = {}
@@ -194,7 +189,7 @@ def _bucketed_attach(part, carry_m, key: str, window_col: str | None,
     index probe + typed Arrow gather as the broadcast path.  (``pa.Table.
     join`` cannot carry list-typed non-key fields — the rolling/lag(k)
     tail carries are ``list<…>`` — so the join-based fallback would crash
-    exactly at the cardinality this path exists for; review r3 finding.)"""
+    exactly at the cardinality this path exists for.)"""
     on = [key] if window_col is None else [key, window_col]
     p_schema = pa.schema(list(zip(part.schema().names, part.schema().types)))
     c_schema = pa.schema(list(zip(carry_m.schema().names, carry_m.schema().types)))
@@ -255,25 +250,78 @@ def _bucketed_attach(part, carry_m, key: str, window_col: str | None,
     return both.groupby("_bk").map_groups(join_bucket, batch_format="pyarrow")
 
 
-def window_carry(part, key: str, window_col: str, summary_cols: list[str],
-                 fold: Callable, salt_mod: int = 64,
-                 broadcast_budget_bytes: int = 64 << 20,
-                 summary_ds=None):
-    """The full round-3 carry pipeline: summary extraction → distributed
-    per-key fold → budget-gated attach.  Returns ``part`` plus the fold's
-    carry columns.  Pass ``summary_ds`` (e.g. the sidecar from
-    :func:`~tsdat_ray.stages.spill.checkpoint_with_summary`) to skip the
-    summary-extraction scan of ``part`` — its rows may contain duplicate
-    (key, window) entries with identical summary values; the fold dedups."""
-    summ = summary_ds if summary_ds is not None \
-        else summary_from_part(part, key, window_col, summary_cols)
-    carry = fold_carry(summ, key, window_col, summary_cols, fold,
-                       salt_mod=salt_mod)
-    return attach_carry(part, carry, key, window_col,
-                        broadcast_budget_bytes=broadcast_budget_bytes)
+def time_windows(ds, ts_col: str, window_s: int):
+    """Add ``_window``: the start (µs) of each row's ``window_s`` bucket."""
+    win_us = window_s * US
+
+    def add_window(b: pa.Table) -> pa.Table:
+        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+        return b.append_column("_window", pa.array((ts // win_us) * win_us))
+
+    return ds.map_batches(add_window, batch_format="pyarrow")
+
+
+def ts_order(g: pa.Table, ts_col: str, id_col: str | None = None):
+    """A group's timestamps (int64) and its row order by (ts, id); by ts
+    alone (stable) when there is no id column."""
+    ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
+    if id_col is None:
+        return ts, np.argsort(ts, kind="stable")
+    return ts, np.lexsort((g[id_col].to_numpy(zero_copy_only=False), ts))
+
+
+def window_groups(ds, key: str, fn: Callable[[pa.Table], pa.Table]):
+    """The (key, ``_window``) shuffle: ``fn`` runs once per group."""
+    return ds.groupby([key, "_window"]).map_groups(fn, batch_format="pyarrow")
+
+
+def window_scan(ds, key: str, local: Callable[[pa.Table], pa.Table],
+                summary_cols: list[str], fold: Callable):
+    """Two-phase scan of ``ds`` (which has a ``_window`` column): ``local``
+    per (key, window) group, checkpointed with its ``summary_cols``, then
+    ``fold`` (see :func:`fold_carry`) over each key's window summaries.
+    Returns ``local``'s rows plus the fold's carry columns."""
+    from .spill import checkpoint_with_summary
+
+    part, summ = checkpoint_with_summary(window_groups(ds, key, local), key,
+                                         summary_cols)
+    carry = fold_carry(summ, key, "_window", summary_cols, fold)
+    return attach_carry(part, carry, key, "_window")
 
 
 # ---------------------------------------------------------------- helpers
+# row helpers for the window operators' kernels and finishes: they live here,
+# not in window_funcs, so the worker processes that run those closures
+# import only this module (which the carry attach imports anyway)
+
+def column(b: pa.Table, col: str) -> np.ndarray:
+    """A column of ``b`` as one numpy array."""
+    return b[col].combine_chunks().to_numpy(zero_copy_only=False)
+
+
+def float_column(b: pa.Table, col: str) -> np.ndarray:
+    """A column of ``b`` cast to float64, as one numpy array."""
+    return b[col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
+
+
+def with_columns(b: pa.Table, drop, new: dict) -> pa.Table:
+    """``b`` without its ``drop`` columns, then the ``new`` ones."""
+    return pa.table({**{c: b[c] for c in b.column_names if c not in drop}, **new})
+
+
+def carry_heads(b: pa.Table, pos: np.ndarray, depth: int, dtype):
+    """(row, values) for each row at in-window position < ``depth`` whose
+    list ``_carry`` is non-empty: the last ``depth - pos`` carried values,
+    the head of the row's frame that lies in earlier windows."""
+    ca = b["_carry"].combine_chunks()
+    cvals = np.asarray(ca.values.to_numpy(zero_copy_only=False), dtype=dtype)
+    coffs = ca.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    for i in np.flatnonzero(pos < depth):
+        s, e = coffs[i], coffs[i + 1]
+        if e > s:
+            yield i, cvals[max(s, e - int(depth - pos[i])):e]
+
+
 # shared vectorized segment folds (rows sorted by (key, window), starts =
 # first index of each key segment)
 
@@ -301,10 +349,10 @@ def shift_back_within_segments(vals: np.ndarray, starts: np.ndarray, fill):
 
 def exclusive_prefix_within_segments(vals: np.ndarray,
                                      starts: np.ndarray) -> np.ndarray:
-    """Exclusive running sum per segment, accumulated IN WINDOW ORDER (the
-    same order the round-2 driver loop used, so float results are
-    identical).  Integer dtypes use the exact subtract-base trick; floats
-    run np.cumsum per segment to preserve the addition order."""
+    """Exclusive running sum per segment, accumulated in window order, so
+    float results do not depend on the block layout.  Integer dtypes use
+    the exact subtract-base trick; floats run np.cumsum per segment to
+    keep the addition order."""
     n = len(vals)
     if not n:
         return vals.copy()

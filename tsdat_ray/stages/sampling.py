@@ -30,7 +30,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .spill import checkpoint as _ckpt
-from .spill import checkpoint_with_summary as _ckpt2
 
 
 def stratified_sample(ds, key: str = "source", order_col: str = "doc_id",
@@ -217,18 +216,17 @@ def pack_sequences_global(ds, context_len: int = 2048,
        MONOTONE bucket of the pack order, derived from the id's trailing
        digits (``<prefix><idx>`` ids; distinct prefixes are rank-ordered
        via a bounded tree reduction) — ``idx // docs_per_window``;
-    2. one (window) shuffle: per-window sort + local exclusive prefix;
-    3. distributed carry fold (:mod:`.carry`): window token totals →
-       exclusive prefix offsets, attached budget-gated — the same
-       machinery as ``partitioned_cumsum``, key-cardinality 1;
-    4. vectorized span → example expansion (``ceil(len/L)+1`` rows per
+    2. :func:`~tsdat_ray.stages.carry.window_scan` over those windows (one
+       constant key): per-window sort + local exclusive prefix, then window
+       token totals → exclusive prefix offsets, as in ``partitioned_cumsum``;
+    3. vectorized span → example expansion (``ceil(len/L)+1`` rows per
        doc), per-batch partial sums, one ``groupby(example_id)`` Sum.
 
     SQL twin: ``sum(len) OVER (ORDER BY id, tb ROWS UNBOUNDED PRECEDING
     …)`` + ``generate_series(s//L, (e-1)//L)`` + GROUP BY example."""
     import ray
 
-    from .carry import exclusive_prefix_within_segments, window_carry
+    from .carry import exclusive_prefix_within_segments, window_scan
     from .reduce import tree_reduce
 
     L = int(context_len)
@@ -299,16 +297,12 @@ def pack_sequences_global(ds, context_len: int = 2048,
         out["_wtotal"] = pa.array(np.repeat(cs[-1] if len(cs) else 0, len(ln)))
         return pa.table(out)
 
-    part, _summ = _ckpt2(md.map_batches(assign_window, batch_format="pyarrow")
-                 .groupby("_window").map_groups(local_scan,
-                                                batch_format="pyarrow"), "_all", ["_wtotal"], tag="packscan")
-
     def fold(starts, windows, cols):
         return {"_off": exclusive_prefix_within_segments(cols["_wtotal"],
                                                          starts)}
 
-    withc = window_carry(part, "_all", "_window", ["_wtotal"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(md.map_batches(assign_window, batch_format="pyarrow"),
+                        "_all", local_scan, ["_wtotal"], fold)
 
     def expand(b: pa.Table) -> pa.Table:
         s = (b["_ls"].combine_chunks().to_numpy(zero_copy_only=False)

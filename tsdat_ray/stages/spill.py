@@ -1,22 +1,16 @@
-"""Disk checkpoint for multiply-consumed intermediate Datasets.
+"""Disk checkpoint for intermediate Datasets read more than once.
 
-Round-3 judge finding #3: every two-phase window operator pinned its
-phase-1 output (the full corpus after the (key, window) shuffle) in the
-object store with ``.materialize()`` so that BOTH downstream consumers —
-the tiny summary extraction and the carry attach — could read it without
-re-executing the shuffle.  Correct, but at 100 TB every windowed query
-holds a corpus-sized object-store footprint for its whole lifetime.
+:func:`checkpoint` streams a Dataset to a fresh Parquet scratch dir with
+``write_parquet`` (backpressured: each block is freed once it is on disk)
+and returns a lazy ``read_parquet`` over it, so every consumer re-streams
+the same rows instead of pinning the whole intermediate in the object
+store.  The Arrow→Parquet→Arrow round trip keeps types and values.
+:func:`checkpoint_with_summary` is the form ``carry.window_scan`` uses: the
+same pass also writes each group's summary rows to a small sidecar.
 
-Round-4 shape (this module): phase 1 streams straight to a Parquet
-checkpoint under scratch storage — ``write_parquet`` consumes the pipeline
-with backpressure, freeing each block as soon as it is on disk — and both
-consumers re-stream it with ``read_parquet``.  Peak object-store usage is
-bounded by the streaming executor's working set at ANY input scale, and
-the checkpoint is bit-exact (the Arrow→Parquet→Arrow roundtrip preserves
-types and values; the rows ARE phase 1's rows).  On a cluster, point
-``TSDAT_RAY_SCRATCH`` at shared storage; checkpoints are removed at
-process exit (and are uniquely named, so concurrent queries never
-collide — the CLAUDE.md rerun-into-existing-dir bug class cannot occur).
+On a cluster, point ``TSDAT_RAY_SCRATCH`` at shared storage.  Dirs are
+uniquely named, so concurrent queries never collide; they are removed by
+:func:`release_all` or at process exit.
 """
 
 from __future__ import annotations
@@ -50,11 +44,7 @@ def checkpoint(ds, tag: str = "wf"):
     """Stream ``ds`` to a fresh Parquet scratch dir and return a lazy
     reader over it.  Use for any intermediate consumed more than once
     downstream: unlike ``.materialize()`` it never holds the whole
-    intermediate in the object store — write and reads are all streaming.
-
-    The returned reader carries ``_tsdat_ckpt_path``; pass it to
-    :func:`release` once every consumer has executed to free the scratch
-    copy early (the atexit sweep remains the backstop)."""
+    intermediate in the object store — write and reads are all streaming."""
     import ray.data as rd
 
     path = os.path.join(_root(), f"{tag}-{uuid.uuid4().hex}")
@@ -93,23 +83,7 @@ def checkpoint(ds, tag: str = "wf"):
         f = os.path.join(path, "empty.parquet")
         pq.write_table(empty, f)
         files = [f]
-    reader = rd.read_parquet(files)
-    reader._tsdat_ckpt_path = path
-    return reader
-
-
-def release(reader) -> None:
-    """Free a checkpoint's scratch directory once its consumers have all
-    executed (advisor r4: a long-lived session otherwise accumulates one
-    intermediate-sized Parquet copy per windowed query until process exit).
-    Safe to call on any Dataset — a no-op unless it came from
-    :func:`checkpoint`.  Consumers that re-read after release will fail
-    (file not found), so release only after the query's terminal op."""
-    path = getattr(reader, "_tsdat_ckpt_path", None)
-    if path:
-        shutil.rmtree(path, ignore_errors=True)
-        if path in _TRACKED:
-            _TRACKED.remove(path)
+    return rd.read_parquet(files)
 
 
 def release_all() -> None:
@@ -118,26 +92,22 @@ def release_all() -> None:
     _cleanup()
 
 
-def checkpoint_with_summary(ds, key: str, summary_cols: list[str],
-                            window_col: str = "_window", tag: str = "wf"):
-    """Checkpoint ``ds`` AND capture its per-(key, window) summary rows in
-    the same streaming pass, returning ``(main_reader, summary_reader)``.
+def checkpoint_with_summary(ds, key: str, summary_cols: list[str]):
+    """Checkpoint ``ds`` and, in the same streaming pass, its per-(key,
+    ``_window``) summary rows; returns ``(main_reader, summary_reader)``.
 
-    Round-4 judge finding #2: the window family checkpointed phase 1, then
-    paid TWO reads — a projection-pruned scan just to re-derive the tiny
-    summary table (phase 1 repeats each group's summary on every row) plus
-    the full attach re-read.  Here the map task that feeds the main write
-    also dedups its batch's (key, window) summary rows (≤1 per group per
-    block fragment — duplicates across fragments are exact copies and the
-    carry fold dedups them anyway, so task retries are harmless) and
-    appends them to a tiny sidecar Parquet dir.  The summary consumer then
-    streams ~|groups| rows instead of rescanning the checkpoint."""
+    The map task that feeds the main write also dedups its batch's
+    summary rows (<= one per group per block fragment) and writes them to
+    a sidecar Parquet dir, so the fold reads ~|groups| rows instead of
+    rescanning the checkpoint.  Duplicates across fragments, or from a
+    retried task, are exact copies, and the fold dedups them."""
     import ray.data as rd
 
     from ..state.uri import StorageFS
     from .carry import _dedup_first
 
-    spath = os.path.join(_root(), f"{tag}-summ-{uuid.uuid4().hex}")
+    window_col = "_window"
+    spath = os.path.join(_root(), f"wf-summ-{uuid.uuid4().hex}")
     os.makedirs(spath, exist_ok=True)
     _TRACKED.append(spath)
     cols = [key, window_col, *summary_cols]
@@ -150,7 +120,7 @@ def checkpoint_with_summary(ds, key: str, summary_cols: list[str],
             s, os.path.join(spath, f"s-{uuid.uuid4().hex}.parquet"))
         return b
 
-    main = checkpoint(ds.map_batches(side_write, batch_format="pyarrow"), tag)
+    main = checkpoint(ds.map_batches(side_write, batch_format="pyarrow"))
     sfiles = [os.path.join(spath, f) for f in sorted(os.listdir(spath))
               if f.endswith(".parquet")]
     if not sfiles:
@@ -159,6 +129,4 @@ def checkpoint_with_summary(ds, key: str, summary_cols: list[str],
         from .carry import summary_from_part
 
         return main, summary_from_part(main, key, window_col, summary_cols)
-    summ = rd.read_parquet(sfiles)
-    summ._tsdat_ckpt_path = spath
-    return main, summ
+    return main, rd.read_parquet(sfiles)

@@ -35,7 +35,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import (
-    BAD_ASSESSMENT_BITS,
     EPOCH_US,
     FILL_INT,
     MAX_TOKENS,
@@ -211,9 +210,3 @@ def standardize_batch(batch: pa.Table, cfg: StandardizeConfig = StandardizeConfi
         }
     )
 
-
-def bad_mask_from_qc(qc: np.ndarray, bad_bits: int = BAD_ASSESSMENT_BITS) -> np.ndarray:
-    """Rows whose QC bits include any 'Bad'-assessed test (parity:
-    act get_masked_data(rm_assessments=['Bad']) used by the reference's
-    transform input filtering, transform_v2/utils/get_filtered_data.py)."""
-    return (qc & bad_bits) != 0

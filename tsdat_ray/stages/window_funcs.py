@@ -1,28 +1,27 @@
 """Distributed SQL-window-function equivalents over partitioned logs.
 
 The reference has none of these (its xarray model is whole-array in one
-process); a data engine replacing it at 100 TB needs them.  Every operator
-here avoids the naive ``groupby(key)`` whole-history-in-one-task shape:
+process); a data engine replacing it at 100 TB needs them.  No operator
+here takes the naive ``groupby(key)`` whole-history-in-one-task shape.
 
-* ``partitioned_lag``  — LAG(value) OVER (PARTITION BY key ORDER BY ts, id).
-  Two-phase: per-(key, window) local lags, then each window's LAST value
-  (tiny table) drives an exact cross-window carry broadcast — correct even
-  across empty windows (a halo-to-next-window shuffle is not).
-* ``partitioned_cumsum`` — SUM(value) OVER (... ROWS UNBOUNDED PRECEDING).
-  Two-phase scan: per-(key, window) in-order prefix sums + window totals;
-  the tiny (key, window, total) table drives per-window offsets broadcast
-  back — the classic distributed prefix-sum.  Exact-decimal mode
-  (``value_scale``) keeps sums bit-deterministic.
-* ``grouped_rank``     — ROW_NUMBER() OVER (PARTITION BY key ORDER BY v
-  DESC, id).  Value-bucket salting: rank within (key, value-bucket) +
-  offset from the (tiny) per-bucket count table — skew-safe for
-  low-cardinality keys.
-* ``grouped_topk``     — top-k rows per key: per-batch local top-k
-  (combiner push-down) then one tiny groupby finalize.
-* ``semi_anti_join``   — EXISTS / NOT EXISTS against a key set built with a
-  tree reduction and broadcast (distinct keys bounded ≪ rows).
-* ``exact_median_quantized`` — exact per-key median of a decimal-quantized
-  column from a bounded histogram (tree-reduced; no sort, no shuffle).
+The ordered family — lag/lead, running and rolling sums, rolling
+quantiles and extrema, EWMA and decay scores, sessions, CUSUM, counters,
+time-weighted averages, interval unions — runs on one shape,
+:func:`~tsdat_ray.stages.carry.window_scan`: ``time_windows`` tags every
+row with its (key, time-window) salt, one shuffle runs the operator's
+local kernel per (key, window) with rows ordered by ``ts_order``, a tiny
+per-key fold of the window summaries gives each window its carry, and a
+final map combines the two.  Each operator holds only that math.  The
+one-phase window aggregates (``grouped_string_agg``, ``grouped_max_gap``,
+``transition_counts``, ...) use the same ``window_groups`` shuffle.
+
+The rank family (``grouped_rank``, ``grouped_dense_rank``,
+``grouped_cume_dist``) salts by value bucket instead: rank within (key,
+value-bucket) plus an offset from the tiny per-bucket count table —
+skew-safe for low-cardinality keys.  ``grouped_topk`` keeps a per-batch
+top-k before one small groupby; ``semi_anti_join`` broadcasts a
+tree-reduced key set; ``exact_median_quantized`` and the quantile
+operators reduce bounded histograms (no sort, no shuffle).
 
 Choosing ``window_s``: the (key, time-window) salt exists to spread a hot or
 LOW-cardinality key over many tasks.  For HIGH-cardinality keys (user ids)
@@ -30,7 +29,8 @@ the key alone already spreads the shuffle, and narrow windows instead
 multiply Ray's per-group overhead (~100 µs per map_groups group: 1M one-row
 groups ≈ 100 s).  Pick window width ∝ key cardinality — measured 280 s →
 14 s on ``session_ids`` at 1M rows going from 6 h to 16 d windows, with
-bit-identical output (every operator here is exact at ANY window width).
+bit-identical output (every oracled operator here is exact at any window
+width; EWMA agrees to round-off).
 """
 
 from __future__ import annotations
@@ -39,201 +39,112 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .spill import checkpoint as _ckpt  # noqa: F401  (kept for non-carry uses)
-from .spill import checkpoint_with_summary as _ckpt2
+from .carry import (
+    US,
+    attach_carry,
+    carry_heads,
+    column,
+    exclusive_prefix_within_segments,
+    float_column,
+    fold_carry,
+    inclusive_prefix_within_segments,
+    running_max_before_within_segments,
+    segment_totals,
+    shift_back_within_segments,
+    shift_within_segments,
+    tail_buffer_within_segments,
+    time_windows,
+    ts_order,
+    window_groups,
+    window_scan,
+    with_columns,
+)
+from .text_quant import half_away
 
-US = 1_000_000
 
-
-def partitioned_lag(ds, key: str, ts_col: str, value_col: str,
-                    id_col: str | None = None, window_s: int = 6 * 3600):
-    """LAG(value, 1) over (key ORDER BY ts, id), exact across any window
-    layout.  Phase 1: one (key, window) shuffle computes in-window lags and
-    marks each window's first row.  Phase 2: the tiny per-(key, window)
-    last-value summary folds DISTRIBUTED (:mod:`.carry` — salted key
-    shuffle, vectorized shift-per-segment, budget-gated attach): each
-    window's carry = last value of the nearest earlier non-empty window.
-    No driver-side per-key state at any key cardinality."""
-    from .carry import shift_within_segments, window_carry
-
-    win_us = window_s * US
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
-
-    def per_window(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        if id_col is not None:
-            ids = g[id_col].to_numpy(zero_copy_only=False)
-            order = np.lexsort((ids, ts))
-        else:
-            order = np.argsort(ts, kind="stable")
-        lag = np.full(len(ts), np.nan)
-        if len(order) > 1:
-            lag[order[1:]] = x[order[:-1]]
-        first = np.zeros(len(ts), dtype=bool)
-        if len(order):
-            first[order[0]] = True
-        out = {c: g[c] for c in g.column_names}
-        out[f"{value_col}_lag"] = pa.array(lag)
-        out["_first"] = pa.array(first)
-        out["_last_val"] = pa.array(np.repeat(x[order[-1]] if len(order) else np.nan, len(ts)))
-        return pa.table(out)
-
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(per_window, batch_format="pyarrow"), key, ["_last_val"])
-
-    # distributed carry: previous non-empty window's last value per segment
-    def fold(starts, windows, cols):
-        return {"_carry": shift_within_segments(cols["_last_val"], starts,
-                                                np.nan)}
-
-    withc = window_carry(part, key, "_window", ["_last_val"], fold,
-                         summary_ds=_summ)
-
-    def fill(b: pa.Table) -> pa.Table:
-        first = b["_first"].combine_chunks().to_numpy(zero_copy_only=False)
-        cv = b["_carry"].combine_chunks().to_numpy(zero_copy_only=False)
-        lag = b[f"{value_col}_lag"].combine_chunks().to_numpy(zero_copy_only=False).copy()
-        lag[first] = cv[first]
-        out = {c: b[c] for c in b.column_names
-               if c not in ("_window", "_first", "_last_val", "_carry",
-                            f"{value_col}_lag")}
-        out[f"{value_col}_lag"] = pa.array(lag)
-        return pa.table(out)
-
-    return withc.map_batches(fill, batch_format="pyarrow")
+def partitioned_lag(ds, key: str, ts_col: str, value_col: str, id_col: str,
+                    window_s: int = 6 * 3600):
+    """LAG(value) over (key ORDER BY ts, id): :func:`partitioned_lag_k` at
+    k = 1, output column ``{value_col}_lag``."""
+    return partitioned_lag_k(ds, key, ts_col, value_col, id_col, offset_k=1,
+                             window_s=window_s)
 
 
 def partitioned_cumsum(ds, key: str, ts_col: str, value_col: str,
                        id_col: str | None = None, window_s: int = 6 * 3600,
                        value_scale: int | None = None):
-    """Running SUM over (key ORDER BY ts, id) — distributed prefix sum.
-
-    Phase 1 (one shuffle): per (key, window) sort + local prefix sums,
-    checkpointed to Parquet scratch (:mod:`.spill` — streaming, no
-    object-store pin).  Phase 2 (distributed, :mod:`.carry`): per-key window
-    totals → exclusive prefix offsets via a salted-key shuffle + vectorized
-    segment scan, attached budget-gated.  Phase 3 (map): add offsets.
-    Total order of additions == global (ts, id) order, so with
-    ``value_scale`` (exact int accumulation) the result is bit-equal to
-    the sequential scan."""
-    from .carry import exclusive_prefix_within_segments, window_carry
-
-    win_us = window_s * US
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
+    """Running SUM over (key ORDER BY ts, id) — the distributed prefix sum:
+    in-window prefix sums, and each window's offset is the exclusive prefix
+    of the earlier windows' totals.  Additions follow the global (ts, id)
+    order, so with ``value_scale`` (exact int accumulation) the result is
+    bit-equal to the sequential scan."""
 
     def local_scan(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
+        _, order = ts_order(g, ts_col, id_col)
+        x = float_column(g, value_col)
         if value_scale:
             x = np.round(x * value_scale).astype(np.int64)
-        if id_col is not None:
-            ids = g[id_col].to_numpy(zero_copy_only=False)
-            order = np.lexsort((ids, ts))
-        else:
-            order = np.argsort(ts, kind="stable")
         cs = np.cumsum(x[order])
         out_cs = np.empty(len(x), dtype=cs.dtype)
         out_cs[order] = cs
         out = {c: g[c] for c in g.column_names}
         out["_lcs"] = pa.array(out_cs)
-        # window total repeated on every row: robust to Ray splitting a huge
-        # group's output across blocks (a per-block "last cumsum" would not be)
         total = cs[-1] if len(cs) else (np.int64(0) if value_scale else 0.0)
         out["_wtotal"] = pa.array(np.repeat(total, len(x)))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(local_scan, batch_format="pyarrow"), key, ["_wtotal"])
-
-    # distributed carry: exclusive prefix sum of window totals per key
-    # segment — window-order accumulation, so floats fold identically to
-    # the sequential scan and ints stay exact
     def fold(starts, windows, cols):
         return {"_off": exclusive_prefix_within_segments(cols["_wtotal"],
                                                          starts)}
 
-    withc = window_carry(part, key, "_window", ["_wtotal"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, local_scan,
+                        ["_wtotal"], fold)
 
     def add_offset(b: pa.Table) -> pa.Table:
-        cs = b["_lcs"].combine_chunks().to_numpy(zero_copy_only=False)
-        off = b["_off"].combine_chunks().to_numpy(zero_copy_only=False)
-        total = cs + off
+        total = column(b, "_lcs") + column(b, "_off")
         if value_scale:
             total = total / float(value_scale)
-        out = {c: b[c] for c in b.column_names
-               if c not in ("_window", "_lcs", "_wtotal", "_off")}
-        out[f"{value_col}_cumsum"] = pa.array(total.astype(np.float64))
-        return pa.table(out)
+        return with_columns(b, ("_window", "_lcs", "_wtotal", "_off"),
+                            {f"{value_col}_cumsum": pa.array(total.astype(np.float64))})
 
     return withc.map_batches(add_offset, batch_format="pyarrow")
 
 
 def partitioned_lead(ds, key: str, ts_col: str, value_col: str,
                      id_col: str | None = None, window_s: int = 6 * 3600):
-    """LEAD(value, 1) over (key ORDER BY ts, id) — the mirror of
-    :func:`partitioned_lag`: in-window leads from one (key, window) shuffle;
-    the carry for each window's last row = the NEXT non-empty window's first
-    value, folded distributed (:mod:`.carry`, reverse segment shift)."""
-    from .carry import shift_back_within_segments, window_carry
-
-    win_us = window_s * US
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
+    """LEAD(value, 1) over (key ORDER BY ts, id): in-window leads; a
+    window's last row takes the first value of the key's next non-empty
+    window (reverse segment shift)."""
 
     def per_window(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        if id_col is not None:
-            ids = g[id_col].to_numpy(zero_copy_only=False)
-            order = np.lexsort((ids, ts))
-        else:
-            order = np.argsort(ts, kind="stable")
-        lead = np.full(len(ts), np.nan)
+        _, order = ts_order(g, ts_col, id_col)
+        x = float_column(g, value_col)
+        lead = np.full(len(x), np.nan)
         if len(order) > 1:
             lead[order[:-1]] = x[order[1:]]
-        last = np.zeros(len(ts), dtype=bool)
+        last = np.zeros(len(x), dtype=bool)
         if len(order):
             last[order[-1]] = True
         out = {c: g[c] for c in g.column_names}
         out[f"{value_col}_lead"] = pa.array(lead)
         out["_last"] = pa.array(last)
-        out["_first_val"] = pa.array(np.repeat(x[order[0]] if len(order) else np.nan, len(ts)))
+        out["_first_val"] = pa.array(np.repeat(x[order[0]] if len(order) else np.nan, len(x)))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(per_window, batch_format="pyarrow"), key, ["_first_val"])
-
-    # distributed carry: next non-empty window's first value per segment
     def fold(starts, windows, cols):
         return {"_carry": shift_back_within_segments(cols["_first_val"],
                                                      starts, np.nan)}
 
-    withc = window_carry(part, key, "_window", ["_first_val"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, per_window,
+                        ["_first_val"], fold)
 
     def fill(b: pa.Table) -> pa.Table:
-        last = b["_last"].combine_chunks().to_numpy(zero_copy_only=False)
-        cv = b["_carry"].combine_chunks().to_numpy(zero_copy_only=False)
-        lead = b[f"{value_col}_lead"].combine_chunks().to_numpy(zero_copy_only=False).copy()
-        lead[last] = cv[last]
-        out = {c: b[c] for c in b.column_names
-               if c not in ("_window", "_last", "_first_val", "_carry",
-                            f"{value_col}_lead")}
-        out[f"{value_col}_lead"] = pa.array(lead)
-        return pa.table(out)
+        last = column(b, "_last")
+        lead = column(b, f"{value_col}_lead").copy()
+        lead[last] = column(b, "_carry")[last]
+        return with_columns(b, ("_window", "_last", "_first_val", "_carry",
+                                f"{value_col}_lead"),
+                            {f"{value_col}_lead": pa.array(lead)})
 
     return withc.map_batches(fill, batch_format="pyarrow")
 
@@ -281,8 +192,6 @@ def grouped_ntile(ds, key: str, value_col: str, id_col: str, n_tiles: int,
     rest ``n // t``.  Pure integer arithmetic on the skew-safe rank plus the
     distributed per-key counts (:func:`_key_counts_ds`, attached
     budget-gated) — bit-deterministic."""
-    from .carry import attach_carry
-
     t = int(n_tiles)
     ranked = grouped_rank(ds, key=key, value_col=value_col, id_col=id_col,
                           descending=descending, n_buckets=n_buckets)
@@ -310,8 +219,6 @@ def grouped_percent_rank(ds, key: str, value_col: str, id_col: str,
     budget-gated).  With a unique id tiebreak the ORDER BY is total, so
     rank == row_number and the division is the identical IEEE op on both
     engine and SQL sides."""
-    from .carry import attach_carry
-
     ranked = grouped_rank(ds, key=key, value_col=value_col, id_col=id_col,
                           descending=descending, n_buckets=n_buckets)
     withn = attach_carry(ranked, _key_counts_ds(ds, key), key, None)
@@ -365,12 +272,9 @@ def time_range_rolling_sum(ds, key: str, ts_col: str, value_col: str,
         return home
 
     def per_window(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        helper = g["_helper"].combine_chunks().to_numpy(zero_copy_only=False)
-        vq = np.round(v * value_scale).astype(np.int64)
-        order = np.lexsort((ids, ts))
+        ts, order = ts_order(g, ts_col, id_col)
+        helper = column(g, "_helper")
+        vq = np.round(float_column(g, value_col) * value_scale).astype(np.int64)
         ts_s, vq_s = ts[order], vq[order]
         cs = np.r_[np.int64(0), np.cumsum(vq_s)]
         keep = np.flatnonzero(helper == 0)
@@ -386,9 +290,8 @@ def time_range_rolling_sum(ds, key: str, ts_col: str, value_col: str,
         out[f"{value_col}_trcnt"] = pa.array(cnt.astype(np.int64))
         return pa.table(out)
 
-    return (ds.map_batches(replicate, batch_format="pyarrow")
-            .groupby([key, "_window"])
-            .map_groups(per_window, batch_format="pyarrow"))
+    return window_groups(ds.map_batches(replicate, batch_format="pyarrow"),
+                         key, per_window)
 
 
 def grouped_string_agg(ds, key: str, ts_col: str, id_col: str,
@@ -404,19 +307,10 @@ def grouped_string_agg(ds, key: str, ts_col: str, id_col: str,
     (a per-key global concat would funnel whole keys into single strings).
 
     Returns (key, bucket_ts, agg, n)."""
-    import pyarrow.compute as pc
-
-    win_us = window_s * US
     vcol = val_col or id_col
 
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
-
     def agg(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
+        _, order = ts_order(g, ts_col, id_col)
         vals = g[vcol].take(pa.array(order, type=pa.int64())).combine_chunks()
         if not pa.types.is_string(vals.type):
             vals = vals.cast(pa.string())
@@ -431,8 +325,7 @@ def grouped_string_agg(ds, key: str, ts_col: str, id_col: str,
             "n": pa.array([g.num_rows], type=pa.int64()),
         })
 
-    return (ds.map_batches(add_window, batch_format="pyarrow")
-            .groupby([key, "_window"]).map_groups(agg, batch_format="pyarrow"))
+    return window_groups(time_windows(ds, ts_col, window_s), key, agg)
 
 
 def lookahead_count(left, right, key: str, ts_col: str, id_col: str,
@@ -495,8 +388,7 @@ def lookahead_count(left, right, key: str, ts_col: str, id_col: str,
             "n_ahead": pa.array((hi - lo).astype(np.int64)),
         })
 
-    return both.groupby([key, "_window"]).map_groups(
-        per_window, batch_format="pyarrow")
+    return window_groups(both, key, per_window)
 
 
 def grouped_cume_dist(ds, key: str, value_col: str, n_buckets: int = 64):
@@ -508,8 +400,6 @@ def grouped_cume_dist(ds, key: str, value_col: str, n_buckets: int = 64):
     fold, :mod:`.carry`) + last-peer position within its bucket; cume_dist =
     position / n — one int division per row, the identical IEEE op SQL
     performs."""
-    from .carry import attach_carry, fold_carry
-
     sample = ds.limit(100_000).select_columns([value_col]).take_all()
     vs = np.array([r[value_col] for r in sample], dtype=np.float64)
     qs = np.quantile(vs, np.linspace(0, 1, n_buckets + 1)[1:-1]) if len(vs) else []
@@ -551,39 +441,24 @@ def partitioned_rolling_sum(ds, key: str, ts_col: str, value_col: str,
                             window_s: int = 6 * 3600,
                             value_scale: int | None = 100):
     """SUM(value) / COUNT(*) OVER (PARTITION BY key ORDER BY ts, id ROWS
-    BETWEEN frame_n-1 PRECEDING AND CURRENT ROW) — the sliding ROWS frame,
-    skew-safe like :func:`partitioned_cumsum`:
+    BETWEEN frame_n-1 PRECEDING AND CURRENT ROW) — the sliding ROWS frame.
 
-    Phase 1 (one (key, time-window) shuffle): per-window sort + local frame
-    sums; each row also records its in-window position, and every row of a
-    window repeats the window's TAIL (its last ≤ frame_n-1 values, in order)
-    as a small list column — per-group constants go on EVERY row so Ray block
-    splitting cannot lose them.
-    Phase 2 (distributed, :mod:`.carry`): each key segment's windows fold in
-    time order keeping the last frame_n-1 values; the snapshot before each
-    window is that window's cross-window carry (a list column).
-    Phase 3 (map): rows whose position < frame_n-1 add the missing head of
-    their frame from the attached carry.
-
-    With ``value_scale`` the accumulation is int64 (associative), so results
-    are bit-deterministic and, for 1/scale-quantized inputs, exactly the
-    decimal the SQL window frame sums to."""
-    from .carry import tail_buffer_within_segments, window_carry
-
-    win_us = window_s * US
+    The local kernel computes in-window frame sums and each row's position;
+    every row repeats the window's tail (its last <= frame_n-1 values).  The
+    fold keeps a running tail per key, so each window's carry is the last
+    frame_n-1 values before it, and rows at position < frame_n-1 add the
+    missing head of their frame from it.  With ``value_scale`` the
+    accumulation is int64, so results are bit-deterministic and, for
+    1/scale-quantized inputs, exactly the decimal a SQL window frame sums
+    to."""
     n = int(frame_n)
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
+    np_dtype = np.int64 if value_scale else np.float64
 
     def local_frame(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
+        _, order = ts_order(g, ts_col, id_col)
+        x = float_column(g, value_col)
         if value_scale:
             x = np.round(x * value_scale).astype(np.int64)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
         xs = x[order]
         cs = np.cumsum(xs)
         rs_sorted = cs - np.r_[np.zeros(min(n, len(cs)), dtype=cs.dtype), cs[:-n]]
@@ -599,43 +474,24 @@ def partitioned_rolling_sum(ds, key: str, ts_col: str, value_col: str,
                                 type=pa.list_(pa.int64() if value_scale else pa.float64()))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(local_frame, batch_format="pyarrow"), key, ["_tail"])
-
-    # distributed carry: last n-1 values BEFORE each window, per key segment
-    np_dtype = np.int64 if value_scale else np.float64
-
     def fold(starts, windows, cols):
         return {"_carry": tail_buffer_within_segments(
             cols["_tail"], starts, n - 1, np_dtype)}
 
-    withc = window_carry(part, key, "_window", ["_tail"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, local_frame,
+                        ["_tail"], fold)
 
     def fill(b: pa.Table) -> pa.Table:
-        pos = b["_pos"].combine_chunks().to_numpy(zero_copy_only=False)
-        rs = b["_rs"].combine_chunks().to_numpy(zero_copy_only=False).copy()
+        pos = column(b, "_pos")
+        rs = column(b, "_rs").copy()
         cnt = np.minimum(pos + 1, n)
-        ca = b["_carry"].combine_chunks()
-        cvals = np.asarray(ca.values.to_numpy(zero_copy_only=False),
-                           dtype=np_dtype)
-        coffs = ca.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        # vectorized suffix sums of each row's carry: take = carry[-missing:]
-        for i in np.flatnonzero(pos < n - 1):
-            s, e = coffs[i], coffs[i + 1]
-            if e == s:
-                continue
-            missing = int(n - 1 - pos[i])
-            take = cvals[max(s, e - missing):e]
+        for i, take in carry_heads(b, pos, n - 1, np_dtype):
             rs[i] = rs[i] + take.sum()
             cnt[i] += len(take)
         total = rs / float(value_scale) if value_scale else rs.astype(np.float64)
-        out = {c: b[c] for c in b.column_names
-               if c not in ("_window", "_rs", "_pos", "_tail", "_carry")}
-        out[f"{value_col}_rsum"] = pa.array(total)
-        out[f"{value_col}_rcnt"] = pa.array(cnt.astype(np.int64))
-        return pa.table(out)
+        return with_columns(b, ("_window", "_rs", "_pos", "_tail", "_carry"),
+                            {f"{value_col}_rsum": pa.array(total),
+                             f"{value_col}_rcnt": pa.array(cnt.astype(np.int64))})
 
     return withc.map_batches(fill, batch_format="pyarrow")
 
@@ -650,29 +506,17 @@ def partitioned_rolling_zscore(ds, key: str, ts_col: str, value_col: str,
     NULL when fewer than 2 preceding rows or when the trailing variance is
     not positive.
 
-    Same skew-safe shape as :func:`partitioned_rolling_sum` (one (key,
-    time-window) shuffle + tiny per-(key, window) tail carry), but carrying
-    BOTH sufficient statistics: Σvq and Σvq² accumulate as int64 of
-    ``round(v·scale)`` (exact, associative), and the final z is computed
-    with the identical double expression tree a SQL twin uses —
+    The tail carry of :func:`partitioned_rolling_sum`, with both
+    sufficient statistics: Σvq and Σvq² accumulate as int64 of
+    ``round(v·scale)`` (exact, associative), and z is computed with the
+    same double expression tree a SQL twin uses —
     ``(vq - s1/m) / sqrt((s2 - s1*s1/m) / (m-1))`` — so results are
-    bit-deterministic and hash-equal to the oracle (the quantization scale
-    cancels out of z)."""
-    from .carry import tail_buffer_within_segments, window_carry
-
-    win_us = window_s * US
+    bit-deterministic and hash-equal to the oracle (the scale cancels)."""
     n = int(frame_n)
 
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
-
     def local_frame(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        vq = np.round(x * value_scale).astype(np.int64)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
+        _, order = ts_order(g, ts_col, id_col)
+        vq = np.round(float_column(g, value_col) * value_scale).astype(np.int64)
         xs = vq[order]
         # prefix sums; frame of sorted pos p = positions max(0, p-n) .. p-1
         cs1 = np.r_[np.int64(0), np.cumsum(xs)]
@@ -695,33 +539,20 @@ def partitioned_rolling_zscore(ds, key: str, ts_col: str, value_col: str,
                                 type=pa.list_(pa.int64()))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(local_frame, batch_format="pyarrow"), key, ["_tail"])
-
-    # distributed carry: last n values BEFORE each window, per key segment
     def fold(starts, windows, cols):
         return {"_carry": tail_buffer_within_segments(
             cols["_tail"], starts, n, np.int64)}
 
-    withc = window_carry(part, key, "_window", ["_tail"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, local_frame,
+                        ["_tail"], fold)
 
     def fill(b: pa.Table) -> pa.Table:
-        pos = b["_pos"].combine_chunks().to_numpy(zero_copy_only=False)
-        vq = b["_vq"].combine_chunks().to_numpy(zero_copy_only=False)
-        s1 = b["_s1"].combine_chunks().to_numpy(zero_copy_only=False).copy()
-        s2 = b["_s2"].combine_chunks().to_numpy(zero_copy_only=False).copy()
-        ca = b["_carry"].combine_chunks()
-        cvals = ca.values.to_numpy(zero_copy_only=False).astype(np.int64)
-        coffs = ca.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+        pos = column(b, "_pos")
+        vq = column(b, "_vq")
+        s1 = column(b, "_s1").copy()
+        s2 = column(b, "_s2").copy()
         m = np.minimum(pos, n).astype(np.int64)
-        for i in np.flatnonzero(pos < n):
-            s, e = coffs[i], coffs[i + 1]
-            if e == s:
-                continue
-            missing = int(n - pos[i])
-            take = cvals[max(s, e - missing):e]
+        for i, take in carry_heads(b, pos, n, np.int64):
             s1[i] += take.sum()
             s2[i] += (take * take).sum()
             m[i] += len(take)
@@ -730,11 +561,8 @@ def partitioned_rolling_zscore(ds, key: str, ts_col: str, value_col: str,
             var = (s2 - (s1 * s1) / m) / (m - 1)
             z = (vq - s1 / m) / np.sqrt(var)
         z = np.where((m >= 2) & (var > 0), z, np.nan)
-        out = {c: b[c] for c in b.column_names
-               if c not in ("_window", "_vq", "_s1", "_s2", "_pos", "_tail",
-                            "_carry")}
-        out[f"{value_col}_zscore"] = pa.array(z)
-        return pa.table(out)
+        return with_columns(b, ("_window", "_vq", "_s1", "_s2", "_pos", "_tail",
+                                "_carry"), {f"{value_col}_zscore": pa.array(z)})
 
     return withc.map_batches(fill, batch_format="pyarrow")
 
@@ -747,8 +575,6 @@ def partitioned_first_value(ds, key: str, ts_col: str, value_col: str,
     Per-batch combiners keep each block's extreme row per key; a salted-key
     shuffle folds them to one row per key DISTRIBUTED (no driver map, no
     single-task reduce), and the attach is budget-gated (:mod:`.carry`)."""
-    from .carry import attach_carry
-
     import pandas as pd
 
     def local_first(b: pa.Table) -> pa.Table:
@@ -817,8 +643,6 @@ def _bucket_offsets_fold(descending: bool, count_col: str = "_c",
                          with_totals: bool = False):
     """Segment fold: rows-in-better-buckets offset per (key, bucket) —
     exclusive prefix sum over buckets walked best-first (int-exact)."""
-    from .carry import (inclusive_prefix_within_segments, segment_totals)
-
     def fold(starts, buckets, cols):
         vals = cols[count_col].astype(np.int64)
         incl = inclusive_prefix_within_segments(vals, starts)
@@ -840,8 +664,6 @@ def grouped_rank(ds, key: str, value_col: str, id_col: str,
     skew-safe: rows shuffle by (key, value-quantile bucket); global rank =
     local rank + count of rows in better buckets, folded distributed
     (:mod:`.carry`) and attached budget-gated."""
-    from .carry import attach_carry, fold_carry
-
     # bucket edges from a sample (any edges are CORRECT, only balance varies)
     sample = ds.limit(100_000).select_columns([value_col]).take_all()
     vs = np.array([r[value_col] for r in sample], dtype=np.float64)
@@ -1051,30 +873,21 @@ def time_weighted_avg(ds, key: str, ts_col: str, value_col: str,
     quantity bin-average engines approximate with dense sampling, computed
     exactly on the raw irregular points.
 
-    Two-phase like :func:`partitioned_lead`: one (key, time-window) shuffle
-    computes in-window Δt; each window's first timestamp (tiny int table —
-    exact, never through float64) closes the previous window's last step.
-    Weighted sums accumulate as int64 ``round(value·scale)·Δt_us`` —
-    associative, so bit-deterministic — and the final division is the
-    identical IEEE expression the SQL twin spells.  A key's last event has
-    no next step and contributes nothing (SQL: ``WHERE next_ts IS NOT NULL``).
+    In-window Δt come from the local kernel; a window's last step closes on
+    the first timestamp of the key's next non-empty window (an int carry,
+    never through float64).  Weighted sums accumulate as int64
+    ``round(value·scale)·Δt_us`` — associative, so bit-deterministic — and
+    the final division is the identical IEEE expression the SQL twin
+    spells.  A key's last event has no next step and contributes nothing
+    (SQL: ``WHERE next_ts IS NOT NULL``).
 
     Returns one row per (key, bucket): (key, bucket_ts, twa, dur_us)."""
-    from .carry import shift_back_within_segments, window_carry
-
-    win_us = window_s * US
     day_us = 86400 * US
     assert bucket == "day"
 
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
-
     def per_window(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
+        ts, order = ts_order(g, ts_col, id_col)
+        v = float_column(g, value_col)
         tss = ts[order]
         nxt = np.full(len(ts), -1, dtype=np.int64)
         if len(order) > 1:
@@ -1089,27 +902,21 @@ def time_weighted_avg(ds, key: str, ts_col: str, value_col: str,
                "_first_ts": pa.array(np.repeat(tss[0] if len(tss) else -1, len(ts)))}
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(per_window, batch_format="pyarrow"), key, ["_first_ts"])
-
-    # distributed carry (for a window's LAST row): first ts of the nearest
-    # LATER non-empty window — reverse segment shift
+    # a window's LAST row steps to the first ts of the key's next window
     def fold(starts, windows, cols):
         return {"_carry": shift_back_within_segments(
             cols["_first_ts"].astype(np.int64), starts, np.int64(-1))}
 
-    withc = window_carry(part, key, "_window", ["_first_ts"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, per_window,
+                        ["_first_ts"], fold)
 
     def partial_sums(b: pa.Table) -> pa.Table:
         k = b[key].to_numpy(zero_copy_only=False)
-        ts = b["_ts"].combine_chunks().to_numpy(zero_copy_only=False)
-        vq = b["_vq"].combine_chunks().to_numpy(zero_copy_only=False)
-        nxt = b["_nxt"].combine_chunks().to_numpy(zero_copy_only=False).copy()
-        last = b["_last"].combine_chunks().to_numpy(zero_copy_only=False)
-        cv = b["_carry"].combine_chunks().to_numpy(zero_copy_only=False)
-        nxt[last] = cv[last]
+        ts = column(b, "_ts")
+        vq = column(b, "_vq")
+        nxt = column(b, "_nxt").copy()
+        last = column(b, "_last")
+        nxt[last] = column(b, "_carry")[last]
         keep = nxt >= 0
         k, ts, vq, nxt = k[keep], ts[keep], vq[keep], nxt[keep]
         dt = nxt - ts
@@ -1127,9 +934,9 @@ def time_weighted_avg(ds, key: str, ts_col: str, value_col: str,
 
     def day_fold(g: pa.Table) -> pa.Table:
         k = g[key].to_numpy(zero_copy_only=False)
-        d = g["_day"].combine_chunks().to_numpy(zero_copy_only=False)
-        sw = g["_swdt"].combine_chunks().to_numpy(zero_copy_only=False)
-        sd = g["_sdt"].combine_chunks().to_numpy(zero_copy_only=False)
+        d = column(g, "_day")
+        sw = column(g, "_swdt")
+        sd = column(g, "_sdt")
         order = np.lexsort((d, k))
         ks, dd, sws, sds = k[order], d[order], sw[order], sd[order]
         st = np.flatnonzero(np.r_[True, (ks[1:] != ks[:-1]) | (dd[1:] != dd[:-1])]) \
@@ -1145,8 +952,7 @@ def time_weighted_avg(ds, key: str, ts_col: str, value_col: str,
         })
 
     def add_gsalt(b: pa.Table) -> pa.Table:
-        d = b["_day"].combine_chunks().to_numpy(zero_copy_only=False)
-        return b.append_column("_gsalt", pa.array(d % np.int64(64)))
+        return b.append_column("_gsalt", pa.array(column(b, "_day") % np.int64(64)))
 
     return (withc.map_batches(partial_sums, batch_format="pyarrow")
             .map_batches(add_gsalt, batch_format="pyarrow")
@@ -1160,28 +966,19 @@ def partitioned_ewma(ds, key: str, ts_col: str, value_col: str,
                      window_s: int = 6 * 3600, chunk: int = 512):
     """Exponentially weighted moving average per key over (ts, id) order —
     pandas ``ewm(alpha, adjust=False)`` semantics (e_0 = v_0,
-    e_j = (1-α)·e_{j-1} + α·v_j), distributed with the same two-phase shape
-    as :func:`partitioned_cumsum`:
+    e_j = (1-α)·e_{j-1} + α·v_j):
 
-    * phase 1: per (key, time-window) sort + zero-carry local EWMA
-      ``l_j = Σ_{i<=j} α(1-α)^{j-i} v_i`` (scaled-cumsum in bounded chunks so
-      ``(1-α)^-i`` never overflows), plus tiny per-window summaries
-      (row count, window-end local value, window-first value) repeated on
-      every row;
-    * phase 2 (distributed, :mod:`.carry`): per key segment,
-      carry(w₁) = first value (which makes e_0 = v_0 exactly),
-      carry(w_{k+1}) = (1-α)^{m_k}·carry(w_k) + local_end(w_k) — the same
-      sequential float order as the round-2 driver fold, now inside salted
-      fold tasks;
-    * phase 3 (map): e_j = (1-α)^{j+1}·carry + l_j.
+    * local: zero-carry in-window EWMA ``l_j = Σ_{i<=j} α(1-α)^{j-i} v_i``
+      (scaled cumsum in bounded chunks so ``(1-α)^-i`` never overflows),
+      plus the window's row count, last local value and first value;
+    * fold, per key: carry(w₁) = first value (which makes e_0 = v_0
+      exactly), carry(w_{k+1}) = (1-α)^{m_k}·carry(w_k) + local_end(w_k);
+    * finish: e_j = (1-α)^{j+1}·carry + l_j.
 
-    Grouping is fixed by window_s — independent of block layout — so results
-    are deterministic; they match the sequential recurrence to float
-    round-off (~1e-12 relative), not bit-for-bit (the closed form reassociates
-    the products).  No SQL twin: EWMA needs recursion SQL lacks."""
-    from .carry import window_carry
-
-    win_us = window_s * US
+    Windows are fixed by window_s, so results do not depend on the block
+    layout; they match the sequential recurrence to float round-off
+    (~1e-12 relative), not bit-for-bit (the closed form reassociates the
+    products).  No SQL twin: EWMA needs recursion SQL lacks."""
     a = float(alpha)
     q = 1.0 - a
 
@@ -1197,15 +994,9 @@ def partitioned_ewma(ds, key: str, ts_col: str, value_col: str,
             carry = out[s + len(vv) - 1] if len(vv) else carry
         return out
 
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
-
     def per_window(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
+        _, order = ts_order(g, ts_col, id_col)
+        x = float_column(g, value_col)
         xs = x[order]
         loc_sorted = local_ewma_sorted(xs)
         loc = np.empty(len(x)); loc[order] = loc_sorted
@@ -1218,12 +1009,6 @@ def partitioned_ewma(ds, key: str, ts_col: str, value_col: str,
         out["_vfirst"] = pa.array(np.repeat(xs[0] if len(x) else 0.0, len(x)))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(per_window, batch_format="pyarrow"), key, ["_m", "_lend", "_vfirst"])
-
-    # distributed carry: the sequential recurrence per key segment (same
-    # float op order as the round-2 driver fold — results unchanged)
     def fold(starts, windows, cols):
         m = cols["_m"].astype(np.int64)
         lend = cols["_lend"].astype(np.float64)
@@ -1238,19 +1023,13 @@ def partitioned_ewma(ds, key: str, ts_col: str, value_col: str,
                 prev = (q ** int(m[i])) * prev + lend[i]
         return {"_carry": carry}
 
-    withc = window_carry(part, key, "_window", ["_m", "_lend", "_vfirst"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, per_window,
+                        ["_m", "_lend", "_vfirst"], fold)
 
     def fill(b: pa.Table) -> pa.Table:
-        pos = b["_pos"].combine_chunks().to_numpy(zero_copy_only=False)
-        loc = b["_l"].combine_chunks().to_numpy(zero_copy_only=False)
-        cv = b["_carry"].combine_chunks().to_numpy(zero_copy_only=False)
-        e = np.power(q, pos + 1.0) * cv + loc
-        out = {c: b[c] for c in b.column_names
-               if c not in ("_window", "_l", "_pos", "_m", "_lend",
-                            "_vfirst", "_carry")}
-        out[f"{value_col}_ewma"] = pa.array(e)
-        return pa.table(out)
+        e = np.power(q, column(b, "_pos") + 1.0) * column(b, "_carry") + column(b, "_l")
+        return with_columns(b, ("_window", "_l", "_pos", "_m", "_lend", "_vfirst",
+                                "_carry"), {f"{value_col}_ewma": pa.array(e)})
 
     return withc.map_batches(fill, batch_format="pyarrow")
 
@@ -1270,42 +1049,29 @@ def partitioned_decay_score(ds, key: str, ts_col: str, value_col: str,
                             id_col: str, alpha: float = 0.1,
                             k_terms: int = 64, window_s: int = 6 * 3600):
     """Truncated-EWMA geometric-decay score per key over (ts, id) order —
-    the HASH-EXACT member of the EWMA family (r5; judge r4 'missing #2'):
+    the hash-exact member of the EWMA family:
 
         s_j = Σ_{d=0..K-1} round(scale·α(1-α)^d · v_{j-d})   (int64)
 
-    Each term is quantized to int64 BEFORE summation (CLAUDE.md r4 log-sum
-    law: per-term ``round(x·1e9)`` half-away), so the sum is associative —
+    Each term is quantized to int64 BEFORE summation (per-term
+    ``round(x·1e9)`` half-away), so the sum is associative —
     bit-deterministic under ANY distribution/order — and a SQL twin
     (self-join on ``rn BETWEEN j.rn-K+1 AND j.rn`` against a VALUES table
     of the weight literals) reproduces it exactly.  At K = 64 with
     α = 0.1 the truncation error vs the infinite recurrence is
     (1-α)^64 ≈ 1.2e-3 relative — the standard bounded-lookback decay
-    score; :func:`partitioned_ewma` remains the exact-recurrence operator
-    (rows-only contract: its distributed closed form reassociates floats).
+    score; :func:`partitioned_ewma` remains the exact-recurrence operator.
 
-    Scale shape: one (key, time-window) shuffle; each window needs only
-    its own rows plus the previous ≤ K-1 values, which travel as a tiny
-    per-window tail list through the distributed carry fold.  Output
-    column ``{value_col}_decay_q`` (the int64 quantized sum; divide by
-    1e9 for the float score)."""
-    from .carry import window_carry
-    from .text_quant import half_away
-
+    Each window needs its own rows plus the previous <= K-1 values, which
+    the fold carries as a per-window tail list.  Output column
+    ``{value_col}_decay_q`` (the int64 quantized sum; divide by 1e9 for
+    the float score)."""
     sw = decay_weights(alpha, k_terms)
     K = int(k_terms)
-    win_us = window_s * US
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
 
     def per_window(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
-        xs = x[order]
+        _, order = ts_order(g, ts_col, id_col)
+        xs = float_column(g, value_col)[order]
         n = len(xs)
         acc = np.zeros(n, np.int64)
         for d in range(min(K, n)):
@@ -1321,39 +1087,16 @@ def partitioned_decay_score(ds, key: str, ts_col: str, value_col: str,
         out["_tail"] = pa.array([tail] * n, pa.list_(pa.float64()))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow")
-                         .groupby([key, "_window"])
-                         .map_groups(per_window, batch_format="pyarrow"),
-                         key, ["_tail"])
-
-    # carry(w) = concat of earlier windows' tails, trimmed to the last K-1
-    # values — a sequential python fold over WINDOWS per key segment (tiny:
-    # ≤ windows × K floats), never over rows
     def fold(starts, windows, cols):
-        tails = cols["_tail"]
-        if isinstance(tails, pa.ChunkedArray):
-            tails = tails.combine_chunks()
-        off = tails.offsets.to_numpy(zero_copy_only=False)
-        vals = np.asarray(tails.values.to_numpy(zero_copy_only=False))
-        n_rows = len(windows)
-        ends = np.r_[starts[1:], n_rows]
-        out: list = [None] * n_rows
-        for s, e in zip(starts, ends):
-            running: list = []
-            for i in range(s, e):
-                out[i] = list(running)
-                # raw-offset slice (CLAUDE.md: ListArray.values is the FULL
-                # child — never subtract off[0])
-                t = vals[off[i]:off[i + 1]]
-                running = (running + t.tolist())[-(K - 1):] if K > 1 else []
-        return {"_ctail": pa.array(out, pa.list_(pa.float64()))}
+        return {"_ctail": tail_buffer_within_segments(
+            cols["_tail"], starts, K - 1, np.float64)}
 
-    withc = window_carry(part, key, "_window", ["_tail"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, per_window,
+                        ["_tail"], fold)
 
     def fill(b: pa.Table) -> pa.Table:
-        pos = b["_pos"].combine_chunks().to_numpy(zero_copy_only=False)
-        ldec = b["_ldec"].combine_chunks().to_numpy(zero_copy_only=False).copy()
+        pos = column(b, "_pos")
+        ldec = column(b, "_ldec").copy()
         ct = b["_ctail"].combine_chunks()
         off = ct.offsets.to_numpy(zero_copy_only=False)
         vals = np.asarray(ct.values.to_numpy(zero_copy_only=False))
@@ -1370,10 +1113,8 @@ def partitioned_decay_score(ds, key: str, ts_col: str, value_col: str,
             v_idx = off[rep] + lens[rep] - within
             contrib = half_away(sw[d_idx] * vals[v_idx])
             np.add.at(ldec, rep, contrib)  # exact int64 accumulation
-        out = {c: b[c] for c in b.column_names
-               if c not in ("_window", "_ldec", "_pos", "_tail", "_ctail")}
-        out[f"{value_col}_decay_q"] = pa.array(ldec)
-        return pa.table(out)
+        return with_columns(b, ("_window", "_ldec", "_pos", "_tail", "_ctail"),
+                            {f"{value_col}_decay_q": pa.array(ldec)})
 
     return withc.map_batches(fill, batch_format="pyarrow")
 
@@ -1386,33 +1127,21 @@ def partitioned_rolling_quantile(ds, key: str, ts_col: str, value_col: str,
     """Exact rolling quantile over the last ``frame_n`` rows per key in
     (ts, id) order — ``quantile_cont(v, q) OVER (PARTITION BY key ORDER
     BY ts, id ROWS BETWEEN frame_n-1 PRECEDING AND CURRENT ROW)`` with
-    SQL truncated-frame semantics at each key's start (r5).
+    SQL truncated-frame semantics at each key's start.
 
     Values quantize to ``round(v·scale)`` int64 and the interpolation is
-    computed as ``lo + frac·(hi − lo)`` with ``pos = (m−1)·q``,
-    ``frac = pos − floor(pos)`` — the identical IEEE op sequence DuckDB's
-    ``quantile_cont`` evaluates (verified hash-exact on 100k-row frames),
-    so the operator is hash-oracle-able; at q = 0.5 this is bit-equal to
-    windowed ``median`` (``a + 0.5·(b−a)`` ≡ ``(a+b)/2`` exactly on
-    int-valued doubles).  Scale shape: one (key, time-window) shuffle;
-    each window needs only its own rows plus the previous ≤ frame_n−1
-    values, which travel as a tiny per-window tail list through the
-    distributed carry fold (the decay_score halo).  Interior rows compute
+    the IEEE op sequence DuckDB's ``quantile_cont`` evaluates (see
+    ``_quantile_of``), so the operator is hash-oracle-able; at q = 0.5
+    this is bit-equal to windowed ``median``.  Each window needs its own
+    rows plus the previous <= frame_n−1 values, which the fold carries as a
+    per-window tail list (the decay_score tail).  Interior rows compute
     via one vectorized sliding-window sort per group (O(n·frame_n) — the
-    standard exact cost); only the ≤ frame_n−1 boundary rows per (key,
+    standard exact cost); only the <= frame_n−1 boundary rows per (key,
     window) take a small per-row path.  Output ``out_col`` (default
     ``{value_col}_rq``; float64, de-quantized)."""
-    from .carry import window_carry
-    from .text_quant import half_away
-
     K = int(frame_n)
     qq = float(q)
     oc = out_col or f"{value_col}_rq"
-    win_us = window_s * US
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
 
     def _quantile_of(sorted_frame: np.ndarray) -> float:
         m = len(sorted_frame)
@@ -1427,11 +1156,8 @@ def partitioned_rolling_quantile(ds, key: str, ts_col: str, value_col: str,
         return lo * (1.0 - frac) + float(sorted_frame[i0 + 1]) * frac
 
     def per_window(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
-        vq = half_away(x[order] * value_scale)
+        _, order = ts_order(g, ts_col, id_col)
+        vq = half_away(float_column(g, value_col)[order] * value_scale)
         n = len(vq)
         med = np.full(n, np.nan)
         if n >= K:
@@ -1460,34 +1186,16 @@ def partitioned_rolling_quantile(ds, key: str, ts_col: str, value_col: str,
         out["_tail"] = pa.array([tail] * n, pa.list_(pa.float64()))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow")
-                         .groupby([key, "_window"])
-                         .map_groups(per_window, batch_format="pyarrow"),
-                         key, ["_tail"])
-
     def fold(starts, windows, cols):
-        tails = cols["_tail"]
-        if isinstance(tails, pa.ChunkedArray):
-            tails = tails.combine_chunks()
-        off = tails.offsets.to_numpy(zero_copy_only=False)
-        vals = np.asarray(tails.values.to_numpy(zero_copy_only=False))
-        n_rows = len(windows)
-        ends = np.r_[starts[1:], n_rows]
-        out: list = [None] * n_rows
-        for s, e in zip(starts, ends):
-            running: list = []
-            for i in range(s, e):
-                out[i] = list(running)
-                t = vals[off[i]:off[i + 1]]  # raw-offset slice
-                running = (running + t.tolist())[-(K - 1):] if K > 1 else []
-        return {"_ctail": pa.array(out, pa.list_(pa.float64()))}
+        return {"_ctail": tail_buffer_within_segments(
+            cols["_tail"], starts, K - 1, np.float64)}
 
-    withc = window_carry(part, key, "_window", ["_tail"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, per_window,
+                        ["_tail"], fold)
 
     def fill(b: pa.Table) -> pa.Table:
-        pos = b["_pos"].combine_chunks().to_numpy(zero_copy_only=False)
-        med = b["_rmed"].combine_chunks().to_numpy(zero_copy_only=False).copy()
+        pos = column(b, "_pos")
+        med = column(b, "_rmed").copy()
         ct = b["_ctail"].combine_chunks()
         coff = ct.offsets.to_numpy(zero_copy_only=False)
         cvals = np.asarray(ct.values.to_numpy(zero_copy_only=False))
@@ -1501,11 +1209,8 @@ def partitioned_rolling_quantile(ds, key: str, ts_col: str, value_col: str,
             take = tail[max(0, len(tail) - need):]
             frame = np.r_[take, hvals[hoff[r]:hoff[r] + p + 1]]
             med[r] = _quantile_of(np.sort(frame))
-        out = {c: b[c] for c in b.column_names
-               if c not in ("_window", "_rmed", "_pos", "_head", "_tail",
-                            "_ctail")}
-        out[oc] = pa.array(med / value_scale)
-        return pa.table(out)
+        return with_columns(b, ("_window", "_rmed", "_pos", "_head", "_tail",
+                                "_ctail"), {oc: pa.array(med / value_scale)})
 
     return withc.map_batches(fill, batch_format="pyarrow")
 
@@ -1534,31 +1239,19 @@ def interval_union(ds, key: str, ts_col: str, dur_col: str, id_col: str,
     ``M_{i-1}`` = max end among all earlier intervals, interval *i* newly
     covers ``max(0, end_i - max(start_i, M_{i-1}))``; the sum of increments
     is exactly the union measure (order of start-ties is irrelevant to the
-    total).  Prefix max is associative, so this distributes with the
-    engine's standard two-phase carry: one (key, time-window) shuffle
-    computes each row's IN-WINDOW exclusive prefix max, the per-(key,
-    window) running max folds distributed (:mod:`.carry`, segment prefix
-    max), and increments + per-key sums are all int64 microseconds —
-    bit-deterministic and hash-equal to a SQL ``MAX() OVER (... ROWS
-    BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)`` twin.
+    total).  Prefix max is associative: the local kernel computes each
+    row's in-window exclusive prefix max, the fold the running max of the
+    earlier windows, and increments and per-key sums are all int64
+    microseconds — bit-deterministic and hash-equal to a SQL ``MAX() OVER
+    (... ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)`` twin.
 
     Returns one row per key: (key, covered_us)."""
-    from .carry import running_max_before_within_segments, window_carry
-
-    win_us = window_s * US
     NOMAX = np.iinfo(np.int64).min
 
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
-
     def per_window(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        d = g[dur_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        dq = np.round(d * dur_scale).astype(np.int64)
+        ts, order = ts_order(g, ts_col, id_col)
+        dq = np.round(float_column(g, dur_col) * dur_scale).astype(np.int64)
         end = ts + (dq * dur_unit_us) // dur_scale
-        order = np.lexsort((ids, ts))
         ends = end[order]
         run = np.maximum.accumulate(ends)
         lprev = np.empty(len(ts), dtype=np.int64)
@@ -1571,26 +1264,20 @@ def interval_union(ds, key: str, ts_col: str, dur_col: str, id_col: str,
                                         len(ts))),
         })
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(per_window, batch_format="pyarrow"), key, ["_wmax"])
-
-    # distributed carry: running max of window maxima BEFORE each window
     def fold(starts, windows, cols):
         return {"_carry": running_max_before_within_segments(
             cols["_wmax"].astype(np.int64), starts, NOMAX)}
 
-    withc = window_carry(part, key, "_window", ["_wmax"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, per_window,
+                        ["_wmax"], fold)
 
     def partial_sums(b: pa.Table) -> pa.Table:
         k = b[key].to_numpy(zero_copy_only=False)
-        s = b["_start"].combine_chunks().to_numpy(zero_copy_only=False)
-        e = b["_end"].combine_chunks().to_numpy(zero_copy_only=False)
-        lp = b["_lprev"].combine_chunks().to_numpy(zero_copy_only=False).copy()
+        s = column(b, "_start")
+        e = column(b, "_end")
+        lp = column(b, "_lprev").copy()
         if len(k):
-            mc = b["_carry"].combine_chunks().to_numpy(zero_copy_only=False)
-            lp = np.maximum(lp, mc)
+            lp = np.maximum(lp, column(b, "_carry"))
         inc = np.maximum(e - np.maximum(s, lp), 0)
         order = np.argsort(k, kind="stable")
         ks, incs = k[order], inc[order]
@@ -1602,9 +1289,8 @@ def interval_union(ds, key: str, ts_col: str, dur_col: str, id_col: str,
         })
 
     def key_fold(g: pa.Table) -> pa.Table:
-        cov = g["_cov"].combine_chunks().to_numpy(zero_copy_only=False)
         return pa.table({key: g[key].slice(0, 1),
-                         "covered_us": pa.array([int(cov.sum())],
+                         "covered_us": pa.array([int(column(g, "_cov").sum())],
                                                 type=pa.int64())})
 
     return (withc.map_batches(partial_sums, batch_format="pyarrow")
@@ -1620,32 +1306,22 @@ def counter_increase(ds, key: str, ts_col: str, value_col: str,
     (``v < prev`` means the counter restarted from 0); a key's first sample
     ever contributes nothing (no earlier point).
 
-    Scale shape: identical two-phase carry as :func:`partitioned_lag` — one
-    (key, time-window) shuffle computes in-window deltas over (ts, id) order,
-    and the per-(key, window) boundary values (kept as int ``round(v·scale)``
-    — exact) fold distributed (:mod:`.carry`, segment shift) to close each
-    window's first delta.  Contributions accumulate as int64 scaled units
-    (associative ⇒ bit-deterministic); ``increase = cents / scale`` is the
-    identical nearest double a SQL ``ROUND(SUM(...), 2)`` twin lands on.
+    The carry of :func:`partitioned_lag`: in-window deltas over (ts, id)
+    order, and each window's first delta closes on the previous non-empty
+    window's last value (kept as int ``round(v·scale)`` — exact).
+    Contributions accumulate as int64 scaled units (associative ⇒
+    bit-deterministic); ``increase = cents / scale`` is the identical
+    nearest double a SQL ``ROUND(SUM(...), 2)`` twin lands on.
 
     Returns one row per (key, day): (key, bucket_ts, increase)."""
-    from .carry import shift_within_segments, window_carry
-
-    win_us = window_s * US
     day_us = 86400 * US
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
+    NOPREV = np.iinfo(np.int64).min
 
     def per_window(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
-        vq = np.round(v * value_scale).astype(np.int64)
+        ts, order = ts_order(g, ts_col, id_col)
+        vq = np.round(float_column(g, value_col) * value_scale).astype(np.int64)
         vqs = vq[order]
-        prev = np.full(len(ts), np.iinfo(np.int64).min, dtype=np.int64)
+        prev = np.full(len(ts), NOPREV, dtype=np.int64)
         if len(order) > 1:
             prev[order[1:]] = vqs[:-1]
         first = np.zeros(len(ts), dtype=bool)
@@ -1659,28 +1335,20 @@ def counter_increase(ds, key: str, ts_col: str, value_col: str,
                 vqs[-1] if len(vqs) else np.int64(0), len(ts))),
         })
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(per_window, batch_format="pyarrow"), key, ["_last_vq"])
-
-    NOPREV = np.iinfo(np.int64).min
-
-    # distributed carry: previous non-empty window's last scaled value
     def fold(starts, windows, cols):
         return {"_carry": shift_within_segments(
             cols["_last_vq"].astype(np.int64), starts, NOPREV)}
 
-    withc = window_carry(part, key, "_window", ["_last_vq"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, per_window,
+                        ["_last_vq"], fold)
 
     def partial_sums(b: pa.Table) -> pa.Table:
         k = b[key].to_numpy(zero_copy_only=False)
-        ts = b["_ts"].combine_chunks().to_numpy(zero_copy_only=False)
-        vq = b["_vq"].combine_chunks().to_numpy(zero_copy_only=False)
-        prev = b["_prev"].combine_chunks().to_numpy(zero_copy_only=False).copy()
-        first = b["_first"].combine_chunks().to_numpy(zero_copy_only=False)
-        cv = b["_carry"].combine_chunks().to_numpy(zero_copy_only=False)
-        prev[first] = cv[first]
+        ts = column(b, "_ts")
+        vq = column(b, "_vq")
+        prev = column(b, "_prev").copy()
+        first = column(b, "_first")
+        prev[first] = column(b, "_carry")[first]
         has_prev = prev != NOPREV
         inc = np.where(has_prev,
                        np.where(vq >= prev, vq - prev, vq),
@@ -1698,8 +1366,8 @@ def counter_increase(ds, key: str, ts_col: str, value_col: str,
 
     def day_fold(g: pa.Table) -> pa.Table:
         k = g[key].to_numpy(zero_copy_only=False)
-        d = g["_day"].combine_chunks().to_numpy(zero_copy_only=False)
-        s = g["_inc"].combine_chunks().to_numpy(zero_copy_only=False)
+        d = column(g, "_day")
+        s = column(g, "_inc")
         order = np.lexsort((d, k))
         ks, dd, ss = k[order], d[order], s[order]
         st = np.flatnonzero(np.r_[True, (ks[1:] != ks[:-1]) | (dd[1:] != dd[:-1])]) \
@@ -1712,8 +1380,7 @@ def counter_increase(ds, key: str, ts_col: str, value_col: str,
         })
 
     def add_gsalt(b: pa.Table) -> pa.Table:
-        d = b["_day"].combine_chunks().to_numpy(zero_copy_only=False)
-        return b.append_column("_gsalt", pa.array(d % np.int64(salt_mod)))
+        return b.append_column("_gsalt", pa.array(column(b, "_day") % np.int64(salt_mod)))
 
     return (withc.map_batches(partial_sums, batch_format="pyarrow")
             .map_batches(add_gsalt, batch_format="pyarrow")
@@ -1737,8 +1404,6 @@ def grouped_dense_rank(ds, key: str, value_col: str,
     reduced to distinct counts, folded distributed (:mod:`.carry`) and
     attached budget-gated.  Ties need no id tiebreak: equal values share
     one rank by definition."""
-    from .carry import attach_carry, fold_carry
-
     sample = ds.limit(100_000).select_columns([value_col]).take_all()
     vs = np.array([r[value_col] for r in sample], dtype=np.float64)
     qs = np.quantile(vs, np.linspace(0, 1, n_buckets + 1)[1:-1]) if len(vs) else []
@@ -1803,11 +1468,6 @@ def grouped_max_gap(ds, key: str, ts_col: str, window_s: int = 24 * 3600):
     the ordered window summaries adds the boundary gaps (next.min - prev.max).
     The per-key reduce sees one row per WINDOW, never per event.  Keys with
     a single event yield NULL (SQL: max over an empty lag set)."""
-    win_us = window_s * US
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
 
     def per_window(g: pa.Table) -> pa.Table:
         ts = np.sort(g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False))
@@ -1820,14 +1480,10 @@ def grouped_max_gap(ds, key: str, ts_col: str, window_s: int = 24 * 3600):
             "_n": pa.array([len(ts)], pa.int64()),
         })
 
-    part = (ds.map_batches(add_window, batch_format="pyarrow")
-            .groupby([key, "_window"]).map_groups(per_window, batch_format="pyarrow"))
+    part = window_groups(time_windows(ds, ts_col, window_s), key, per_window)
 
     def merge(g: pa.Table) -> pa.Table:
-        mn = g["_min_ts"].combine_chunks().to_numpy(zero_copy_only=False)
-        mx = g["_max_ts"].combine_chunks().to_numpy(zero_copy_only=False)
-        gp = g["_gap"].combine_chunks().to_numpy(zero_copy_only=False)
-        n = g["_n"].combine_chunks().to_numpy(zero_copy_only=False)
+        mn, mx, gp, n = (column(g, c) for c in ("_min_ts", "_max_ts", "_gap", "_n"))
         order = np.argsort(mn, kind="stable")
         mn, mx, gp = mn[order], mx[order], gp[order]
         best = int(gp.max())
@@ -1855,21 +1511,10 @@ def transition_counts(ds, key: str, ts_col: str, cat_col: str,
     the ordered window summaries adds the cross-window transitions (last of
     window i → first of window i+1 — LAG crosses any time gap).  The final
     groupby moves only (prev, cur) partials, never events."""
-    win_us = window_s * US
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
 
     def per_window(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        cat = g[cat_col].to_numpy(zero_copy_only=False)
-        if id_col is not None:
-            ids = g[id_col].to_numpy(zero_copy_only=False)
-            order = np.lexsort((ids, ts))
-        else:
-            order = np.argsort(ts, kind="stable")
-        c = cat[order]
+        _, order = ts_order(g, ts_col, id_col)
+        c = g[cat_col].to_numpy(zero_copy_only=False)[order]
         prev, cur = c[:-1], c[1:]
         if len(c) > 1:
             o2 = np.lexsort((cur, prev))
@@ -1894,8 +1539,7 @@ def transition_counts(ds, key: str, ts_col: str, cat_col: str,
                               else np.zeros(0, np.int8)),
         })
 
-    part = (ds.map_batches(add_window, batch_format="pyarrow")
-            .groupby([key, "_window"]).map_groups(per_window, batch_format="pyarrow"))
+    part = window_groups(time_windows(ds, ts_col, window_s), key, per_window)
 
     def merge_key(g: pa.Table) -> pa.Table:
         kind = g["_kind"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -1932,27 +1576,16 @@ def partitioned_rolling_minmax(ds, key: str, ts_col: str, value_col: str,
                                window_s: int = 6 * 3600):
     """MIN(value) and MAX(value) OVER (PARTITION BY key ORDER BY ts, id
     ROWS BETWEEN frame_n-1 PRECEDING AND CURRENT ROW) — sliding-frame
-    extrema.  Same skew-safe two-phase shape as
-    :func:`partitioned_rolling_sum`, but the cross-window fix-up exploits
-    that min/max are idempotent-combinable: the full frame's extremum =
+    extrema.  The tail carry of :func:`partitioned_rolling_sum`, but
+    min/max are idempotent-combinable: the full frame's extremum =
     extremum(in-window truncated frame, last ``missing`` carry values), so
     no inverse operation (and no quantization) is needed — float min/max
     are exact under any combine order."""
-    from .carry import tail_buffer_within_segments, window_carry
-
-    win_us = window_s * US
     n = int(frame_n)
 
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
-
     def local_frame(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
-        xs = x[order]
+        _, order = ts_order(g, ts_col, id_col)
+        xs = float_column(g, value_col)[order]
         ext_min = np.r_[np.full(n - 1, np.inf), xs]
         ext_max = np.r_[np.full(n - 1, -np.inf), xs]
         sw_min = np.lib.stride_tricks.sliding_window_view(ext_min, n).min(axis=1)
@@ -1969,39 +1602,23 @@ def partitioned_rolling_minmax(ds, key: str, ts_col: str, value_col: str,
         out["_tail"] = pa.array([tail.tolist()] * len(xs), type=pa.list_(pa.float64()))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(local_frame, batch_format="pyarrow"), key, ["_tail"])
-
-    # distributed carry: last n-1 values BEFORE each window, per key segment
     def fold(starts, windows, cols):
         return {"_carry": tail_buffer_within_segments(
             cols["_tail"], starts, n - 1, np.float64)}
 
-    withc = window_carry(part, key, "_window", ["_tail"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, local_frame,
+                        ["_tail"], fold)
 
     def fill(b: pa.Table) -> pa.Table:
-        pos = b["_pos"].combine_chunks().to_numpy(zero_copy_only=False)
-        rmin = b["_rmin"].combine_chunks().to_numpy(zero_copy_only=False).copy()
-        rmax = b["_rmax"].combine_chunks().to_numpy(zero_copy_only=False).copy()
-        ca = b["_carry"].combine_chunks()
-        cvals = ca.values.to_numpy(zero_copy_only=False).astype(np.float64)
-        coffs = ca.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        for i in np.flatnonzero(pos < n - 1):
-            s, e = coffs[i], coffs[i + 1]
-            if e == s:
-                continue
-            missing = int(n - 1 - pos[i])
-            take = cvals[max(s, e - missing):e]
+        pos = column(b, "_pos")
+        rmin = column(b, "_rmin").copy()
+        rmax = column(b, "_rmax").copy()
+        for i, take in carry_heads(b, pos, n - 1, np.float64):
             rmin[i] = min(rmin[i], float(take.min()))
             rmax[i] = max(rmax[i], float(take.max()))
-        out = {c: b[c] for c in b.column_names
-               if c not in ("_window", "_rmin", "_rmax", "_pos", "_tail",
-                            "_carry")}
-        out[f"{value_col}_rmin"] = pa.array(rmin)
-        out[f"{value_col}_rmax"] = pa.array(rmax)
-        return pa.table(out)
+        return with_columns(b, ("_window", "_rmin", "_rmax", "_pos", "_tail", "_carry"),
+                            {f"{value_col}_rmin": pa.array(rmin),
+                             f"{value_col}_rmax": pa.array(rmax)})
 
     return withc.map_batches(fill, batch_format="pyarrow")
 
@@ -2070,24 +1687,15 @@ def session_ids(ds, key: str, ts_col: str, id_col: str, gap_s: int,
     row-level complement of :func:`~tsdat_ray.stages.window.session_window_agg`'s
     per-session aggregates.
 
-    r4: ONE fused (key, window) shuffle (the r3 version composed
-    partitioned_lag + partitioned_cumsum = two shuffles + two checkpoints,
-    ~2× the cost).  The local scan emits in-window new-session prefix
-    counts with the window's FIRST row's indicator deferred; the carry
-    fold derives each window's boundary indicator from (first_ts, prev
-    window's last_ts) and the exclusive offset from (local totals +
-    boundary indicators) — all int64, bit-equal to the sequential scan."""
+    One scan: the local kernel counts in-window session starts with the
+    window's FIRST row's indicator deferred; the fold derives each
+    window's boundary indicator from (first_ts, previous window's
+    last_ts) and the exclusive offset from (local totals + boundary
+    indicators) — all int64, bit-equal to the sequential scan."""
     gap_us = gap_s * US
-    win_us = window_s * US
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
 
     def local_scan(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
+        ts, order = ts_order(g, ts_col, id_col)
         tss = ts[order]
         # first row's indicator deferred to the carry (depends on the
         # previous window's last ts); within-window gaps are local
@@ -2104,13 +1712,6 @@ def session_ids(ds, key: str, ts_col: str, id_col: str, gap_s: int,
         out["_ntot"] = pa.array(np.repeat(cs[-1], n))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]
-    ).map_groups(local_scan, batch_format="pyarrow"), key, ["_first_ts", "_last_ts", "_ntot"])
-
-    from .carry import (exclusive_prefix_within_segments,
-                        shift_within_segments, window_carry)
-
     def fold(starts, windows, cols):
         first = np.asarray(cols["_first_ts"], np.int64)
         last = np.asarray(cols["_last_ts"], np.int64)
@@ -2121,19 +1722,13 @@ def session_ids(ds, key: str, ts_col: str, id_col: str, gap_s: int,
         off = exclusive_prefix_within_segments(ntot + b, starts)
         return {"_off": off, "_b": b}
 
-    withc = window_carry(part, key, "_window", ["_first_ts", "_last_ts", "_ntot"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, local_scan,
+                        ["_first_ts", "_last_ts", "_ntot"], fold)
 
     def finish(b: pa.Table) -> pa.Table:
-        lcs = b["_lcs"].combine_chunks().to_numpy(zero_copy_only=False)
-        off = b["_off"].combine_chunks().to_numpy(zero_copy_only=False)
-        bb = b["_b"].combine_chunks().to_numpy(zero_copy_only=False)
-        sid = lcs + off + bb
-        out = {c: b[c] for c in b.column_names
-               if c not in ("_window", "_lcs", "_first_ts", "_last_ts",
-                            "_ntot", "_off", "_b")}
-        out["session_id"] = pa.array(sid)
-        return pa.table(out)
+        sid = column(b, "_lcs") + column(b, "_off") + column(b, "_b")
+        return with_columns(b, ("_window", "_lcs", "_first_ts", "_last_ts", "_ntot",
+                                "_off", "_b"), {"session_id": pa.array(sid)})
 
     return withc.map_batches(finish, batch_format="pyarrow")
 
@@ -2150,26 +1745,16 @@ def partitioned_cusum(ds, key: str, ts_col: str, value_col: str,
         S_j     = max(S_in + c_j, c_j − min_{1≤k≤j} c_k)
         S_out   = max(S_in + C, C − min_k c_k)   (C = window total)
 
-    so phase 1 emits per-(key, window) just (C, min-prefix) plus the
-    in-window prefix arrays, the (C, minc) summaries fold distributed
-    (:mod:`.carry`) into per-window S_in carries (exact int arithmetic via
-    ``value_scale``), and a final map evaluates every row vectorized.
-    Deterministic and bit-equal to the sequential scan."""
-    from .carry import window_carry
-
-    win_us = window_s * US
+    so the local kernel emits the in-window prefix arrays and per-window
+    (C, min-prefix), the fold turns those into per-window S_in carries
+    (exact int arithmetic via ``value_scale``), and a final map evaluates
+    every row vectorized.  Deterministic and bit-equal to the sequential
+    scan."""
     drift_q = int(round(drift * value_scale))
 
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
-
     def local_scan(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        y = np.round(x * value_scale).astype(np.int64) - drift_q
-        order = np.lexsort((ids, ts))
+        _, order = ts_order(g, ts_col, id_col)
+        y = np.round(float_column(g, value_col) * value_scale).astype(np.int64) - drift_q
         c = np.cumsum(y[order])
         runmin = np.minimum.accumulate(c)
         cs = np.empty(len(c), dtype=np.int64)
@@ -2182,11 +1767,8 @@ def partitioned_cusum(ds, key: str, ts_col: str, value_col: str,
         out["_wmin"] = pa.array(np.full(len(c), runmin[-1] if len(c) else 0, np.int64))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]).map_groups(local_scan, batch_format="pyarrow"), key, ["_wtot", "_wmin"])
-
-    # distributed carry: max-plus semiring fold of (total, min-prefix) —
-    # S_in(w_{i+1}) = max(S_in(w_i) + C_i, C_i − minc_i), 0 at segment heads
+    # max-plus fold: S_in(w_{i+1}) = max(S_in(w_i) + C_i, C_i − minc_i),
+    # 0 at segment heads
     def fold(starts, windows, cols):
         tot = cols["_wtot"].astype(np.int64)
         mn = cols["_wmin"].astype(np.int64)
@@ -2200,21 +1782,16 @@ def partitioned_cusum(ds, key: str, ts_col: str, value_col: str,
                 s = max(s + tot[i], tot[i] - mn[i])
         return {"_sin": s_in}
 
-    withc = window_carry(part, key, "_window", ["_wtot", "_wmin"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, local_scan,
+                        ["_wtot", "_wmin"], fold)
     thr_q = threshold * value_scale
 
     def fill(b: pa.Table) -> pa.Table:
-        c = b["_c"].combine_chunks().to_numpy(zero_copy_only=False)
-        rm = b["_rm"].combine_chunks().to_numpy(zero_copy_only=False)
-        sin = b["_sin"].combine_chunks().to_numpy(zero_copy_only=False)
-        S = np.maximum(sin + c, c - rm)
-        out = {col: b[col] for col in b.column_names
-               if col not in ("_window", "_c", "_rm", "_wtot", "_wmin",
-                              "_sin")}
-        out["cusum"] = pa.array(S.astype(np.float64) / value_scale)
-        out["alarm"] = pa.array(S > thr_q)
-        return pa.table(out)
+        c = column(b, "_c")
+        S = np.maximum(column(b, "_sin") + c, c - column(b, "_rm"))
+        return with_columns(b, ("_window", "_c", "_rm", "_wtot", "_wmin", "_sin"),
+                            {"cusum": pa.array(S.astype(np.float64) / value_scale),
+                             "alarm": pa.array(S > thr_q)})
 
     return withc.map_batches(fill, batch_format="pyarrow")
 
@@ -2255,27 +1832,18 @@ def suggest_window_s(ds, key: str, ts_col: str,
 def partitioned_lag_k(ds, key: str, ts_col: str, value_col: str,
                       id_col: str, offset_k: int = 3,
                       window_s: int = 6 * 3600):
-    """LAG(value, k) OVER (PARTITION BY key ORDER BY ts, id) for any k ≥ 1 —
-    generalizes :func:`partitioned_lag` (k=1) with the rolling-frame tail
-    carry: each (key, window) emits its last ≤k values; the distributed
-    segment fold (:mod:`.carry`) keeps a k-deep running tail per key, and
-    rows whose in-window position < k read their lag from the carried tail.
-    NULL for the first k rows of each key (SQL semantics)."""
-    from .carry import tail_buffer_within_segments, window_carry
-
-    win_us = window_s * US
+    """LAG(value, k) OVER (PARTITION BY key ORDER BY ts, id) for any k ≥ 1,
+    with the rolling-frame tail carry: each (key, window) repeats its last
+    <= k values, the fold keeps a k-deep running tail per key, and rows
+    whose in-window position < k read their lag from the carried tail.
+    NULL for the first k rows of each key (SQL semantics).  Output column
+    ``{value_col}_lag{k}`` (``{value_col}_lag`` at k = 1)."""
     k_ = int(offset_k)
-
-    def add_window(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("_window", pa.array((ts // win_us) * win_us))
+    out_col = f"{value_col}_lag{k_}" if k_ > 1 else f"{value_col}_lag"
 
     def local_frame(g: pa.Table) -> pa.Table:
-        ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = g[value_col].combine_chunks().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ts))
-        xs = x[order]
+        _, order = ts_order(g, ts_col, id_col)
+        xs = float_column(g, value_col)[order]
         lag_sorted = np.full(len(xs), np.nan)
         if len(xs) > k_:
             lag_sorted[k_:] = xs[:-k_]
@@ -2290,32 +1858,21 @@ def partitioned_lag_k(ds, key: str, ts_col: str, value_col: str,
         out["_tail"] = pa.array([tail.tolist()] * len(xs), type=pa.list_(pa.float64()))
         return pa.table(out)
 
-    part, _summ = _ckpt2(ds.map_batches(add_window, batch_format="pyarrow").groupby(
-        [key, "_window"]).map_groups(local_frame, batch_format="pyarrow"), key, ["_tail"])
-
-    # distributed carry: k-deep running tail BEFORE each window per segment
     def fold(starts, windows, cols):
         return {"_carry": tail_buffer_within_segments(
             cols["_tail"], starts, k_, np.float64)}
 
-    withc = window_carry(part, key, "_window", ["_tail"], fold,
-                         summary_ds=_summ)
+    withc = window_scan(time_windows(ds, ts_col, window_s), key, local_frame,
+                        ["_tail"], fold)
 
     def fill(b: pa.Table) -> pa.Table:
-        pos = b["_pos"].combine_chunks().to_numpy(zero_copy_only=False)
-        lag = b["_lagv"].combine_chunks().to_numpy(zero_copy_only=False).copy()
-        ca = b["_carry"].combine_chunks()
-        cvals = ca.values.to_numpy(zero_copy_only=False).astype(np.float64)
-        coffs = ca.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        for i in np.flatnonzero(pos < k_):
-            s, e = coffs[i], coffs[i + 1]
-            idx = (e - s) - (k_ - int(pos[i]))
-            if idx >= 0:
-                lag[i] = cvals[s + idx]
-        out = {col: b[col] for col in b.column_names
-               if col not in ("_window", "_lagv", "_pos", "_tail", "_carry")}
-        out[f"{value_col}_lag{k_}"] = pa.array(lag)
-        return pa.table(out)
+        pos = column(b, "_pos")
+        lag = column(b, "_lagv").copy()
+        for i, take in carry_heads(b, pos, k_, np.float64):
+            if len(take) == k_ - pos[i]:
+                lag[i] = take[0]
+        return with_columns(b, ("_window", "_lagv", "_pos", "_tail", "_carry"),
+                            {out_col: pa.array(lag)})
 
     return withc.map_batches(fill, batch_format="pyarrow")
 
@@ -2329,8 +1886,6 @@ def partitioned_nth_value(ds, key: str, ts_col: str, value_col: str,
     a salted-key shuffle picks the n-th per key DISTRIBUTED (vectorized
     segment select — no driver map), attached budget-gated."""
     import pandas as pd
-
-    from .carry import attach_carry
 
     def local_nsmallest(b: pa.Table) -> pa.Table:
         k = b[key].to_numpy(zero_copy_only=False)
@@ -2461,7 +2016,6 @@ def windowed_active_users(ds, user_col: str = "user_id", ts_col: str = "ts",
     bounded diff-vector sum + cumsum — per-window counts without ever
     materializing (window, user) pairs.  Returns (day_num, wau), days with
     zero active users omitted."""
-    import pyarrow.compute as pc
     import ray.data as rd
 
     w = np.int64(window_days - 1)
@@ -2589,5 +2143,5 @@ def windowed_quantiles_disc(ds, key: str, ts_col: str, value_col: str,
             out[nm] = pa.array([cv[idx] / scale])
         return pa.table(out)
 
-    return (ds.map_batches(hist, batch_format="pyarrow")
-            .groupby([key, "_window"]).map_groups(finalize, batch_format="pyarrow"))
+    return window_groups(ds.map_batches(hist, batch_format="pyarrow"), key,
+                         finalize)
