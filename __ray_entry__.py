@@ -108,12 +108,9 @@ def _seq_store(sf_dir: str):
 
 def _seq_tiers(sf_dir: str):
     """The 1m, 1h and 1d tier Datasets of the sequences flagship store
-    (``_seq_store``), read lazily from disk."""
-    import ray.data as rd
-
+    (``_seq_store``), read lazily from their committed files."""
     man = _seq_store(sf_dir)
-    return tuple(rd.read_parquet(man.tier_dir(t), override_num_blocks=_nblocks())
-                 for t in ("t1m", "t1h", "t1d"))
+    return tuple(man.read_tier(t) for t in ("t1m", "t1h", "t1d"))
 
 
 def _strip_tokens(ds):
@@ -3743,11 +3740,8 @@ _MEDIA_VERSION = 5  # v5: half the videos are real MJPEG (pairs share codec)
 def _vap_start_us(man) -> int:
     """Start of the VAP queries' 12 h range: the hour of the first bucket
     of the first committed 1m partition (by name, so ``source=books``)."""
-    import pyarrow.parquet as pq
-
-    pdir = man.partition_dir("t1m", sorted(man.completed("t1m"))[0])
-    f0 = sorted(p for p in os.listdir(pdir) if p.endswith(".parquet"))[0]
-    tmin = pc.min(pq.read_table(os.path.join(pdir, f0), columns=["bucket"])["bucket"])
+    f0 = man.tier_files("t1m", [min(man.completed("t1m"))])[0]
+    tmin = pc.min(man.sfs.read_table(f0, columns=["bucket"])["bucket"])
     return (tmin.cast(pa.int64()).as_py() // (3600 * US)) * (3600 * US)
 
 
@@ -3757,8 +3751,6 @@ def _q_vap_product(sf_dir: str):
     bin-average onto an hourly grid → product tier; returns the product
     rows (rows-only driver check — the source is the synthetic corpus, not
     a registered SQL table)."""
-    import ray.data as rd
-
     from tsdat_ray.pipelines.vap_pipeline import VapConfig, run_vap
 
     man = _seq_store(sf_dir)
@@ -3766,8 +3758,7 @@ def _q_vap_product(sf_dir: str):
     run_vap(VapConfig(store_root=man.root, start_us=start, end_us=start + 12 * 3600 * US,
                       interval_s=3600, source_tier="t1m", values=("n_tok_mean",),
                       run_id="vapq"))
-    out = rd.read_parquet(man.tier_dir("vap"))
-    return out.select_columns(["source", "bucket", "n_tok_mean", "qc_n_tok"])
+    return man.read_tier("vap").select_columns(["source", "bucket", "n_tok_mean", "qc_n_tok"])
 
 
 def _q_vap_sums(sf_dir: str):
@@ -3778,8 +3769,6 @@ def _q_vap_sums(sf_dir: str):
     integer-sum ÷ count (deterministic under any combine order) and the
     full-grid skeleton/QC behavior (empty bins → null + OUTSIDE|BAD) is
     SQL-reproducible."""
-    import ray.data as rd
-
     from tsdat_ray.pipelines.vap_pipeline import VapConfig, run_vap
 
     man = _seq_store(sf_dir)
@@ -3788,8 +3777,7 @@ def _q_vap_sums(sf_dir: str):
                       interval_s=3600, source_tier="t1m", values=("n_tok_sum_wx",),
                       out_tier="vap_sums", run_id="vapq_sums",
                       extra={"input_width_us": 1}))
-    out = rd.read_parquet(man.tier_dir("vap_sums"))
-    return out.select_columns(
+    return man.read_tier("vap_sums").select_columns(
         ["source", "bucket", "n_tok_sum_wx_mean",
          "n_tok_sum_wx_goodfraction", "qc_n_tok_sum_wx"])
 
@@ -5369,8 +5357,8 @@ def _q_cusum(sf_dir: str):
     """Page's CUSUM change detection per event_type — non-linear recurrence
     parallelized via max-plus window composition (stages/window_funcs.py:
     partitioned_cusum); bit-equal to the sequential scan (pytest-pinned) AND
-    hash-green: the int-cent recurrence S=max(0,S+y) is reproduced by a
-    DuckDB recursive CTE stepping one row per key per iteration."""
+    hash-green: the int-cent recurrence S=max(0,S+y) is reproduced in
+    DuckDB by its closed form over the running sum (two window passes)."""
     from tsdat_ray.stages.window_funcs import partitioned_cusum
 
     ds = _events(sf_dir, columns=["event_id", "ts", "event_type", "value"])
@@ -5533,8 +5521,6 @@ def _q_compact_roundtrip(sf_dir: str):
     contract (stages/writers.py:compact_tier)."""
     import shutil
 
-    import ray.data as rd
-
     from tsdat_ray.stages.rollup import floor_bucket_us
     from tsdat_ray.stages.writers import compact_tier, write_partitioned
     from tsdat_ray.state.manifest import Manifest
@@ -5555,8 +5541,7 @@ def _q_compact_roundtrip(sf_dir: str):
     man = Manifest(root)
     man.commit_partitions("raw", inputs=["compact_roundtrip"])
     compact_tier(root, "raw")
-    back = rd.read_parquet(f"{root}/raw", columns=["event_id", "ts", "value"])
-    return back
+    return man.read_tier("raw", columns=["event_id", "ts", "value"])
 
 
 def _q_distinct_rollup(sf_dir: str):
@@ -8733,24 +8718,23 @@ def oracle_sql() -> dict[str, str]:
             FROM s JOIN t USING (source) WHERE s.n_words >= t.thr
         """,
         # CUSUM is exact integer cents inside (y = round(v*100) - drift_q;
-        # S = max(0, S+y)), so a recursive CTE stepping row rn -> rn+1 per
-        # key reproduces the engine bit-for-bit: int/100.0 and int > 50000
-        # are the identical double ops on both sides.
+        # S = max(0, S+y)); with c the running sum of y and c_0 = 0 the
+        # recurrence is S_j = c_j - least(0, min_{k<=j} c_k), two window
+        # passes in exact int64: int/100.0 and int > 50000 are the identical
+        # double ops on both sides.
         "cusum_events": """
-            WITH RECURSIVE t AS (
-                SELECT event_id, event_type,
-                       CAST(round(value * 100) AS BIGINT) - 8000 AS y,
-                       row_number() OVER (PARTITION BY event_type
-                                          ORDER BY ts, event_id) AS rn
+            WITH c AS (
+                SELECT event_id, event_type, ts,
+                       sum(CAST(round(value * 100) AS BIGINT) - 8000) OVER (
+                           PARTITION BY event_type ORDER BY ts, event_id
+                           ROWS UNBOUNDED PRECEDING) AS c
                 FROM events
             ), r AS (
-                SELECT event_type, rn, event_id, greatest(y, 0) AS s
-                FROM t WHERE rn = 1
-                UNION ALL
-                SELECT t.event_type, t.rn, t.event_id,
-                       greatest(r.s + t.y, 0) AS s
-                FROM r JOIN t ON t.event_type = r.event_type
-                             AND t.rn = r.rn + 1
+                SELECT event_id,
+                       CAST(c - least(0, min(c) OVER (
+                           PARTITION BY event_type ORDER BY ts, event_id
+                           ROWS UNBOUNDED PRECEDING)) AS BIGINT) AS s
+                FROM c
             )
             SELECT event_id, s / 100.0 AS cusum, s > 50000 AS alarm FROM r
         """,

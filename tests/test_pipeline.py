@@ -356,6 +356,8 @@ def test_pipeline_with_file_uri_root(ray_session, corpus, tmp_path):
     plain = str(tmp_path / "plain")
     uri_dir = tmp_path / "via_uri"
     uri_dir.mkdir()
+    from tsdat_ray.pipelines.vap_pipeline import VapConfig, fetch_tier
+
     uri = f"file://{uri_dir}/store"
     run_pipeline(corpus, PipelineConfig(out_root=plain, run_id="u1"))
     stats = run_pipeline(corpus, PipelineConfig(out_root=uri, run_id="u1"))
@@ -364,16 +366,26 @@ def test_pipeline_with_file_uri_root(ray_session, corpus, tmp_path):
     man_p, man_u = Manifest(plain), Manifest(uri)
     assert man_u.completed("raw") == man_p.completed("raw")
     assert man_u.completed("t1m") == man_p.completed("t1m")
-    # byte-identical tier contents under both roots
-    for tier in ("raw", "t1m", "t1h", "t1d"):
-        a = rd.read_parquet(man_p.tier_dir(tier)).to_pandas()
-        b = rd.read_parquet(man_u.tier_dir(tier)).to_pandas()
-        cols = [c for c in sorted(a.columns) if c != "tokens"]
-        a = a[cols].sort_values(cols).reset_index(drop=True)
-        b = b[cols].sort_values(cols).reset_index(drop=True)
-        import pandas as pd
+    # byte-identical tier contents under both roots, read by dir and by manifest
+    import pandas as pd
 
-        pd.testing.assert_frame_equal(a, b)
+    for tier in ("raw", "t1m", "t1h", "t1d"):
+        a = _sorted_frame(rd.read_parquet(man_p.tier_dir(tier)).to_pandas())
+        pd.testing.assert_frame_equal(a, _sorted_frame(rd.read_parquet(man_u.tier_dir(tier)).to_pandas()))
+        pd.testing.assert_frame_equal(a, _sorted_frame(man_p.read_tier(tier).to_pandas()))
+        pd.testing.assert_frame_equal(a, _sorted_frame(man_u.read_tier(tier).to_pandas()))
+        fp, fu = man_p.tier_files(tier), man_u.tier_files(tier)
+        assert fu[0].startswith(uri) and fp
+        assert [f[len(plain):] for f in fp] == [f[len(uri):] for f in fu]
+    lo = int(man_p.read_tier("t1m").to_pandas()["bucket"].astype("int64").min())
+    vap = dict(start_us=lo, end_us=lo + 86400 * US, interval_s=3600, source_tier="t1m")
+    a = fetch_tier(VapConfig(store_root=plain, **vap)).to_pandas()
+    pd.testing.assert_frame_equal(
+        _sorted_frame(a), _sorted_frame(fetch_tier(VapConfig(store_root=uri, **vap)).to_pandas()))
+    # an empty tier, and a range that holds no partition
+    assert man_u.tier_files("t1w") == [] and man_u.read_tier("t1w").count() == 0
+    assert fetch_tier(VapConfig(store_root=uri, start_us=0, end_us=3600 * US,
+                                interval_s=3600)) is None
     # resume through the URI root: everything already committed -> no-op
     stats2 = ingest_raw(corpus, PipelineConfig(out_root=uri, run_id="u2"))
     assert stats2["new_partitions"] == 0
@@ -1275,3 +1287,95 @@ def test_compact_tier_keeps_token_ids_delta_packed(ray_session, tmp_path):
     after = pq.read_table(merged).replace_schema_metadata(None)
     key = [("ts", "ascending")]
     assert after.sort_by(key).equals(before.replace_schema_metadata(None).sort_by(key))
+
+
+def _sorted_frame(df):
+    cols = sorted(c for c in df.columns if c != "tokens")
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def test_store_readers_see_only_committed_files(ray_session, tmp_path):
+    """Every store reader returns the committed store's rows when the store
+    dirs also hold what a killed run leaves behind: a complete and a torn
+    temp copy of a part file, under the old (``<name>.tmp<pid>``) and the
+    hidden (``.<name>.tmp<pid>``) naming, in every committed partition, and
+    an uncommitted partition dir."""
+    import contextlib
+    import io
+
+    import pandas as pd
+
+    from tsdat_ray.__main__ import main
+    from tsdat_ray.pipelines.rollup_pipeline import _enc_totals
+    from tsdat_ray.pipelines.vap_pipeline import VapConfig, fetch_tier
+
+    corpus = generate_sequences_parquet(str(tmp_path / "corpus"), n_rows=6000, seed=42)
+    clean, dirty = str(tmp_path / "clean"), str(tmp_path / "dirty")
+    run_pipeline(corpus, PipelineConfig(out_root=clean, run_id="c"))
+    shutil.copytree(clean, dirty)
+    man, ref = Manifest(dirty), Manifest(clean)
+    tiers = Manifest.tier_names(("1m", "1h", "1d"), ("1m",))
+    for tier in tiers:
+        recs = man.latest(tier)
+        for part, rec in recs.items():
+            pdir = man.partition_dir(tier, part)
+            f = rec["files"][0]
+            data = open(os.path.join(pdir, f), "rb").read()
+            for name in (f"{f}.tmp999", f".{f}.tmp999"):
+                open(os.path.join(pdir, name), "wb").write(data)
+                open(os.path.join(pdir, name + "1"), "wb").write(data[: len(data) // 2])
+        part = min(recs)  # its rows again, as an uncommitted partition
+        _, day = Manifest.parse_partition(part)
+        shutil.copytree(man.partition_dir(tier, part),
+                        man.partition_dir(tier, f"source=zz/day={day}"))
+
+    for tier in tiers:
+        a = ref.read_tier(tier).to_pandas()
+        b = man.read_tier(tier).to_pandas()
+        assert len(a) and len(b) == len(a), tier
+        pd.testing.assert_frame_equal(_sorted_frame(a), _sorted_frame(b))
+    assert _enc_totals(man, "t1m_enc") == _enc_totals(ref, "t1m_enc")
+
+    lo = int(ref.read_tier("t1m").to_pandas()["bucket"].astype("int64").min())
+    vap = dict(start_us=lo, end_us=lo + 2 * 86400 * US, interval_s=3600, source_tier="t1m",
+               values=("n_tok_mean",))
+    a = fetch_tier(VapConfig(store_root=clean, **vap)).to_pandas()
+    b = fetch_tier(VapConfig(store_root=dirty, **vap)).to_pandas()
+    assert len(a) and "zz" not in set(b["source"])
+    pd.testing.assert_frame_equal(_sorted_frame(a), _sorted_frame(b))
+
+    def report(root):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["report", "--out", root, "--tier", "t1m"]) == 0
+        return json.loads(buf.getvalue())
+
+    assert report(dirty) == report(clean)
+
+    # the disk feed: a resume that rebuilds t1h reads t1m's committed files
+    for m in (ref, man):
+        m.invalidate("t1h", sorted(m.completed("t1h")))
+        stats = run_pipeline(corpus, PipelineConfig(out_root=m.root, run_id="r"))
+        assert stats["1h"]["new_partitions"] == len(m.completed("t1h")) > 0
+        assert stats["raw"]["input_row_groups"]["read"] == 0
+    pd.testing.assert_frame_equal(_sorted_frame(ref.read_tier("t1h").to_pandas()),
+                                  _sorted_frame(man.read_tier("t1h").to_pandas()))
+
+
+def test_commit_sweeps_hidden_temp_leftovers(tmp_path):
+    """A commit deletes a committed partition's hidden temp leftovers
+    (``.<name>.tmp<pid>``) and keeps every other file (an old-style temp
+    name, sidecars); the record names only the part file."""
+    root = str(tmp_path / "store")
+    man = Manifest(root)
+    pdir = man.partition_dir("raw", "source=a/day=2022-01-01")
+    os.makedirs(pdir)
+    pq.write_table(pa.table({"x": [1, 2]}), os.path.join(pdir, "part-1.parquet"))
+    names = [".part-1.parquet.tmp123", "part-1.parquet.tmp123", ".part-1.parquet.merged",
+             "_qc.json"]
+    for n in names:
+        open(os.path.join(pdir, n), "w").write("{}")
+    [rec] = man.commit_partitions("raw", ["in"])
+    assert rec.files == ["part-1.parquet"] and rec.rows == 2
+    assert sorted(os.listdir(pdir)) == sorted(["part-1.parquet"] + names[1:])
+    assert man.tier_files("raw") == [os.path.join(pdir, "part-1.parquet")]

@@ -77,7 +77,8 @@ def test_no_torn_files_on_local(tmp_path, monkeypatch):
             if kind == "table":
                 written.clear()
                 s.write_table_atomic(t, target)
-                assert written and not any(w.endswith("f.out") for w in written)
+                # the temp name is hidden, next to the target
+                assert [os.path.basename(w) for w in written] == [f".f.out.tmp{os.getpid()}"]
                 assert pq.read_table(str(final))["x"].to_pylist() == list(range(1000))
             elif kind == "text":
                 s.write_text(target, "new")

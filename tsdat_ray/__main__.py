@@ -131,36 +131,25 @@ def main(argv=None) -> int:
         from tsdat_ray.state.manifest import Manifest
 
         man = Manifest(args.out)
-        latest: dict = {}
-        for r in man.records():
-            latest[(r.get("tier"), r.get("partition"))] = r
+        tiers = [args.tier] if args.tier else sorted({r["tier"] for r in man.records()})
         report: dict = {"partitions_ok": 0, "problems": []}
-        for (tier, part), r in sorted(latest.items()):
-            if args.tier and tier != args.tier:
-                continue
-            if r.get("action") in ("pruned", "invalidated"):
-                continue
-            pdir = man.partition_dir(tier, part)
-            live = set(f for f in (man.sfs.listdir(pdir)
-                                   if man.sfs.isdir(pdir) else [])
-                       if f.endswith(".parquet"))
-            rec_files = list(r.get("files", []))
-            missing = [f for f in rec_files if f not in live]
-            extra = sorted(live - set(rec_files))
-            crc = 0
-            for fn in rec_files:
-                if fn in live:
-                    size = man.sfs.getsize(f"{pdir}/{fn}")
-                    crc = zlib.crc32(f"{fn}:{size}".encode(), crc)
-            drifted = (not missing
-                       and f"{crc:08x}" != r.get("checksum", ""))
-            if missing or extra or drifted:
-                report["problems"].append({
-                    "tier": tier, "partition": part, "missing": missing,
-                    "extra": extra, "size_drift": bool(drifted),
-                })
-            else:
-                report["partitions_ok"] += 1
+        for tier in tiers:
+            for part, r in sorted(man.latest(tier).items()):
+                pdir = man.partition_dir(tier, part)
+                live = {f for f in man.sfs.listdir(pdir) if f.endswith(".parquet")}
+                rec_files = r.get("files", [])
+                missing = [f for f in rec_files if f not in live]
+                extra = sorted(live - set(rec_files))
+                crc = 0
+                for fn in rec_files:
+                    if fn in live:
+                        crc = zlib.crc32(f"{fn}:{man.sfs.getsize(f'{pdir}/{fn}')}".encode(), crc)
+                drifted = not missing and f"{crc:08x}" != r.get("checksum", "")
+                if missing or extra or drifted:
+                    report["problems"].append({"tier": tier, "partition": part, "missing": missing,
+                                               "extra": extra, "size_drift": bool(drifted)})
+                else:
+                    report["partitions_ok"] += 1
         print(json.dumps(report, indent=2))
         return 0 if not report["problems"] else 3
 
@@ -284,13 +273,10 @@ def main(argv=None) -> int:
 
             print(json.dumps(compact_tier(args.out, args.tier)))
         elif args.cmd == "report":
-            import os
-
-            import ray.data as rd
-
             from tsdat_ray.stages.stats import availability_report
+            from tsdat_ray.state.manifest import Manifest
 
-            ds = rd.read_parquet(os.path.join(args.out, args.tier))
+            ds = Manifest(args.out).read_tier(args.tier)
             rep = availability_report(ds, key="source", ts_col="bucket",
                                       interval_s=args.interval_s)
             rows = sorted(

@@ -553,18 +553,17 @@ def _clean_feed(units: list, cfg: PipelineConfig, done: dict, later: tuple,
 
 
 def _disk_feed(cfg: PipelineConfig, items: list):
-    """One task per item ``{level, part, write}``: read the partition of
-    tier ``chain[level]`` (``source`` re-added from its name, as a hive read
-    would) and roll it into the dirs of ``write``.  Emits ``_stats`` rows."""
-    import pyarrow.parquet as pq
+    """One task per item ``{level, part, files, write}``: read ``files``,
+    the committed partition ``part`` of tier ``chain[level]`` (``source``
+    re-added from its name, as a hive read would), and roll it into the
+    dirs of ``write``.  Emits ``_stats`` rows."""
     import ray.data as rd
 
     def roll(batch: pa.Table) -> pa.Table:
         sfs, times = Manifest(cfg.out_root).sfs, []
-        for level, part, write in zip(*(batch[c].to_pylist() for c in ("level", "part", "write"))):
-            name = Manifest.tier_names(cfg.tiers)[level]
-            cur = pa.concat_tables(pq.read_table(f, filesystem=sfs.fs)
-                                   for f in _part_files(sfs, name, part))
+        for level, part, files, write in zip(*(batch[c].to_pylist()
+                                               for c in ("level", "part", "files", "write"))):
+            cur = pa.concat_tables(sfs.read_table(f) for f in files)
             source, day = Manifest.parse_partition(part)
             cur = cur.append_column("source", pa.repeat(source, cur.num_rows))
             times += _roll_partition(cur, level, day, set(write), cfg)
@@ -572,12 +571,6 @@ def _disk_feed(cfg: PipelineConfig, items: list):
 
     return rd.from_items(items, override_num_blocks=len(items)).map_batches(
         roll, batch_format="pyarrow", batch_size=1)
-
-
-def _part_files(sfs, name: str, part: str) -> list[str]:
-    """The Parquet files of one partition of store dir ``name``."""
-    pdir = sfs.join(name, part)
-    return [f"{pdir}/{f}" for f in sfs.listdir(pdir) if f.endswith(".parquet")]
 
 
 def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
@@ -608,13 +601,14 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
         else ([], 0, {})
     slots, p = _assign_slots(est, _num_blocks(cfg)) if units else ({}, 0)
     feeds = [_clean_feed(units, cfg, done, later, slots, p)] if units else []
-    have = {lv: man.completed(chain[lv]) for lv in {_src_level(n, chain) for n in later}}
+    have = {lv: man.latest(chain[lv]) for lv in {_src_level(n, chain) for n in later}}
     items = []
     for part in sorted(set().union(*have.values())):
         write = [n for n in later if part not in done[n]]
         lv = min((_src_level(n, chain) for n in write), default=0)
         if write and part in have[lv] and not ("raw" in done and part not in done["raw"]):
-            items.append({"level": lv, "part": part, "write": write})
+            files = [man.partition_dir(chain[lv], part) + f"/{f}" for f in have[lv][part]["files"]]
+            items.append({"level": lv, "part": part, "files": files, "write": write})
     if items:
         feeds.append(_disk_feed(cfg, items))
     task_s = dict.fromkeys(order, 0.0)
@@ -660,13 +654,12 @@ def rollup_tier(tier: str, cfg: PipelineConfig) -> dict:
 
 def _enc_totals(man: Manifest, name: str) -> dict:
     """``bytes_raw``/``bytes_enc`` over a whole encoded store, one row per
-    partition: a column-pruned read in the calling process, no Ray job."""
-    import pyarrow.dataset as pads
-
-    files = [f for p in man.list_partition_dirs(name) for f in _part_files(man.sfs, name, p)]
-    sch = pa.schema([("bytes_raw", pa.int64()), ("bytes_enc", pa.int64())])
-    t = pads.dataset(files, schema=sch, filesystem=man.sfs.fs).to_table()
-    braw, benc = (int(pc.sum(t[c]).as_py() or 0) for c in ("bytes_raw", "bytes_enc"))
+    partition: a column-pruned read of its committed files in the calling
+    process, no Ray job."""
+    files, braw, benc = man.tier_files(name), 0, 0
+    if files:
+        t = man.sfs.read_table(files, columns=["bytes_raw", "bytes_enc"])
+        braw, benc = (int(pc.sum(t[c]).as_py() or 0) for c in ("bytes_raw", "bytes_enc"))
     return {"bytes_raw": braw, "bytes_enc": benc,
             "compression_ratio": round(braw / benc, 3) if benc else None}
 
@@ -695,7 +688,7 @@ def reprocess_range(input_paths, cfg: PipelineConfig, start_us: int, end_us: int
     invalidated: dict = {}
     for tier in Manifest.tier_names(cfg.tiers, cfg.encode_tiers):
         hit = []
-        for part in man.list_partition_dirs(tier):
+        for part in sorted(man.completed(tier)):
             src, day = Manifest.parse_partition(part)
             d_us = int(np.datetime64(day, "us").astype(np.int64))
             if day_lo <= d_us <= day_hi and (sources is None or src in sources):
@@ -747,8 +740,6 @@ def purge_keys(input_paths, cfg: PipelineConfig, ids,
     Returns run stats + ``purged`` ({ids, partitions, invalidated})."""
     import hashlib
 
-    import ray.data as rd
-
     man = Manifest(cfg.out_root)
     ids = sorted(set(str(i) for i in ids))
     man.sfs.makedirs(man.sfs.join("_tombstones"))
@@ -766,19 +757,14 @@ def purge_keys(input_paths, cfg: PipelineConfig, ids,
             return t.select(["source", "day"]).group_by(
                 ["source", "day"]).aggregate([])
 
-        parts = rd.read_parquet(
-            man.tier_dir("raw"), columns=[id_col, "source", "day"]
-        ).map_batches(find_parts, batch_format="pyarrow")
+        parts = man.read_tier("raw", columns=[id_col, "source", "day"]).map_batches(
+            find_parts, batch_format="pyarrow")
         for b in parts.iter_batches(batch_format="pyarrow", batch_size=None):
             for s, d in zip(b["source"].to_pylist(), b["day"].to_pylist()):
                 hits.add(f"source={s}/day={d}")
 
-    invalidated = {
-        t: man.invalidate(
-            t, [p for p in man.list_partition_dirs(t) if p in hits],
-            reason="purge")
-        for t in Manifest.tier_names(cfg.tiers, cfg.encode_tiers)
-    }
+    invalidated = {t: man.invalidate(t, sorted(hits), reason="purge")
+                   for t in Manifest.tier_names(cfg.tiers, cfg.encode_tiers)}
     stats = run_pipeline(input_paths, replace(cfg, resume=True))
     stats["purged"] = {"ids": len(ids), "partitions": sorted(hits),
                        "invalidated": invalidated}
@@ -811,16 +797,16 @@ def _retired(cfg: PipelineConfig, done: dict, later: tuple, now_us: int) -> froz
 
 
 def prune_retention(cfg: PipelineConfig, now_us: int) -> dict:
-    """Delete day partitions older than each tier's retention horizon; every
-    prune is recorded in the manifest (so `completed` drops the partition and
-    a later backfill run could legitimately recreate it)."""
+    """Delete committed day partitions older than each tier's retention
+    horizon; every prune is recorded in the manifest (so `completed` drops
+    the partition and a later backfill run could legitimately recreate it)."""
     man = Manifest(cfg.out_root)
     pruned: dict[str, list[str]] = {}
     for tname in Manifest.tier_names(cfg.tiers):
         cutoff = _retention_cutoff(cfg, tname, now_us)
         if cutoff is None:
             continue
-        for part in man.list_partition_dirs(tname):
+        for part in sorted(man.completed(tname)):
             day = np.datetime64(Manifest.parse_partition(part)[1], "D")
             if day < cutoff:
                 man.sfs.rmtree(man.partition_dir(tname, part))

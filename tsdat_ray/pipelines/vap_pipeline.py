@@ -4,11 +4,11 @@ The engine's re-expression of the reference's TransformationPipeline +
 StorageRetriever flow (/root/reference/tsdat/pipeline/pipelines/
 transformation_pipeline.py:29-75, io/retrievers/storage_retriever.py:40-171):
 
-1. **Fetch** — read the source tier for [start - pad, end + pad] with hive
-   partition pruning (only `day=` directories inside the padded range are
-   listed/read — the Ray analog of the reference's filename-date filtering,
-   file_system.py:206-226).  Padding comes from `time_padding_s` or the
-   transform width, exactly like retrieval padding
+1. **Fetch** — read the source tier's committed files for
+   [start - pad, end + pad], pruned by partition (only `day=` partitions
+   inside the padded range are read — the Ray analog of the reference's
+   filename-date filtering, file_system.py:206-226).  Padding comes from
+   `time_padding_s` or the transform width, exactly like retrieval padding
    (storage_retriever.py:182-195).
 2. **Transform** — regrid each value column onto the declared output grid
    (`bin_average` | `nearest` | `interpolate`; the §2.6 kernels), emitting
@@ -63,56 +63,36 @@ def _padded_days(cfg: VapConfig) -> tuple[int, int]:
 
 
 def fetch_tier(cfg: VapConfig):
-    """Read the source tier, pruned to the padded day range: hive ``day=``
-    partition directories outside the range never get listed into the read
-    (Storage.fetch_data parity — the glob+date-filter step)."""
-    import ray.data as rd
+    """Read the source tier's committed files, pruned to the padded range
+    (Storage.fetch_data parity — the glob+date-filter step): partitions
+    whose ``day`` lies outside it are never read, nor are those whose files'
+    footer ``ts_col`` min/max all miss it.  ``source`` comes from the hive
+    column of the manifest read (``Manifest.read_tier``).  None when no
+    partition survives."""
+    from ..sources.declared import prune_parquet_files
 
     man = Manifest(cfg.store_root)
     lo, hi = _padded_days(cfg)
     lo_day = (lo // DAY_US) * DAY_US
-    paths = []
-    for part in man.list_partition_dirs(cfg.source_tier):
-        day = np.datetime64(Manifest.parse_partition(part)[1], "us").astype(np.int64)
-        if lo_day <= day <= hi:
-            paths.append(man.partition_dir(cfg.source_tier, part))
-    if not paths:
+    in_range = [p for p in man.completed(cfg.source_tier)
+            if lo_day <= np.datetime64(Manifest.parse_partition(p)[1], "us").astype(np.int64) <= hi]
+    files = prune_parquet_files(man.tier_files(cfg.source_tier, in_range), cfg.ts_col, lo, hi)
+    parts = {"/".join(f.split("/")[-3:-1]) for f in files}  # ".../source=s/day=d/<file>"
+    if not parts:
         return None
-    cols = [cfg.ts_col, *{v.rsplit("_mean", 1)[0] + "_mean" if v.endswith("_mean") else v
-                          for v in cfg.values}]
-    # read_parquet on explicit partition dirs loses the hive column; ONE
-    # read over every surviving file with include_paths, source re-derived
-    # vectorized from the path.  (The previous shape — one read_parquet per
-    # partition chained by union() — scheduled one block per PART FILE and
-    # a deep union plan: a warm 2.6k-row fetch took 5.4 s; this takes ~0.3.)
-    import ray
+    cols = [cfg.ts_col, "source",
+            *{v.rsplit("_mean", 1)[0] + "_mean" if v.endswith("_mean") else v for v in cfg.values}]
 
-    from ..sources.declared import prune_parquet_files
-
-    all_files: list[str] = []
-    for p in paths:
-        # second pruning level inside the day partition: parquet FOOTER
-        # min/max stats skip whole part files outside the padded range
-        # (matters when compaction/day layout leaves multi-range parts)
-        all_files.extend(prune_parquet_files(p, cfg.ts_col, lo, hi))
-    if not all_files:
-        return None
-    nblocks = min(len(all_files),
-                  max(8, int(ray.cluster_resources().get("CPU", 8))))
-    sub = rd.read_parquet(all_files, columns=cols, include_paths=True,
-                          override_num_blocks=nblocks)
-
-    def attach_and_trim(b: pa.Table) -> pa.Table:
+    def trim(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        src = pc.struct_field(
-            pc.extract_regex(b["path"], r"source=(?P<s>[^/]+)"), "s")
-        b = b.drop_columns(["path"]).append_column(cfg.key, src)
+        b = b.rename_columns([cfg.key if c == "source" else c for c in b.column_names])
         ts = b[cfg.ts_col].combine_chunks().cast(pa.int64())
         m = pc.and_(pc.greater_equal(ts, pa.scalar(lo)), pc.less(ts, pa.scalar(hi)))
         return b.filter(m)
 
-    return sub.map_batches(attach_and_trim, batch_format="pyarrow")
+    return man.read_tier(cfg.source_tier, parts, columns=cols).map_batches(
+        trim, batch_format="pyarrow")
 
 
 def run_vap(cfg: VapConfig) -> dict:

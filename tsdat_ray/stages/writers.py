@@ -262,15 +262,7 @@ def compact_tier(root: str, tier: str, run_id: str = "compact") -> dict:
     from ..state.manifest import Manifest
 
     man = Manifest(root)
-    done = man.completed(tier)
-    todo = []
-    for part in man.list_partition_dirs(tier):
-        if part not in done:
-            continue
-        pdir = man.partition_dir(tier, part)
-        parts = [f for f in man.sfs.listdir(pdir) if f.endswith(".parquet")]
-        if len(parts) > 1:
-            todo.append({"part": part})
+    todo = [{"part": p} for p, r in sorted(man.latest(tier).items()) if len(r["files"]) > 1]
     if not todo:
         return {"tier": tier, "compacted": 0}
 

@@ -13,15 +13,26 @@ deterministic overwrite-on-rerun output paths
 into an explicit commit log, which is what a distributed, partially-failing
 job needs.
 
+The log is also the store's file catalogue: each commit records its
+partition's files, and every reader of a store dir goes through ``latest``,
+``tier_files`` or ``read_tier``, so an uncommitted partition, a temp file or
+a sidecar is never read.  Only the code that looks for what the log does not
+know lists directories: ``wipe_uncommitted``, ``commit_partitions``, the
+CLI's ``verify`` audit and ``compact_tier``'s crash recovery.
+
 Appends are atomic at the record level (single JSON line, O_APPEND write from
 the driver only — workers never touch the manifest)."""
 
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
+
+#: a temp file of ``StorageFS._publish`` that its writer never renamed
+_LEFTOVER = re.compile(r"\..+\.tmp\d+")
 
 
 @dataclass
@@ -59,15 +70,44 @@ class Manifest:
                 out.append(json.loads(line))
         return out
 
-    def completed(self, tier: str) -> set[str]:
-        done = set()
+    def latest(self, tier: str) -> dict[str, dict]:
+        """``{partition: its latest record}`` of every committed partition of
+        ``tier``: a ``pruned`` record drops its partition until a later
+        commit records it again.  The one fold of the log every reader uses."""
+        out: dict[str, dict] = {}
         for r in self.records():
-            if r["tier"] == tier:
-                if r.get("action") == "pruned":
-                    done.discard(r["partition"])
-                else:
-                    done.add(r["partition"])
-        return done
+            if r["tier"] != tier:
+                continue
+            if r.get("action") == "pruned":
+                out.pop(r["partition"], None)
+            else:
+                out[r["partition"]] = r
+        return out
+
+    def completed(self, tier: str) -> set[str]:
+        return set(self.latest(tier))
+
+    def tier_files(self, tier: str, parts=None) -> list[str]:
+        """Root-form paths of the files the manifest records for each
+        committed partition of ``tier`` (all of them, or those of ``parts``),
+        by partition name.  What a directory also holds — an uncommitted
+        partition, a temp file, a sidecar — is not listed."""
+        recs = self.latest(tier)
+        keep = sorted(recs if parts is None else set(parts) & recs.keys())
+        return [self.sfs.join_root(tier, p, f) for p in keep for f in recs[p]["files"]]
+
+    def read_tier(self, tier: str, parts=None, columns=None):
+        """The committed files of ``tier`` (``tier_files``) as one lazy Ray
+        Dataset, at most one block per file; the hive ``source``/``day``
+        string columns come from the paths.  An empty tier reads as an empty
+        Dataset."""
+        import ray.data as rd
+
+        files = self.tier_files(tier, parts)
+        if not files:
+            return rd.from_items([])
+        return rd.read_parquet([self.sfs._n(f) for f in files], filesystem=self.sfs.fs,
+                               columns=columns, override_num_blocks=len(files))
 
     def append(self, record: PartitionRecord | dict) -> None:
         import time as _time
@@ -92,8 +132,8 @@ class Manifest:
         return src.split("=", 1)[1], day.split("=", 1)[1]
 
     def tier_dir(self, tier: str) -> str:
-        """Root-form (URI-preserving) tier directory — valid as a
-        ``read_parquet`` source and as a writer root."""
+        """Root-form (URI-preserving) tier directory: a writer root.  Read
+        a tier through ``read_tier``/``tier_files``, never by listing it."""
         return self.sfs.join_root(tier)
 
     def partition_dir(self, tier: str, partition: str) -> str:
@@ -136,47 +176,43 @@ class Manifest:
         a driver-side thread pool — the serial footer loop was ~1s of flat
         per-run cost on the scaling bench); the checksum is a crc32 over
         (file name, size) pairs — enough to detect partial or clobbered
-        partitions on the next resume."""
+        partitions on the next resume.  A partition's leftover temp files
+        (``.<name>.tmp<pid>``, ``StorageFS._publish``) of killed writers
+        are deleted."""
         from concurrent.futures import ThreadPoolExecutor
 
         done = self.completed(tier)
-        new = []
         todo = [p for p in self.list_partition_dirs(tier) if p not in done]
-        listing = {p: self.sfs.listdir(self.partition_dir(tier, p)) for p in todo}
+        pdirs = {p: self.partition_dir(tier, p) for p in todo}
+        listing = {p: self.sfs.listdir(pdirs[p]) for p in todo}
+        for p in todo:
+            for fn in listing[p]:
+                if _LEFTOVER.fullmatch(fn):
+                    self.sfs.remove_file(f"{pdirs[p]}/{fn}")
+        files = {p: [fn for fn in listing[p] if fn.endswith(".parquet")] for p in todo}
 
-        def stat_file(arg):
-            pdir, fn = arg
-            fp = f"{pdir}/{fn}"
-            return fn, self.sfs.getsize(fp), self.sfs.parquet_num_rows(fp)
+        def stat_file(fp):
+            return self.sfs.getsize(fp), self.sfs.parquet_num_rows(fp)
 
-        jobs = [(self.partition_dir(tier, p), fn)
-                for p in todo for fn in listing[p] if fn.endswith(".parquet")]
+        paths = [f"{pdirs[p]}/{fn}" for p in todo for fn in files[p]]
         with ThreadPoolExecutor(max_workers=16) as ex:
-            stats = dict(zip([j for j in jobs], ex.map(stat_file, jobs)))
+            stats = dict(zip(paths, ex.map(stat_file, paths)))
 
+        new = []
         for part in todo:
-            pdir = self.partition_dir(tier, part)
-            files, rows, nbytes, crc = [], 0, 0, 0
-            qc_counts: dict = {}
-            for fn in listing[part]:
-                if fn == "_qc.json":  # QC counter sidecar → lineage record
-                    qc_counts = json.loads(self.sfs.read_text(f"{pdir}/{fn}"))
-                    continue
-                if not fn.endswith(".parquet"):
-                    continue
-                _, size, nrows = stats[(pdir, fn)]
-                rows += nrows
-                nbytes += size
+            st = [stats[f"{pdirs[part]}/{fn}"] for fn in files[part]]
+            crc = 0
+            for fn, (size, _) in zip(files[part], st):
                 crc = zlib.crc32(f"{fn}:{size}".encode(), crc)
-                files.append(fn)
+            qc = f"{pdirs[part]}/_qc.json"  # QC counter sidecar → lineage record
             rec = PartitionRecord(
                 tier=tier,
                 partition=part,
                 inputs=sorted(inputs),
-                qc_counts=qc_counts,
-                rows=rows,
-                bytes=nbytes,
-                files=files,
+                qc_counts=json.loads(self.sfs.read_text(qc)) if "_qc.json" in listing[part] else {},
+                rows=sum(n for _, n in st),
+                bytes=sum(size for size, _ in st),
+                files=files[part],
                 checksum=f"{crc:08x}",
                 run_id=run_id,
                 wall_s=wall_s,
@@ -244,26 +280,14 @@ class Manifest:
         return ctx()
 
     def last_modified(self, tier: str) -> float | None:
-        """Latest commit wall-clock for a tier (parity: Storage.last_modified,
+        """Latest commit wall-clock of a committed partition of ``tier``
+        (parity: Storage.last_modified,
         /root/reference/tsdat/io/storage/file_system.py:85-141 — but from the
         commit log, not an mtime scan over every file)."""
-        times = [
-            r["committed_at"]
-            for r in self.records()
-            if r["tier"] == tier and r.get("action") != "pruned" and "committed_at" in r
-        ]
-        return max(times) if times else None
+        return max((r["committed_at"] for r in self.latest(tier).values()), default=None)
 
     def modified_since(self, tier: str, since: float) -> list[str]:
         """Partitions (re)committed after ``since`` — the incremental-
         processing hook (parity: Storage.modified_since): a downstream
         consumer re-processes exactly these."""
-        out: dict[str, float] = {}
-        for r in self.records():
-            if r["tier"] != tier:
-                continue
-            if r.get("action") == "pruned":
-                out.pop(r["partition"], None)
-            elif "committed_at" in r:
-                out[r["partition"]] = r["committed_at"]
-        return sorted(p for p, t in out.items() if t > since)
+        return sorted(p for p, r in self.latest(tier).items() if r["committed_at"] > since)

@@ -9,10 +9,10 @@ partitions off worker-local disks.
 
 One publish rule for every write (``write_table_atomic``, ``write_bytes``,
 ``write_text``), chosen by the filesystem the root resolves to, not by how
-the root is spelled: a local filesystem writes a temp name in the target
-directory and then moves it over the final name, so a torn file can never
-be observed under a final name; an object store gets a single PUT, which is
-already atomic at the object level.  Manifest appends on a local filesystem
+the root is spelled: a local filesystem writes a hidden temp name
+(``.<name>.tmp<pid>``) in the target directory and then moves it over the
+final name, so a torn file can never be observed under a final name; an
+object store gets a single PUT, which is already atomic at the object level.  Manifest appends on a local filesystem
 are ``O_APPEND`` + ``fsync`` writes (durable at the record level).
 """
 
@@ -103,13 +103,16 @@ class StorageFS:
 
     def _publish(self, path: str, write) -> None:
         """The one publish rule: ``write(fs_path)`` creates the file; local
-        → a temp name, then ``move`` over the final name; object store →
-        the final name directly (a single PUT is atomic)."""
+        → the hidden temp name ``.<name>.tmp<pid>`` in the same directory,
+        then ``move`` over the final name; object store → the final name
+        directly (a single PUT is atomic).  Readers that skip names starting
+        with ``.`` (Ray, pyarrow datasets, Spark) never see a temp file."""
         path = self._n(path)
         if not self.local:
             write(path)
             return
-        tmp = f"{path}.tmp{os.getpid()}"
+        head, name = posixpath.split(path)
+        tmp = posixpath.join(head, f".{name}.tmp{os.getpid()}")
         write(tmp)
         self.fs.move(tmp, path)
 
@@ -161,6 +164,14 @@ class StorageFS:
             prev = self.read_text(path) if self.exists(path) else ""
             with self.fs.open_output_stream(path, compression=None) as f:
                 f.write((prev + line).encode())
+
+    def read_table(self, paths, columns=None):
+        """One Parquet file, or a non-empty list of files as one table (the
+        ``k=v`` parts of their paths then add hive columns)."""
+        import pyarrow.parquet as pq
+
+        paths = self._n(paths) if isinstance(paths, str) else [self._n(p) for p in paths]
+        return pq.read_table(paths, columns=columns, filesystem=self.fs)
 
     def parquet_num_rows(self, path: str) -> int:
         import pyarrow.parquet as pq
