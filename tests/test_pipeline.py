@@ -1379,3 +1379,19 @@ def test_commit_sweeps_hidden_temp_leftovers(tmp_path):
     assert rec.files == ["part-1.parquet"] and rec.rows == 2
     assert sorted(os.listdir(pdir)) == sorted(["part-1.parquet"] + names[1:])
     assert man.tier_files("raw") == [os.path.join(pdir, "part-1.parquet")]
+
+
+def test_read_tier_hive_columns_only_below_tier_dir(ray_session, tmp_path):
+    """A ``k=v`` dir above the store root is not a partition column: the
+    tier read adds only ``source`` and ``day``, under a plain and a
+    ``file://`` root."""
+    root = str(tmp_path / "env=x" / "store")
+    man = Manifest(root)
+    pdir = man.partition_dir("t1m", "source=a/day=2022-01-01")
+    os.makedirs(pdir)
+    pq.write_table(pa.table({"x": [1, 2]}), os.path.join(pdir, "part-1.parquet"))
+    man.commit_partitions("t1m", ["in"])
+    for m in (man, Manifest(f"file://{root}")):
+        got = m.read_tier("t1m").to_pandas()
+        assert list(got.columns) == ["x", "source", "day"]
+        assert got["source"].tolist() == ["a", "a"] and got["x"].tolist() == [1, 2]

@@ -75,7 +75,7 @@ def fetch_tier(cfg: VapConfig):
     lo, hi = _padded_days(cfg)
     lo_day = (lo // DAY_US) * DAY_US
     in_range = [p for p in man.completed(cfg.source_tier)
-            if lo_day <= np.datetime64(Manifest.parse_partition(p)[1], "us").astype(np.int64) <= hi]
+                if lo_day <= np.datetime64(Manifest.parse_partition(p)[1], "us").astype(np.int64) <= hi]
     files = prune_parquet_files(man.tier_files(cfg.source_tier, in_range), cfg.ts_col, lo, hi)
     parts = {"/".join(f.split("/")[-3:-1]) for f in files}  # ".../source=s/day=d/<file>"
     if not parts:

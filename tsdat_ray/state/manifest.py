@@ -99,15 +99,19 @@ class Manifest:
     def read_tier(self, tier: str, parts=None, columns=None):
         """The committed files of ``tier`` (``tier_files``) as one lazy Ray
         Dataset, at most one block per file; the hive ``source``/``day``
-        string columns come from the paths.  An empty tier reads as an empty
+        string columns come from the paths below the tier dir (a ``k=v`` dir
+        above the root adds no column).  An empty tier reads as an empty
         Dataset."""
         import ray.data as rd
+        from ray.data.datasource import Partitioning
 
         files = self.tier_files(tier, parts)
         if not files:
             return rd.from_items([])
+        hive = Partitioning("hive", base_dir=self.sfs._n(self.tier_dir(tier)))
         return rd.read_parquet([self.sfs._n(f) for f in files], filesystem=self.sfs.fs,
-                               columns=columns, override_num_blocks=len(files))
+                               columns=columns, partitioning=hive,
+                               override_num_blocks=len(files))
 
     def append(self, record: PartitionRecord | dict) -> None:
         import time as _time
