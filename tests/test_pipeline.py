@@ -264,6 +264,58 @@ def test_task_retry_with_idempotent_writes(ray_session, corpus, tmp_path):
     assert fa == fb
 
 
+def test_reducer_killed_after_earlier_keys_retries_to_the_clean_store(ray_session, tmp_path):
+    """A reducer task holding several (source, day) keys dies (worker exit)
+    on a later key's ``finalize`` hook, after the earlier keys' raw and tier
+    files are written.  Ray reruns the task, and every store dir ends with
+    the clean run's digest and file set, with no temp file left."""
+    import glob
+    import re
+
+    from perfbench.common import store_digest
+
+    corpus = generate_sequences_parquet(str(tmp_path / "c"), n_rows=6000, seed=42)
+    clean = str(tmp_path / "clean")
+    st = run_pipeline(corpus, PipelineConfig(out_root=clean, resume=False, parallelism=2))
+    assert st["raw"]["shuffle_partitions"] == 2 and st["raw"]["new_partitions"] > 2
+
+    faulty, flag = str(tmp_path / "faulty"), str(tmp_path / "kill-once")
+
+    def kill_on_later_key(t, faulty=faulty, flag=flag, seen=str(tmp_path / "seen-")):
+        import ray
+
+        try:  # the first key of this task passes
+            os.close(os.open(seen + ray.get_runtime_context().get_task_id(),
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            return t
+        except FileExistsError:
+            pass
+        try:  # one later key, once: record what is written, then die
+            fd = os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return t
+        os.write(fd, json.dumps({d: len(glob.glob(f"{faulty}/{d}/*/*/*.parquet"))
+                                 for d in ("raw", "t1m", "t1h", "t1d", "t1m_enc")}).encode())
+        os.close(fd)
+        os._exit(1)
+
+    cfg = PipelineConfig(out_root=faulty, resume=False, parallelism=2,
+                         hooks={"finalize": kill_on_later_key})
+    run_pipeline(corpus, cfg)  # completes through Ray's task retry
+    with open(flag) as f:
+        written = json.load(f)
+    assert all(written.values()), written  # earlier keys wrote every dir
+
+    def files(root, d):
+        return sorted(os.path.relpath(os.path.join(p, n), root)
+                      for p, _, ns in os.walk(os.path.join(root, d)) for n in ns)
+
+    assert store_digest(faulty) == store_digest(clean)
+    for d in STORE_DIRS:
+        assert files(faulty, d) == files(clean, d), d
+    assert not [n for _, _, ns in os.walk(faulty) for n in ns if re.fullmatch(r"\..*\.tmp\d+", n)]
+
+
 def test_resume_rebuilds_missing_tier_only(ray_session, corpus, tmp_path):
     """Crash between tiers: raw + t1m committed, t1h/t1d lost → resume
     rebuilds the lost tiers from the t1m on disk without touching raw
@@ -818,42 +870,35 @@ def test_skip_completed_matches_partition_string_rule():
 
 
 def test_fresh_graph_has_one_shuffle_and_no_encode_job(ray_session, corpus, tmp_path, monkeypatch):
-    """A fresh run executes one Dataset: the input row groups, one task
-    each, with the clean shuffle as its only all-to-all.  The tiers and the encoded store are
-    written inside that shuffle's tasks, with no disk feed and no other
-    Ray job."""
+    """A fresh run submits one map task per input row group and one reducer
+    task per slot, and nothing else: the tiers and the encoded store are
+    written inside the reducer tasks, with no disk feed, no Ray Data
+    Dataset and no other Ray job."""
     import ray.data as rd
-    from ray.data._internal.logical.operators.all_to_all_operator import AbstractAllToAll
 
-    runs, calls = [], {"read_parquet": 0, "from_items": 0}
+    from tsdat_ray.pipelines import rollup_pipeline as rp
+
+    runs, submitted, remote = [], [], rp._remote
     for method in ("take_all", "count", "materialize", "sum", "iter_batches", "to_pandas"):
-        orig = getattr(rd.Dataset, method)
+        monkeypatch.setattr(rd.Dataset, method, lambda self, *a, **kw: runs.append(self))
 
-        def wrapped(self, *a, _orig=orig, **kw):
-            runs.append(self._logical_plan.dag)
-            return _orig(self, *a, **kw)
+    class Counted:
+        def __init__(self, fn, handle):
+            self.fn, self.handle = fn, handle
 
-        monkeypatch.setattr(rd.Dataset, method, wrapped)
-    for fn in calls:
-        orig = getattr(rd, fn)
+        def options(self, **kw):
+            return Counted(self.fn, self.handle.options(**kw))
 
-        def counted(*a, _orig=orig, _fn=fn, **kw):
-            calls[_fn] += 1
-            return _orig(*a, **kw)
+        def remote(self, *a, **kw):
+            submitted.append(self.fn.__name__)
+            return self.handle.remote(*a, **kw)
 
-        monkeypatch.setattr(rd, fn, counted)
-
+    monkeypatch.setattr(rp, "_remote", lambda fn: Counted(fn, remote(fn)))
     stats = run_pipeline(corpus, PipelineConfig(out_root=str(tmp_path / "s"), resume=False))
     assert stats["1m_enc"]["new_partitions"] == stats["1m"]["new_partitions"] > 0
-    assert calls == {"read_parquet": 0, "from_items": 1}  # the input unit list
-    assert len(runs) == 1
-
-    def ops(op):
-        yield op
-        for dep in op.input_dependencies:
-            yield from ops(dep)
-
-    assert sum(isinstance(op, AbstractAllToAll) for op in ops(runs[0])) == 1
+    n_units, p = stats["raw"]["input_row_groups"]["read"], stats["raw"]["shuffle_partitions"]
+    assert sorted(submitted) == ["_clean_slot"] * p + ["_read_unit"] * n_units and p > 1
+    assert runs == []
 
 
 def test_tiers_independent_of_layout(ray_session, corpus, tmp_path):
@@ -886,19 +931,20 @@ def test_tiers_independent_of_layout(ray_session, corpus, tmp_path):
     _assert_same_store(mans[0], Manifest(staged.out_root))
 
 
-def test_pkey_mix_is_injective_and_boundaries_split_evenly():
+def test_slot_mix_is_injective_and_slots_split_evenly():
     """10⁶ distinct (crc, day) keys map to 10⁶ distinct mixed keys.  The
     plan deals keys to p = min(blocks, keys) slots (all ``blocks`` when some
     rows have no key) so that no slot carries more than the mean plus the
-    largest key; the fixed boundaries ``r << 32`` put a planned key in its
-    slot's block, and any other key in block ``mix % p``."""
+    largest key; a map task puts a planned key's rows in its slot, any
+    other key's in slot ``mix % p``, and splits its table by slot in row
+    order."""
     import zlib
 
     from tsdat_ray.pipelines.rollup_pipeline import (
-        _add_pkey,
         _assign_slots,
         _mix64,
-        _pkey_boundaries,
+        _row_slots,
+        _split_slots,
     )
 
     rng = np.random.default_rng(7)
@@ -921,7 +967,7 @@ def test_pkey_mix_is_injective_and_boundaries_split_evenly():
     assert p == 8 and set(slots) == {("web", 0), ("web", 1)}
     assert _assign_slots({None: 9.0}, 8) == ({}, 8)
 
-    # _add_pkey: a planned key in its slot's block, any other by its mix
+    # _row_slots: a planned key in its slot, any other by its mix
     ts = EPOCH_US + np.array([0, 86400, 3 * 86400, 3 * 86400], np.int64) * US
     src = ["web", "web", "news", "web"]
     b = pa.table({"source": src, "ts": pa.array(ts).cast(pa.timestamp("us"))})
@@ -931,13 +977,18 @@ def test_pkey_mix_is_injective_and_boundaries_split_evenly():
     mix = _mix64(raw).view(np.uint64)
     p = 5
     slots = {("web", day[1]): 3, ("news", day[2]): 0, ("blog", day[0]): 1}
-    pkey = _add_pkey(b, "ts", slots, p)["_pkey"].to_numpy()
-    assert np.array_equal(pkey & 0xFFFFFFFF, (mix & np.uint64(0xFFFFFFFF)).astype(np.int64))
-    block = np.searchsorted(np.array(_pkey_boundaries(p)), pkey, side="right")
-    assert block.tolist() == [int(mix[0] % np.uint64(p)), 3, 0, int(mix[3] % np.uint64(p))]
-    assert _pkey_boundaries(p) == [1 << 32, 2 << 32, 3 << 32, 4 << 32]
-    assert (_add_pkey(b, "ts")["_pkey"].to_numpy() >> 32 == 0).all()
-    assert _pkey_boundaries(1) == [-(2**63)]
+    slot = _row_slots(b, "ts", slots, p)
+    assert slot.tolist() == [int(mix[0] % np.uint64(p)), 3, 0, int(mix[3] % np.uint64(p))]
+    assert _row_slots(b, "ts", {}, 1).tolist() == [0, 0, 0, 0]
+
+    # _split_slots: p tables of each slot's rows in row order; one slot → no take
+    parts = _split_slots(b, np.array([2, 0, 2, 0]), 3)
+    assert [t["ts"].to_pylist() for t in parts] == \
+        [b["ts"].to_pylist()[1::2], [], b["ts"].to_pylist()[0::2]]
+    assert all(t.schema == b.schema for t in parts)
+    whole = _split_slots(b, np.full(4, 1), 3)
+    assert whole[1] is b and [t.num_rows for t in whole] == [0, 4, 0]
+    assert [t.num_rows for t in _split_slots(b.slice(0, 0), np.array([], np.int64), 2)] == [0, 0]
 
 
 def test_token_ids_round_trip_as_bytes():
@@ -976,9 +1027,10 @@ def test_token_ids_round_trip_as_bytes():
 def test_reducer_plan_follows_the_rebuilt_keys(ray_session, tmp_path):
     """A reprocess of the last two days of a benchmark-shaped corpus (160k
     rows, seed 11: both days hold only ``web``) shuffles into 2 reducers
-    and rebuilds them equal to the fresh store; a run with a ``customize``
-    hook, whose keys the plan cannot see, hashes into every block, and its
-    store is bit-equal to the planned run's."""
+    and rebuilds them equal to the fresh store; a reprocess of one web day
+    runs 1 reducer and its store is bit-equal to the fresh one; a run with
+    a ``customize`` hook, whose keys the plan cannot see, hashes into every
+    slot, and its store is bit-equal to the planned run's."""
     from tsdat_ray.pipelines.rollup_pipeline import reprocess_range
 
     corpus = generate_sequences_parquet(str(tmp_path / "c"), n_rows=160_000, seed=11)
@@ -998,6 +1050,11 @@ def test_reducer_plan_follows_the_rebuilt_keys(ray_session, tmp_path):
     for tier in STORE_DIRS:
         for part in rebuilt:
             _assert_same_partition(man, Manifest(late), tier, part)
+    one = str(tmp_path / "one")
+    shutil.copytree(out, one)
+    st = reprocess_range(corpus, PipelineConfig(out_root=one), lo, lo + 86400 * US)
+    assert st["raw"]["new_partitions"] == st["raw"]["shuffle_partitions"] == 1
+    _assert_same_store(man, Manifest(one))
 
     hooked = PipelineConfig(out_root=str(tmp_path / "hooked"), resume=False, parallelism=32,
                             hooks={"customize": lambda b: b})
@@ -1095,31 +1152,32 @@ def test_store_token_ids_delta_packed(ray_session, corpus, tmp_path):
             assert enc == default, f
 
 
-def test_graph_drops_reservation_on_its_own_context(ray_session, corpus, tmp_path, monkeypatch):
-    """The Dataset ``_cascade`` drains runs without Ray Data's per-operator
-    resource reservation, on a fresh run and on a resume run with a disk
-    feed; the global DataContext keeps its setting."""
+def test_cascade_builds_no_dataset(ray_session, corpus, tmp_path, monkeypatch):
+    """``_cascade`` runs plain Ray tasks and builds no Ray Data Dataset, on a
+    fresh run and on a resume whose disk feed rebuilds one t1h partition
+    (equal to the fresh one); the global DataContext is left as it was."""
     import ray.data as rd
     from ray.data import DataContext
 
-    before = DataContext.get_current().op_resource_reservation_enabled
-    drained, orig = [], rd.Dataset.take_all
+    ctx = DataContext.get_current()
+    before = vars(ctx).copy()
 
-    def wrapped(self, *a, **kw):
-        drained.append(self.context.op_resource_reservation_enabled)
-        return orig(self, *a, **kw)
+    def refuse(*a, **kw):
+        raise AssertionError("the flagship graph built a Ray Data Dataset")
 
-    monkeypatch.setattr(rd.Dataset, "take_all", wrapped)
+    for owner, name in ((rd, "from_items"), (rd.Dataset, "take_all"), (rd.Dataset, "__init__")):
+        monkeypatch.setattr(owner, name, refuse)
     out = str(tmp_path / "s")
     run_pipeline(corpus, PipelineConfig(out_root=out, resume=False))
     man = Manifest(out)
-    man.invalidate("t1h", sorted(man.completed("t1h"))[:1])
-    calls, from_items = [], rd.from_items
-    monkeypatch.setattr(rd, "from_items", lambda *a, **kw: calls.append(1) or from_items(*a, **kw))
-    assert run_pipeline(corpus, PipelineConfig(out_root=out))["1h"]["new_partitions"] == 1
-    assert calls == [1]  # the disk feed
-    assert drained == [False, False]
-    assert DataContext.get_current().op_resource_reservation_enabled == before
+    fresh = Manifest(str(tmp_path / "fresh"))
+    shutil.copytree(out, fresh.root)
+    part = sorted(man.completed("t1h"))[0]
+    man.invalidate("t1h", [part])
+    stats = run_pipeline(corpus, PipelineConfig(out_root=out))
+    assert (stats["raw"]["new_partitions"], stats["1h"]["new_partitions"]) == (0, 1)
+    _assert_same_partition(man, fresh, "t1h", part)
+    assert DataContext.get_current() is ctx and vars(ctx) == before
 
 
 def test_retention_pruned_raw_not_rebuilt(ray_session, corpus, tmp_path):

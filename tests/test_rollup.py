@@ -146,15 +146,11 @@ def _standardized(tbl: pa.Table):
 
 def _cleaned(tbl: pa.Table):
     """``tbl`` standardized and deduplicated by the flagship clean stage."""
-    from tsdat_ray.pipelines.rollup_pipeline import _add_day, _add_pkey
+    from tsdat_ray.pipelines.rollup_pipeline import _add_day
 
-    std = (
-        _standardized(tbl)
-        .map_batches(lambda b: _add_day(b, "ts"), batch_format="pyarrow")
-        .map_batches(lambda b: _add_pkey(b, "ts"), batch_format="pyarrow")
-    )
+    std = _standardized(tbl).map_batches(lambda b: _add_day(b, "ts"), batch_format="pyarrow")
     return (
-        std.groupby("_pkey")
+        std.groupby(["source", "day"])
         .map_groups(lambda g: clean_group(g), batch_format="pyarrow")
         .drop_columns(["day"])
         .materialize()

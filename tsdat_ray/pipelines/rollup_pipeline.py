@@ -4,46 +4,43 @@ lineage manifest, with retention pruning per tier.
 
 Recasts the reference's ingest + transformation pipeline lifecycle
 (/root/reference/tsdat/pipeline/pipelines/ingest_pipeline.py:34-49,
-transformation_pipeline.py:29-75) as one streaming Ray Data graph with ONE
-shuffle.  Every 1m, 1h and 1d bucket lies inside one day, so the task the
-clean shuffle hands a whole (source, day) rolls every tier of it up itself
+transformation_pipeline.py:29-75) as one graph of plain Ray tasks with ONE
+exchange.  Every 1m, 1h and 1d bucket lies inside one day, so the task the
+exchange hands a whole (source, day) rolls every tier of it up itself
 (*Partition, Don't Sort!*, VLDB 2024):
 
     plan (calling process, footers only): one unit per input row group that
       may touch a (source, day) outside done(raw)   # none → no clean feed
       + a reducer slot per such (source, day), by its estimated rows
-    from_items(units) → map_batches(one task per unit: read its row group
+    one map task per unit (num_returns=p): read its row group
           → tombstone → standardize → customize → [skip done(raw)]
-          → day → _pkey → token ids as bytes)
-      → sort(_pkey, fixed boundaries)         # THE shuffle, one int64 key:
-                                              #   slot << 32 | low 32 bits of
-                                              #   mix64(crc32(source)<<32 | day)
-      → map_batches(per _pkey run of a block: # one task per reducer slot
-          clean + QC + write raw/
-          → _roll_partition)                  # t1m, t1m_enc, t1h, t1d
-    ∪ from_items(partitions raw holds that a later dir lacks)
-      → map_batches(read the tier below the lowest missing dir
-                    → _roll_partition)        # no shuffle
-    → commit raw, t1m, t1h, t1d, t1m_enc; prune by retention horizon
+          → day → token ids as bytes → p tables, one per slot
+      → one reducer task per slot: its tables in unit order, concatenated;
+          per (source, day): clean + QC + write raw/
+          → _roll_partition                   # t1m, t1m_enc, t1h, t1d
+    + one task per partition raw holds that a later dir lacks:
+          read the tier below the lowest missing dir → _roll_partition
+    → ray.get; commit raw, t1m, t1h, t1d, t1m_enc; prune by retention horizon
 
 The plan spreads each unit's footer row count evenly over its ``doc_id``
 time span, so it knows about how many rows each (source, day) the run
 rebuilds holds, and deals those keys to p = min(``_num_blocks(cfg)``,
 keys) reducer slots, largest first onto the least loaded
-(``_assign_slots``; FP-Hadoop, VLDB 2015).  A key's slot is the high half
-of its ``_pkey``, so the sort splits at the fixed points ``r << 32``: no
-sampling pass, and the reducer of a (source, day) does not depend on how
-the files split into row groups.  A key the plan cannot see (a row group
-whose span is unknown, or any key under a ``customize`` hook, which may
-rewrite source or ts) falls back to its mix modulo p, and p stays
-``_num_blocks(cfg)`` when a run has such a row group.  Partition files are
-named by their first ts, so which reducer handles a key leaves no trace in
-the output: the estimates steer balance, never results.
+(``_assign_slots``; FP-Hadoop, VLDB 2015).  The exchange's whole shape is
+known before it starts, so it partitions instead of sorting: each map task
+splits its rows by slot (``_row_slots``) and the reducer of a (source, day)
+does not depend on how the files split into row groups.  A key the plan
+cannot see (a row group whose span is unknown, or any key under a
+``customize`` hook, which may rewrite source or ts) falls back to the mix
+of (source, day) modulo p, and p stays ``_num_blocks(cfg)`` when a run has
+such a row group.  Partition files are named by their first ts, so which
+reducer handles a key leaves no trace in the output: the estimates steer
+balance, never results.
 
 Token ids cross the exchange as one ``large_binary`` value per row, a
 zero-copy view of the list's int32 child buffer (``_ids_as_bytes``): the
-sort's map and reduce and the clean dedup's take then copy bytes instead
-of rebuilding list offsets and child indices.  ``clean_group`` turns them
+map's split by slot and the clean dedup's take then copy bytes instead of
+rebuilding list offsets and child indices.  ``clean_group`` turns them
 back into the same list type, also zero-copy, so QC, the hooks, the raw
 write and the rollups see what the input holds.
 
@@ -52,8 +49,8 @@ fall in, from the ``source`` and ``doc_id`` min/max of its footer (the
 row-group pruner of ``sources/declared.py``); a reprocess of two days reads
 only the row groups that hold them, and a resume over a complete raw dir
 reads none.  The read runs inside the unit's task with the whole
-standardize chain: no separate read operator whose output crosses the
-object store before standardize, and no plan-time sampling task.
+standardize chain: no separate read task whose output crosses the object
+store before standardize, and no plan-time sampling task.
 
 Fresh, resumed and reprocess runs and the staged entry points all build
 this graph (``_cascade``), told which store dirs to write.  Every dir
@@ -61,22 +58,16 @@ commits after the graph completes, so a killed run leaves only uncommitted
 dirs, which the next resume wipes.  With an empty manifest there is no skip
 filter and no disk feed: the fresh graph.
 
-The graph runs without Ray Data's per-operator resource reservation
-(``op_resource_reservation_enabled = False`` on its own Dataset context,
-never on ``DataContext.get_current()``).  Ray Data 2.49 reserves, for
-each unfinished operator in graph order, max(0.5 × CPUs / #operators, one
-task's CPU), and only what is left forms the shared pool.  On C CPUs and
-k ≥ C operators the first C operators take one CPU each and the pool is
-0, so every operator runs one task at a time and the first clean tasks
-wait on CPUs that upstream operators hold (on 2 CPUs: one CPU idle while
-the largest input file is read, and again as the clean phase starts).
-The reservation bounds the memory a streaming graph holds in flight;
-here the clean sort is the only all-to-all and holds every block before
-any clean task starts, so dropping it bounds nothing less.
+The tasks run in the caller's Ray session with Ray's default retries: a
+task whose worker dies runs again, and its writes (atomic, named by their
+rows) leave the same files.  Ray Data has no part in this graph; it would
+add a sort, operator scheduling and a per-operator CPU reservation to an
+exchange whose partitioning is already fixed.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import os
@@ -119,16 +110,11 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))).view(np.int64)
 
 
-def _add_pkey(batch: pa.Table, ts_col: str, slots: dict | None = None, p: int = 1) -> pa.Table:
-    """Single int64 partition key, ``slot << 32 | (low 32 bits of
-    _mix64(crc32(source) << 32 | day index))``: sorting one int column
-    shuffles ~3× faster than sorting (string, string) keys, and the clean
-    shuffle splits it at the fixed points ``_pkey_boundaries(p)``, one
-    reducer per slot, instead of sampling them.  ``slots`` maps a planned
-    (source, day index) to its slot (``_assign_slots``); any other key gets
-    its mix modulo p.  Two keys of one slot can share the low half, so a
-    ``_pkey`` run can hold two (source, day), which the clean task splits
-    again."""
+def _row_slots(batch: pa.Table, ts_col: str, slots: dict, p: int) -> np.ndarray:
+    """Each row's reducer slot: a planned (source, day index) its slot in
+    ``slots`` (``_assign_slots``), any other key ``_mix64(crc32(source) <<
+    32 | low 32 bits of day)`` modulo p, so an unplanned key's rows all meet
+    in one slot."""
     ts_us = batch[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     day = ts_us // DAY_US
     d = batch["source"].combine_chunks().dictionary_encode()
@@ -139,23 +125,26 @@ def _add_pkey(batch: pa.Table, ts_col: str, slots: dict | None = None, p: int = 
     slot = (mix % np.uint64(p)).astype(np.int64)
     code_of = {s: i for i, s in enumerate(names)}
     planned = sorted(((code_of[s] << 32) | (dy & 0xFFFFFFFF), r)
-                     for (s, dy), r in (slots or {}).items() if s in code_of)
+                     for (s, dy), r in slots.items() if s in code_of)
     if planned:  # the planned (source code, day) pairs of this batch
         pk, ps = (np.array(v, np.int64) for v in zip(*planned))
         key = (codes << np.int64(32)) | (day & np.int64(0xFFFFFFFF))
         i = np.minimum(np.searchsorted(pk, key), len(pk) - 1)
         hit = pk[i] == key
         slot[hit] = ps[i[hit]]
-    pkey = (slot << np.int64(32)) | (mix & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    return batch.append_column("_pkey", pa.array(pkey))
+    return slot
 
 
-def _pkey_boundaries(p: int) -> list[int]:
-    """The p−1 points ``r << 32`` that split ``_pkey`` into one reducer
-    block per slot.  For p = 1 one point at the int64 minimum (Ray samples
-    boundaries when given none), so the second of two blocks holds every
-    key and the first is empty."""
-    return [r << 32 for r in range(1, p)] or [-(1 << 63)]
+def _split_slots(t: pa.Table, slot: np.ndarray, p: int) -> list:
+    """``t``'s rows by slot (``_row_slots``), as p tables in row order: one
+    take, then zero-copy slices; the whole table, no take, when every row
+    falls in one slot."""
+    if not len(slot) or (slot == slot[0]).all():
+        return [t if len(slot) and r == slot[0] else t.slice(0, 0) for r in range(p)]
+    order = np.argsort(slot, kind="stable")
+    cuts = np.searchsorted(slot[order], np.arange(p + 1))
+    t = t.take(pa.array(order))
+    return [t.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 #: field metadata of token ids moved as bytes: their list field, as a
@@ -237,10 +226,9 @@ def _skip_completed(batch: pa.Table, ts_col: str, done: frozenset) -> pa.Table:
 def clean_group(g: pa.Table) -> pa.Table:
     """Per (source, day) group: sort by (ts, doc_id) and drop duplicate
     (source, ts) rows keeping the smallest doc_id, so the caller can run the
-    order-dependent QC managers on the sorted slice.  Segments by source so a
-    _pkey hash collision can never merge rows across sources.  Token ids
-    the clean feed moved as bytes are taken as bytes and come back as
-    their list type."""
+    order-dependent QC managers on the sorted slice.  Segments by source, so
+    rows of two sources never merge.  Token ids the clean feed moved as
+    bytes are taken as bytes and come back as their list type."""
     ts_us = g["ts"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
     doc_id = pc.rank(g["doc_id"], sort_keys="ascending", tiebreaker="min").to_numpy()
     codes = _key_codes(g["source"])[0]
@@ -248,7 +236,7 @@ def clean_group(g: pa.Table) -> pa.Table:
     ts_s, code_s = ts_us[order], codes[order]
     keep = _key_change(ts_s, code_s)
     t = _ids_as_list(g.take(pa.array(order[keep], type=pa.int64())))
-    return t.drop_columns([c for c in ("_pkey", "_tb") if c in t.column_names])
+    return t.drop_columns(["_tb"]) if "_tb" in t.column_names else t
 
 
 @dataclass
@@ -311,12 +299,6 @@ def _src_level(name: str, chain: list) -> int:
     """Index in ``chain`` of the tier dir ``name`` is made from: the tier
     before it, or the tier itself for ``t<tier>_enc``."""
     return chain.index(name[:-4]) if name.endswith("_enc") else chain.index(name) - 1
-
-
-def _stats(times: list) -> pa.Table:
-    """One ``(tier, task_s)`` row per store dir write."""
-    return pa.Table.from_pylist([{"tier": n, "task_s": s} for n, s in times],
-                                schema=pa.schema([("tier", pa.string()), ("task_s", pa.float64())]))
 
 
 def _roll_partition(cur: pa.Table, level: int, day: str, write: set, cfg: PipelineConfig) -> list:
@@ -466,125 +448,101 @@ def _drop_tombstoned(b: pa.Table, tomb) -> pa.Table:
     return b if tomb is None else b.filter(pc.invert(pc.is_in(b["doc_id"], value_set=tomb)))
 
 
-def _clean_feed(units: list, cfg: PipelineConfig, done: dict, later: tuple,
-                slots: dict, p: int):
-    """One task per input unit (``_plan_units``) reads its row group and
-    runs tombstone → standardize → customize → resume-skip → day → pkey
-    (``slots``/p: ``_assign_slots``) → token ids as bytes; then ONE clean
-    shuffle: a sort on ``_pkey`` into p reducer blocks at fixed boundaries.
-    Each block's task walks its contiguous ``_pkey`` runs, splits each run
-    by (source, day) (two keys can share one), cleans and writes each raw
-    partition (+ QC sidecars/quarantine), then rolls it into the dirs of
-    ``later`` it lacks.  Emits ``_stats`` rows."""
+@functools.cache
+def _remote(fn):
+    """``fn``, a module-level task kernel, as a Ray remote function, made
+    once per process: Ray is imported lazily, and a handle made on every
+    run would export the kernel again on every run."""
     import ray
-    import ray.data as rd
 
+    return ray.remote(fn)
+
+
+def _read_unit(unit: dict, cfg: PipelineConfig, done: dict, slots: dict, p: int, tomb):
+    """The map task of one input unit (``_plan_units``): read its row group
+    and run tombstone → standardize → customize → resume-skip → day → token
+    ids as bytes, then split the rows by reducer slot (``_row_slots``).
+    Returns p tables, or the one table when p = 1.  CheckMonotonic runs per
+    input file: the row group's first row is compared with the last
+    surviving (source, doc_id) before it in the file."""
+    import pyarrow.parquet as pq
+
+    from ..state.uri import StorageFS
+
+    sfs, rg, prev = StorageFS(unit["path"]), unit["row_group"], None
+    with sfs.fs.open_input_file(sfs.path) as fh:
+        pf = pq.ParquetFile(fh)
+        b = _drop_tombstoned(pf.read_row_group(rg), tomb)
+        for k in range(rg - 1, -1, -1):
+            t = _drop_tombstoned(pf.read_row_group(k, columns=["source", "doc_id"]), tomb)
+            if t.num_rows:
+                prev = (t["source"][-1].as_py(), t["doc_id"][-1].as_py())
+                break
+    b = standardize_batch(b, cfg.std, prev)
+    if cfg.hooks.get("customize") is not None:
+        b = cfg.hooks["customize"](b)
+    if done["raw"]:
+        b = _skip_completed(b, "ts", done["raw"])
+    b = _ids_as_bytes(_add_day(b, "ts"))
+    parts = _split_slots(b, _row_slots(b, "ts", slots, p), p)
+    return parts if p > 1 else parts[0]
+
+
+def _clean_slot(cfg: PipelineConfig, done: dict, later: tuple, *parts: pa.Table) -> list:
+    """The reducer task of one slot: its map outputs, in unit order, as one
+    table; each (source, day) of it is cleaned, QC'd and written to raw
+    (+ QC sidecars/quarantine), then rolled into the dirs of ``later`` it
+    lacks.  Returns ``(dir, task seconds)`` per dir write."""
+    parts = [t for t in parts if t.num_rows]
+    if not parts:  # a slot no key fell into
+        return []
+    g = pa.concat_tables(parts)
     qc_stage = QCStage(cfg.qc) if cfg.qc else None
-    std_cfg, customize = cfg.std, cfg.hooks.get("customize")
-    tomb = _tombstone_values(cfg)
-    # permanent exclusion set (purge_keys): applied on the raw input so no
-    # run — fresh, resume, or reprocess — can resurrect purged rows.
-    # Broadcast once via ray.put (bounded by purge-history size; a purge
-    # list beyond broadcast budget should move to an anti-join stage).
-    tref = ray.put(tomb) if tomb is not None and len(tomb) else None
-
-    def read_unit(item: pa.Table) -> pa.Table:
-        """One row group through the standardize chain.  CheckMonotonic runs
-        per input file: the row group's first row is compared with the last
-        surviving (source, doc_id) before it in the file."""
-        import pyarrow.parquet as pq
-        import ray as _r
-
-        from ..state.uri import StorageFS
-
-        path, rg = item["path"][0].as_py(), item["row_group"][0].as_py()
-        tset = _r.get(tref) if tref is not None else None
-        sfs, prev = StorageFS(path), None
-        with sfs.fs.open_input_file(sfs.path) as fh:
-            pf = pq.ParquetFile(fh)
-            b = _drop_tombstoned(pf.read_row_group(rg), tset)
-            for k in range(rg - 1, -1, -1):
-                t = _drop_tombstoned(pf.read_row_group(k, columns=["source", "doc_id"]), tset)
-                if t.num_rows:
-                    prev = (t["source"][-1].as_py(), t["doc_id"][-1].as_py())
-                    break
-        b = standardize_batch(b, std_cfg, prev)
-        if customize is not None:
-            b = customize(b)
-        if done["raw"]:
-            b = _skip_completed(b, "ts", done["raw"])
-        return _ids_as_bytes(_add_pkey(_add_day(b, "ts"), "ts", slots, p))
-
-    ds = rd.from_items(units, override_num_blocks=len(units)).map_batches(
-        read_unit, batch_format="pyarrow", batch_size=1)
     raw_root = Manifest(cfg.out_root).tier_dir("raw")
     qroot = os.path.join(cfg.out_root, "quarantine") if cfg.qc_quarantine else None
     meta = _qc_file_metadata(qc_stage, cfg.run_id)
-    fin = cfg.hooks.get("finalize")
-
-    def clean_roll(g: pa.Table) -> list:
-        times = []
-        src, dd = (g[c].combine_chunks().dictionary_encode() for c in ("source", "day"))
-        key = (src.indices.to_numpy().astype(np.int64) << 32) | dd.indices.to_numpy()
-        keys = np.unique(key)
-        for k in keys:
-            t0 = time.perf_counter()
-            source, day = src.dictionary[k >> 32].as_py(), dd.dictionary[k & 0xFFFFFFFF].as_py()
-            part = g.filter(pa.array(key == k)) if len(keys) > 1 else g
-            t = _clean_write_group(part, qc_stage, raw_root, qroot, meta, fin)
-            times.append(("raw", time.perf_counter() - t0))
-            write = {n for n in later if f"source={source}/day={day}" not in done[n]}
-            if t is not None and t.num_rows and write:
-                times += _roll_partition(t, 0, day, write, cfg)
-        return times
-
-    def clean_block(block: pa.Table) -> pa.Table:
-        """One reducer block, sorted by ``_pkey``: clean_roll each key's
-        rows, a zero-copy slice."""
-        if not block.num_rows:  # a reducer that no key fell into
-            return _stats([])
-        key = block["_pkey"].to_numpy()
-        edges = np.r_[0, np.flatnonzero(key[1:] != key[:-1]) + 1, len(key)]
-        return _stats([r for s, e in zip(edges[:-1], edges[1:])
-                       for r in clean_roll(block.slice(s, e - s))])
-
-    return ds.sort("_pkey", boundaries=_pkey_boundaries(p)).map_batches(
-        clean_block, batch_format="pyarrow", batch_size=None)
+    times = []
+    src, dd = (g[c].combine_chunks().dictionary_encode() for c in ("source", "day"))
+    key = (src.indices.to_numpy().astype(np.int64) << 32) | dd.indices.to_numpy()
+    keys = np.unique(key)
+    for k in keys:
+        t0 = time.perf_counter()
+        source, day = src.dictionary[k >> 32].as_py(), dd.dictionary[k & 0xFFFFFFFF].as_py()
+        part = g.filter(pa.array(key == k)) if len(keys) > 1 else g
+        t = _clean_write_group(part, qc_stage, raw_root, qroot, meta, cfg.hooks.get("finalize"))
+        times.append(("raw", time.perf_counter() - t0))
+        write = {n for n in later if f"source={source}/day={day}" not in done[n]}
+        if t is not None and t.num_rows and write:
+            times += _roll_partition(t, 0, day, write, cfg)
+    return times
 
 
-def _disk_feed(cfg: PipelineConfig, items: list):
-    """One task per item ``{level, part, files, write}``: read ``files``,
-    the committed partition ``part`` of tier ``chain[level]`` (``source``
-    re-added from its name, as a hive read would), and roll it into the
-    dirs of ``write``.  Emits ``_stats`` rows."""
-    import ray.data as rd
-
-    def roll(batch: pa.Table) -> pa.Table:
-        sfs, times = Manifest(cfg.out_root).sfs, []
-        for level, part, files, write in zip(*(batch[c].to_pylist()
-                                               for c in ("level", "part", "files", "write"))):
-            cur = pa.concat_tables(sfs.read_table(f) for f in files)
-            source, day = Manifest.parse_partition(part)
-            cur = cur.append_column("source", pa.repeat(source, cur.num_rows))
-            times += _roll_partition(cur, level, day, set(write), cfg)
-        return _stats(times)
-
-    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        roll, batch_format="pyarrow", batch_size=1)
+def _roll_item(cfg: PipelineConfig, item: dict) -> list:
+    """The disk feed's task for one item ``{level, part, files, write}``:
+    read ``files``, the committed partition ``part`` of tier
+    ``chain[level]`` (``source`` re-added from its name, as a hive read
+    would), and roll it into the dirs of ``write``.  Returns ``(dir, task
+    seconds)`` per dir write."""
+    sfs = Manifest(cfg.out_root).sfs
+    cur = pa.concat_tables(sfs.read_table(f) for f in item["files"])
+    source, day = Manifest.parse_partition(item["part"])
+    cur = cur.append_column("source", pa.repeat(source, cur.num_rows))
+    return _roll_partition(cur, item["level"], day, set(item["write"]), cfg)
 
 
 def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
              now_us: Optional[int] = None) -> dict:
-    """Build and run ONE Ray Data graph that writes the store dirs ``names``
-    (some of ``Manifest.tier_names``), then commit them in that order.
-    done(n) is read after n's uncommitted dirs (a killed run's output) are
-    wiped; without resume nothing is done.  Given ``now_us``, done(raw) also
-    holds the partitions ``_retired`` names.  The clean feed (when raw is
-    written) carries every partition not in done(raw); the disk feed each
-    other partition a dir lacks, read from the tier below the lowest dir it
-    lacks.  The clean feed reads only the input row groups that may touch a
-    partition outside done(raw) and is not built when there are none.
-    Returns per-dir stats keyed "raw", "1m", ..., "1m_enc"."""
+    """Build and run ONE graph of Ray tasks that writes the store dirs
+    ``names`` (some of ``Manifest.tier_names``), then commit them in that
+    order.  done(n) is read after n's uncommitted dirs (a killed run's
+    output) are wiped; without resume nothing is done.  Given ``now_us``,
+    done(raw) also holds the partitions ``_retired`` names.  The clean feed
+    (when raw is written) carries every partition not in done(raw); the
+    disk feed each other partition a dir lacks, read from the tier below
+    the lowest dir it lacks.  The clean feed reads only the input row
+    groups that may touch a partition outside done(raw) and is not built
+    when there are none.  Returns per-dir stats keyed "raw", "1m", ...,
+    "1m_enc"."""
     man = Manifest(cfg.out_root)
     chain = Manifest.tier_names(cfg.tiers)
     order = [n for n in Manifest.tier_names(cfg.tiers, cfg.encode_tiers) if n in names]
@@ -600,7 +558,6 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
     units, n_groups, est = _plan_units(input_paths, cfg, done["raw"]) if "raw" in done \
         else ([], 0, {})
     slots, p = _assign_slots(est, _num_blocks(cfg)) if units else ({}, 0)
-    feeds = [_clean_feed(units, cfg, done, later, slots, p)] if units else []
     have = {lv: man.latest(chain[lv]) for lv in {_src_level(n, chain) for n in later}}
     items = []
     for part in sorted(set().union(*have.values())):
@@ -609,16 +566,30 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
         if write and part in have[lv] and not ("raw" in done and part not in done["raw"]):
             files = [man.partition_dir(chain[lv], part) + f"/{f}" for f in have[lv][part]["files"]]
             items.append({"level": lv, "part": part, "files": files, "write": write})
-    if items:
-        feeds.append(_disk_feed(cfg, items))
     task_s = dict.fromkeys(order, 0.0)
-    if feeds:  # one union; take_all drives the whole graph
-        ds = feeds[0].union(*feeds[1:]) if len(feeds) > 1 else feeds[0]
-        # this graph's own context copy: no per-operator CPU reservation
-        # (module docstring); DataContext.get_current() is left alone
-        ds.context.op_resource_reservation_enabled = False
-        for r in ds.take_all():
-            task_s[r["tier"]] += r["task_s"]
+    if units or items:
+        import ray
+
+        run_cfg, run_done, refs = ray.put(cfg), ray.put(done), []
+        if units:  # p outputs per map task, one reducer task per slot
+            tomb = _tombstone_values(cfg)
+            # the permanent purge exclusion set (purge_keys), applied to the
+            # raw input, so no run can resurrect purged rows
+            tref = ray.put(tomb) if tomb is not None and len(tomb) else None
+            run_slots, read = ray.put(slots), _remote(_read_unit).options(num_returns=p)
+            outs = [read.remote(u, run_cfg, run_done, run_slots, p, tref) for u in units]
+            outs = outs if p > 1 else [[o] for o in outs]
+            refs = [_remote(_clean_slot).remote(run_cfg, run_done, later, *(o[r] for o in outs))
+                    for r in range(p)]
+        refs += [_remote(_roll_item).remote(run_cfg, it) for it in items]
+        try:
+            for times in ray.get(refs):
+                for name, s in times:
+                    task_s[name] += s
+        except BaseException:  # stop the run's other tasks writing
+            for r in refs:
+                ray.cancel(r)
+            raise
     wall = time.time() - t0
 
     corpus = list(input_paths) if isinstance(input_paths, (list, tuple)) else [input_paths]
@@ -629,11 +600,11 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
         key = n if n == "raw" else n[1:]
         stats[key] = {"tier": key, "new_partitions": len(recs), "skipped": len(done[n]),
                       "rows": sum(r.rows for r in recs), "wall_s": wall, "task_s": task_s[n]}
-        if n == "raw":  # the input the clean feed read, and its reducer blocks
+        if n == "raw":  # the input the clean feed read, and its reducer count
             stats[key].update(
                 input_row_groups={"read": len(units), "total": n_groups},
                 input_rows_read=sum(u["rows"] for u in units),
-                shuffle_partitions=len(_pkey_boundaries(p)) + 1 if units else 0)
+                shuffle_partitions=p)
         if n.endswith("_enc"):
             stats[key].update(_enc_totals(man, n))
     return stats
