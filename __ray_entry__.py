@@ -21,6 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from tsdat_ray.stages.stats import seg_int_sums
 from tsdat_ray.synth import PARTSUPP_CTE as _PARTSUPP_CTE
 
 US = 1_000_000
@@ -683,8 +684,8 @@ def _q_tpch_q3(sf_dir: str):
     """TPC-H Q3 shipping-priority top-10: broadcast customer-segment
     semi-filter (one segment's custkeys via ray.put — the smallest table;
     swap to hash_join when the dimension outgrows a broadcast), per-orderkey
-    exact-e4 revenue pre-aggregated with combiner push-down (partials per
-    block, one salted-key groupby), bucketed hash join against date-filtered
+    exact-e4 revenue pre-aggregated with combiner push-down
+    (``grouped_int_sums``), bucketed hash join against date-filtered
     orders, then per-block top-10 + driver merge (each orderkey appears once
     post-join, so local top-k is globally sufficient under any block split)."""
     import pyarrow.parquet as pq
@@ -693,6 +694,7 @@ def _q_tpch_q3(sf_dir: str):
     import ray.data as rd
 
     from tsdat_ray.stages.joins import hash_join
+    from tsdat_ray.stages.stats import grouped_int_sums
 
     cutoff = np.datetime64("1998-03-15", "us")
 
@@ -724,34 +726,12 @@ def _q_tpch_q3(sf_dir: str):
     def li_partial(b: pa.Table) -> pa.Table:
         b = b.filter(pc.greater(b["l_shipdate"], pa.scalar(cutoff)))
         k = b["l_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
-        price = b["l_extendedprice"].combine_chunks().to_numpy(zero_copy_only=False)
-        disc = b["l_discount"].combine_chunks().to_numpy(zero_copy_only=False)
-        e4 = np.round(price * (1.0 - disc) * 1e4).astype(np.int64)
-        order = np.argsort(k, kind="stable")
-        ks = k[order]
-        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]]) if len(ks) else np.zeros(0, np.int64)
-        sums = np.add.reduceat(e4[order], starts) if len(starts) else e4[:0]
-        t = pa.table({"o_orderkey": pa.array(ks[starts] if len(starts) else ks[:0]),
-                      "rev_e4": pa.array(sums)})
-        return t.append_column("_salt", pa.array(
-            (t["o_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
-             % np.int64(64))))
-
-    def key_total(g: pa.Table) -> pa.Table:
-        k = g["o_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
-        v = g["rev_e4"].combine_chunks().to_numpy(zero_copy_only=False)
-        order = np.argsort(k, kind="stable")
-        ks, vs = k[order], v[order]
-        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]]) if len(ks) else np.zeros(0, np.int64)
-        return pa.table({
-            "o_orderkey": pa.array(ks[starts] if len(starts) else ks[:0]),
-            "rev_e4": pa.array(np.add.reduceat(vs, starts) if len(starts) else vs[:0]),
-        })
+        return seg_int_sums(k, {"rev_e4": _rev_e4(b)}, "o_orderkey")
 
     li = _read(f"{sf_dir}/lineitem.parquet",
                columns=["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"])
-    rev = (li.map_batches(li_partial, batch_format="pyarrow")
-           .groupby("_salt").map_groups(key_total, batch_format="pyarrow"))
+    rev = grouped_int_sums(li.map_batches(li_partial, batch_format="pyarrow"),
+                           "o_orderkey", ["rev_e4"])
 
     j = hash_join(rev, orders, on="o_orderkey", num_buckets=32)
 
@@ -787,12 +767,13 @@ def _q_tpch_q4(sf_dir: str):
     """TPC-H Q4-style order-priority check (EXISTS re-expressed with this
     dataset's columns: a lineitem shipped AFTER the order date).  Lineitem's
     per-orderkey max shipdate is pre-aggregated with combiner push-down
-    (per-block partials, one salted groupby — never the raw rows), joined to
+    (per-block partials, one keyed fold — never the raw rows), joined to
     the quarter's orders with the bucketed hash join, then per-block priority
     counts fold into one tiny table (priorities are bounded)."""
     import ray.data as rd
 
     from tsdat_ray.stages.joins import hash_join
+    from tsdat_ray.stages.reduce import keyed_fold
 
     lo = np.datetime64("1996-07-01", "us")
     hi = np.datetime64("1996-10-01", "us")
@@ -804,10 +785,8 @@ def _q_tpch_q4(sf_dir: str):
         ks, sds = k[order], sd[order]
         st = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]]) if len(ks) else np.zeros(0, np.int64)
         en = np.r_[st[1:], len(ks)] if len(st) else st
-        t = pa.table({"l_orderkey": pa.array(ks[st] if len(st) else ks[:0]),
-                      "_maxship": pa.array(sds[en - 1] if len(st) else sds[:0])})
-        return t.append_column("_salt", pa.array(
-            t["l_orderkey"].combine_chunks().to_numpy(zero_copy_only=False) % np.int64(64)))
+        return pa.table({"l_orderkey": pa.array(ks[st] if len(st) else ks[:0]),
+                         "_maxship": pa.array(sds[en - 1] if len(st) else sds[:0])})
 
     def key_max(g: pa.Table) -> pa.Table:
         k = g["l_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -819,9 +798,10 @@ def _q_tpch_q4(sf_dir: str):
         return pa.table({"l_orderkey": pa.array(ks[st] if len(st) else ks[:0]),
                          "_maxship": pa.array(vs[en - 1] if len(st) else vs[:0])})
 
-    maxship = (_read(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"])
-               .map_batches(li_maxship, batch_format="pyarrow")
-               .groupby("_salt").map_groups(key_max, batch_format="pyarrow"))
+    maxship = keyed_fold(_read(f"{sf_dir}/lineitem.parquet",
+                               columns=["l_orderkey", "l_shipdate"])
+                         .map_batches(li_maxship, batch_format="pyarrow"),
+                         "l_orderkey", key_max)
 
     def filt_orders(b: pa.Table) -> pa.Table:
         m = pc.and_(pc.greater_equal(b["o_orderdate"], pa.scalar(lo)),
@@ -916,21 +896,6 @@ def _rev_e4(b: pa.Table) -> np.ndarray:
     return np.round(price * (1.0 - disc) * 1e4).astype(np.int64)
 
 
-def _seg_int_sums(keys: np.ndarray, vals: dict[str, np.ndarray],
-                  key_name: str) -> pa.Table:
-    """Per-block exact integer segment sums keyed on ``keys`` (associative —
-    bit-identical under any downstream combine order)."""
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    st = (np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-          if len(ks) else np.zeros(0, np.int64))
-    out = {key_name: pa.array(ks[st] if len(st) else ks[:0])}
-    for name, v in vals.items():
-        vv = v[order]
-        out[name] = pa.array(np.add.reduceat(vv, st) if len(st) else vv[:0])
-    return pa.table(out)
-
-
 def _q_tpch_q5(sf_dir: str):
     """TPC-H Q5 local-supplier volume (region ASIA, 1996).  Nation/region/
     supplier are broadcast dimensions (``ray.put`` of sorted key arrays —
@@ -981,7 +946,7 @@ def _q_tpch_q5(sf_dir: str):
         nat = natk[pos[hit]]
         okey = b["l_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
         packed = okey * np.int64(32) + nat  # nationkey < 25 < 32
-        t = _seg_int_sums(packed, {"rev_e4": _rev_e4(b)}, "_packed")
+        t = seg_int_sums(packed, {"rev_e4": _rev_e4(b)}, "_packed")
         pk = t["_packed"].combine_chunks().to_numpy(zero_copy_only=False)
         return pa.table({"o_orderkey": pa.array(pk // np.int64(32)),
                          "_snat": pa.array(pk % np.int64(32)),
@@ -1085,8 +1050,8 @@ def _q_tpch_q10(sf_dir: str):
         k = b["l_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
         pos = np.clip(np.searchsorted(oks, k), 0, max(len(oks) - 1, 0))
         hit = oks[pos] == k if len(oks) else np.zeros(len(k), bool)
-        return _seg_int_sums(cks[pos[hit]],
-                             {"rev_e4": _rev_e4(b)[hit]}, "c_custkey")
+        return seg_int_sums(cks[pos[hit]],
+                            {"rev_e4": _rev_e4(b)[hit]}, "c_custkey")
 
     li = _read(f"{sf_dir}/lineitem.parquet",
                columns=["l_orderkey", "l_returnflag", "l_extendedprice",
@@ -1139,8 +1104,8 @@ def _q_tpch_q13(sf_dir: str):
     def o_partial(b: pa.Table) -> pa.Table:
         b = b.filter(pc.not_equal(b["o_orderpriority"], "1-URGENT"))
         k = b["o_custkey"].combine_chunks().to_numpy(zero_copy_only=False)
-        return _seg_int_sums(k, {"c_count": np.ones(len(k), np.int64)},
-                             "o_custkey")
+        return seg_int_sums(k, {"c_count": np.ones(len(k), np.int64)},
+                            "o_custkey")
 
     counts = grouped_int_sums(
         _read(f"{sf_dir}/orders.parquet",
@@ -1191,7 +1156,7 @@ def _q_tpch_q15(sf_dir: str):
                     pc.less(b["l_shipdate"], pa.scalar(hi)))
         b = b.filter(m)
         k = b["l_suppkey"].combine_chunks().to_numpy(zero_copy_only=False)
-        return _seg_int_sums(k, {"rev_e4": _rev_e4(b)}, "s_suppkey")
+        return seg_int_sums(k, {"rev_e4": _rev_e4(b)}, "s_suppkey")
 
     rev = grouped_int_sums(
         _read(f"{sf_dir}/lineitem.parquet",
@@ -1255,8 +1220,8 @@ def _q_tpch_q17(sf_dir: str):
         k = b["l_partkey"].combine_chunks().to_numpy(zero_copy_only=False)
         q = np.round(b["l_quantity"].combine_chunks().to_numpy(
             zero_copy_only=False)).astype(np.int64)
-        return _seg_int_sums(k, {"sum_q": q, "cnt": np.ones(len(k), np.int64)},
-                             "l_partkey")
+        return seg_int_sums(k, {"sum_q": q, "cnt": np.ones(len(k), np.int64)},
+                            "l_partkey")
 
     agg = grouped_int_sums(
         _read(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_quantity"]
@@ -1320,7 +1285,7 @@ def _q_tpch_q18(sf_dir: str):
         k = b["l_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
         q = np.round(b["l_quantity"].combine_chunks().to_numpy(
             zero_copy_only=False)).astype(np.int64)
-        return _seg_int_sums(k, {"sum_q": q}, "o_orderkey")
+        return seg_int_sums(k, {"sum_q": q}, "o_orderkey")
 
     per_order = grouped_int_sums(
         _read(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
@@ -1545,7 +1510,7 @@ def _q_tpch_q7(sf_dir: str):
               .astype("datetime64[Y]").astype(np.int64) + 1970)
         okey = b["l_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
         packed = (okey * np.int64(32) + nat) * np.int64(4) + (yr - 1996)
-        t = _seg_int_sums(packed, {"rev_e4": _rev_e4(b)}, "_packed")
+        t = seg_int_sums(packed, {"rev_e4": _rev_e4(b)}, "_packed")
         pk = t["_packed"].combine_chunks().to_numpy(zero_copy_only=False)
         return pa.table({"o_orderkey": pa.array(pk // np.int64(128)),
                          "_snat": pa.array((pk // np.int64(4)) % np.int64(32)),
@@ -1663,8 +1628,8 @@ def _q_tpch_q8(sf_dir: str):
         is_tgt = nats[spos] == target_nat
         okey = b["l_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
         e4 = _rev_e4(b)
-        return _seg_int_sums(okey, {"tgt_e4": np.where(is_tgt, e4, 0),
-                                    "rev_e4": e4}, "o_orderkey")
+        return seg_int_sums(okey, {"tgt_e4": np.where(is_tgt, e4, 0),
+                                   "rev_e4": e4}, "o_orderkey")
 
     li = _read(f"{sf_dir}/lineitem.parquet",
                columns=["l_orderkey", "l_partkey", "l_suppkey",
@@ -1754,8 +1719,8 @@ def _q_tpch_q12(sf_dir: str):
         okey = b["l_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
         is_o = np.asarray(pc.equal(b["l_linestatus"].combine_chunks(), "O"))
         packed = okey * np.int64(2) + is_o
-        t = _seg_int_sums(packed, {"cnt": np.ones(len(packed), np.int64)},
-                          "_packed")
+        t = seg_int_sums(packed, {"cnt": np.ones(len(packed), np.int64)},
+                         "_packed")
         pk = t["_packed"].combine_chunks().to_numpy(zero_copy_only=False)
         return pa.table({"o_orderkey": pa.array(pk // np.int64(2)),
                          "_st": pa.array(pk % np.int64(2)),
@@ -1843,7 +1808,7 @@ def _q_tpch_q21(sf_dir: str):
         odate = b["o_orderdate"].combine_chunks().to_numpy(
             zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
         late = (ship > odate + late_us).astype(np.int64)
-        return _seg_int_sums(okey * SHIFT + sup, {"late_cnt": late}, "_ks")
+        return seg_int_sums(okey * SHIFT + sup, {"late_cnt": late}, "_ks")
 
     pairs = grouped_int_sums(
         j.map_batches(pair_partial, batch_format="pyarrow"), "_ks", ["late_cnt"])
@@ -1853,9 +1818,9 @@ def _q_tpch_q21(sf_dir: str):
         okey, sup = ks // SHIFT, ks % SHIFT
         late = (b["late_cnt"].combine_chunks().to_numpy(zero_copy_only=False)
                 > 0).astype(np.int64)
-        return _seg_int_sums(okey, {"n_supp": np.ones(len(ks), np.int64),
-                                    "n_late": late,
-                                    "lone": late * sup}, "o_orderkey")
+        return seg_int_sums(okey, {"n_supp": np.ones(len(ks), np.int64),
+                                   "n_late": late,
+                                   "lone": late * sup}, "o_orderkey")
 
     per_order = grouped_int_sums(
         pairs.map_batches(order_partial, batch_format="pyarrow"),
@@ -2002,7 +1967,7 @@ def _q_tpch_q9(sf_dir: str):
         amount = _rev_e4(b) - partsupp_cost_cents(pk, sk) * qty * 100
         okey = b["l_orderkey"].combine_chunks().to_numpy(zero_copy_only=False)
         packed = okey * np.int64(32) + snat[sk]  # nationkey < 25 < 32
-        t = _seg_int_sums(packed, {"amount_e4": amount}, "_packed")
+        t = seg_int_sums(packed, {"amount_e4": amount}, "_packed")
         pkd = t["_packed"].combine_chunks().to_numpy(zero_copy_only=False)
         return pa.table({"o_orderkey": pa.array(pkd // np.int64(32)),
                          "_nat": pa.array(pkd % np.int64(32)),
@@ -2191,7 +2156,7 @@ def _q_tpch_q20(sf_dir: str):
         qty = np.round(b["l_quantity"].combine_chunks().to_numpy(
             zero_copy_only=False)).astype(np.int64)[keep]
         packed = lpk[keep] * np.int64(1 << 20) + lsk[keep]  # suppkey < 2^20
-        return _seg_int_sums(packed, {"qty": qty}, "_pair")
+        return seg_int_sums(packed, {"qty": qty}, "_pair")
 
     agg = grouped_int_sums(
         _read(f"{sf_dir}/lineitem.parquet",
@@ -4039,9 +4004,11 @@ def _q_dod_change(sf_dir: str):
 def _q_latest_per_user(sf_dir: str):
     """Last-writer-wins upsert view: the latest event per user (ts DESC,
     event_id DESC) over a HIGH-cardinality key — per-block top-1 partials,
-    then ONE salted shuffle whose partitions finalize every user they own in
-    a single vectorized lexsort (no per-user task, unlike a naive
+    then ONE keyed fold whose calls finalize every user they own in a
+    single vectorized lexsort (no per-user task, unlike a naive
     groupby(user).map_groups)."""
+    from tsdat_ray.stages.reduce import keyed_fold
+
     ds = _events(sf_dir, columns=["user_id", "event_id", "ts"])
 
     def local(b: pa.Table) -> pa.Table:
@@ -4055,14 +4022,8 @@ def _q_latest_per_user(sf_dir: str):
             if len(us) else np.zeros(0, np.int64)
         return b.take(pa.array(np.sort(order[st]), type=pa.int64()))
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        u = b["user_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        return b.append_column("_salt", pa.array((u % 64 + 64) % 64))
-
-    out = (ds.map_batches(local, batch_format="pyarrow")
-           .map_batches(add_salt, batch_format="pyarrow")
-           .groupby("_salt").map_groups(local, batch_format="pyarrow"))
-    return out.select_columns(["user_id", "event_id", "ts"])
+    return keyed_fold(ds.map_batches(local, batch_format="pyarrow"), "user_id",
+                      local).select_columns(["user_id", "event_id", "ts"])
 
 
 def _q_logreg_embeddings(sf_dir: str):
@@ -4361,9 +4322,11 @@ def _q_robust_scale(sf_dir: str):
 def _q_rate_limit(sf_dir: str):
     """Ingestion rate limiting: keep the first 5 events per (user, day) in
     (ts, event_id) order — the high-cardinality window dedup of a log
-    pipeline.  One salted groupby co-locates each (user, day) basket;
-    row-numbering inside a partition is one vectorized lexsort over ALL its
+    pipeline.  One keyed fold co-locates each (user, day) basket;
+    row-numbering inside a fold call is one vectorized lexsort over ALL its
     baskets (no per-basket Python)."""
+    from tsdat_ray.stages.reduce import keyed_fold
+
     ds = _events(sf_dir, columns=["event_id", "ts", "user_id"])
     k = 5
 
@@ -4374,8 +4337,7 @@ def _q_rate_limit(sf_dir: str):
             day.to_numpy(zero_copy_only=False) // np.int64(86_400_000_000))
         return pa.table({"event_id": b["event_id"], "ts": b["ts"],
                          "user_id": b["user_id"],
-                         "_basket": pa.array(basket),
-                         "_salt": pa.array(basket % np.int64(64))})
+                         "_basket": pa.array(basket)})
 
     def limit(g: pa.Table) -> pa.Table:
         bk = g["_basket"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -4390,8 +4352,8 @@ def _q_rate_limit(sf_dir: str):
         sel = pa.array(order[pos < k], type=pa.int64())
         return g.select(["event_id", "ts", "user_id"]).take(sel)
 
-    return (ds.map_batches(add_key, batch_format="pyarrow")
-            .groupby("_salt").map_groups(limit, batch_format="pyarrow"))
+    return keyed_fold(ds.map_batches(add_key, batch_format="pyarrow"), "_basket",
+                      limit)
 
 
 def _q_cooccurrence(sf_dir: str):
@@ -4666,7 +4628,7 @@ def _q_cluster_size_hist(sf_dir: str):
     def partial(b: pa.Table) -> pa.Table:
         h = np.array([int(hashlib.md5((t or "").encode()).hexdigest()[:15], 16)
                       for t in b["text"].to_pylist()], dtype=np.int64)
-        return _seg_int_sums(h, {"n": np.ones(len(h), np.int64)}, "_h")
+        return seg_int_sums(h, {"n": np.ones(len(h), np.int64)}, "_h")
 
     agg = grouped_int_sums(
         _read(f"{sf_dir}/documents.parquet", columns=["text"]
@@ -4960,6 +4922,7 @@ def _q_asof_bucketed(sf_dir: str):
     any lookback depth, zero driver/broadcast state.  Oracle: the identical
     ASOF LEFT JOIN SQL — plan choice is invisible to values."""
     from tsdat_ray.stages.joins import asof_join_auto
+    from tsdat_ray.stages.reduce import keyed_fold
 
     def max_per_user_ts(b: pa.Table) -> pa.Table:
         if "event_type" in b.column_names:
@@ -4976,18 +4939,11 @@ def _q_asof_bucketed(sf_dir: str):
                          "ts": pa.array(ts_s[keep]).cast(pa.timestamp("us")),
                          "event_id_p": pa.array(eid_s[keep])})
 
-    def add_usalt(b: pa.Table) -> pa.Table:
-        u = b["user_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        return b.append_column("_s", pa.array((u % 16).astype(np.int64)))
-
     pur = _events(sf_dir, columns=["event_id", "ts", "user_id", "event_type"])
     # exact distinct (user, ts) -> max(event_id), all in Ray (right stays a
     # Dataset — the point of this plan)
-    right = (pur.map_batches(max_per_user_ts, batch_format="pyarrow")
-             .map_batches(add_usalt, batch_format="pyarrow")
-             .groupby("_s").map_groups(
-                 lambda g: max_per_user_ts(g.drop_columns(["_s"])),
-                 batch_format="pyarrow"))
+    right = keyed_fold(pur.map_batches(max_per_user_ts, batch_format="pyarrow"),
+                       "user_id", max_per_user_ts)
     clicks = _events(sf_dir, columns=["event_id", "ts", "user_id",
                                       "event_type"]).filter(
         expr="event_type == 'click'")
@@ -5583,70 +5539,16 @@ def _q_calendar_from_1d(unit: str):
     return run
 
 
-def _calendar_cascade_1d(sf_dir: str, unit: str):
-    """Calendar cascade: MONTH/WEEK tier built from the DAILY tier's
-    partials (never re-reading raw) — day buckets nest exactly inside both
-    calendar units (ISO weeks start on day boundaries), daily value_sum is
-    cent-exact, so integer re-accumulation reproduces the direct rollup
-    bit-for-bit.  Same oracle as the direct calendar rollup: cascade ==
-    direct under the value-hash contract."""
-    t1d = _events_rollup(sf_dir, "1d")
+def _rebucket_tier(src, bucket: Callable[[pa.Array], np.ndarray]):
+    """Roll a stored events tier up to a coarser bucket without re-reading
+    raw: ``bucket`` maps a block's ``bucket`` column to the int64 µs start
+    of the bucket each row falls in (the stored buckets must nest inside
+    the new ones).  Partials re-accumulate value_sum as integer cents, so
+    the result equals the direct rollup bit-for-bit (the value-hash
+    contract)."""
 
     def partial(b: pa.Table) -> pa.Table:
-        day = b["bucket"].combine_chunks()
-        month = pc.floor_temporal(day, unit=unit).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        k = b["event_type"].to_numpy(zero_copy_only=False)
-        n = b["n_rows"].combine_chunks().to_numpy(zero_copy_only=False)
-        s = np.round(b["value_sum"].combine_chunks().to_numpy(zero_copy_only=False) * 100).astype(np.int64)
-        mn = b["value_min"].combine_chunks().to_numpy(zero_copy_only=False)
-        mx = b["value_max"].combine_chunks().to_numpy(zero_copy_only=False)
-        order = np.lexsort((month, k))
-        ks, ms = k[order], month[order]
-        st = np.flatnonzero(np.r_[True, (ks[1:] != ks[:-1]) | (ms[1:] != ms[:-1])])             if len(ks) else np.zeros(0, np.int64)
-        return pa.table({
-            "event_type": pa.array(ks[st] if len(st) else ks[:0]),
-            "bucket": pa.array((ms[st] if len(st) else ms[:0]).astype("datetime64[us]")),
-            "n_rows": pa.array(np.add.reduceat(n[order], st) if len(st) else n[:0]),
-            "_s": pa.array(np.add.reduceat(s[order], st) if len(st) else s[:0]),
-            "_mn": pa.array(np.minimum.reduceat(mn[order], st) if len(st) else mn[:0]),
-            "_mx": pa.array(np.maximum.reduceat(mx[order], st) if len(st) else mx[:0]),
-        })
-
-    def combine(g: pa.Table) -> pa.Table:
-        n = int(np.sum(g["n_rows"].combine_chunks().to_numpy(zero_copy_only=False)))
-        s = int(np.sum(g["_s"].combine_chunks().to_numpy(zero_copy_only=False)))
-        sums = s / 100.0
-        return pa.table({
-            "event_type": g["event_type"].slice(0, 1),
-            "bucket": g["bucket"].slice(0, 1),
-            "n_rows": pa.array([n], pa.int64()),
-            "value_sum": pa.array([sums]),
-            "value_mean": pa.array([sums / n]),
-            "value_min": pa.array([float(np.min(g["_mn"].combine_chunks()
-                                                .to_numpy(zero_copy_only=False)))]),
-            "value_max": pa.array([float(np.max(g["_mx"].combine_chunks()
-                                                .to_numpy(zero_copy_only=False)))]),
-        })
-
-    return (t1d.map_batches(partial, batch_format="pyarrow")
-            .groupby(["event_type", "bucket"]).map_groups(combine, batch_format="pyarrow"))
-
-
-def _q_rollup_2h_auto(sf_dir: str):
-    """Serve-from-rollup read path: a 2h rollup answered from the stored
-    tier the planner picks (stages/rollup.py:best_tier → '1h', since
-    3600 | 7200 and 86400 does not) — re-accumulated cent-exact partials,
-    never re-reading raw; oracled against the DIRECT 2h SQL over raw
-    events, so cascade == direct under the value-hash contract."""
-    from tsdat_ray.stages.rollup import best_tier
-
-    iv_us = 7_200_000_000
-    tier = best_tier(7200, {"1m": 60, "1h": 3600, "1d": 86400})
-    src = _events_rollup(sf_dir, tier)
-
-    def partial(b: pa.Table) -> pa.Table:
-        bk = b["bucket"].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-        w = (bk // iv_us) * iv_us
+        w = bucket(b["bucket"].combine_chunks())
         k = b["event_type"].to_numpy(zero_copy_only=False)
         n = b["n_rows"].combine_chunks().to_numpy(zero_copy_only=False)
         s = np.round(b["value_sum"].combine_chunks().to_numpy(zero_copy_only=False) * 100).astype(np.int64)
@@ -5683,6 +5585,35 @@ def _q_rollup_2h_auto(sf_dir: str):
 
     return (src.map_batches(partial, batch_format="pyarrow")
             .groupby(["event_type", "bucket"]).map_groups(combine, batch_format="pyarrow"))
+
+
+def _calendar_cascade_1d(sf_dir: str, unit: str):
+    """Calendar cascade: MONTH/WEEK tier built from the DAILY tier's
+    partials (never re-reading raw) — day buckets nest exactly inside both
+    calendar units (ISO weeks start on day boundaries), daily value_sum is
+    cent-exact, so integer re-accumulation reproduces the direct rollup
+    bit-for-bit.  Same oracle as the direct calendar rollup: cascade ==
+    direct under the value-hash contract."""
+    return _rebucket_tier(
+        _events_rollup(sf_dir, "1d"),
+        lambda day: pc.floor_temporal(day, unit=unit).cast(pa.int64())
+        .to_numpy(zero_copy_only=False))
+
+
+def _q_rollup_2h_auto(sf_dir: str):
+    """Serve-from-rollup read path: a 2h rollup answered from the stored
+    tier the planner picks (stages/rollup.py:best_tier → '1h', since
+    3600 | 7200 and 86400 does not) — re-accumulated cent-exact partials,
+    never re-reading raw; oracled against the DIRECT 2h SQL over raw
+    events, so cascade == direct under the value-hash contract."""
+    from tsdat_ray.stages.rollup import best_tier
+
+    iv_us = 7_200_000_000
+    tier = best_tier(7200, {"1m": 60, "1h": 3600, "1d": 86400})
+    return _rebucket_tier(
+        _events_rollup(sf_dir, tier),
+        lambda bk: (bk.cast(pa.int64()).to_numpy(zero_copy_only=False)
+                    // iv_us) * iv_us)
 
 
 def _q_availability(sf_dir: str):

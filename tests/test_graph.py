@@ -53,16 +53,20 @@ def test_cc_numpy_matches_union_find():
     assert dict(zip(nodes.tolist(), lab.tolist())) == ref
 
 
-@pytest.mark.parametrize("salt_mod,final_max", [(8, 2_000_000), (4, 1)])
-def test_connected_components_distributed(ray_session, salt_mod, final_max):
-    # final_max=1 forces the recursion branch on the residual rep graph
-    edges = _mixed_edges(seed=salt_mod)
+@pytest.mark.parametrize("width,final_max", [(8, 2_000_000), (4, 1)])
+def test_connected_components_distributed(ray_session, monkeypatch, width,
+                                          final_max):
+    # final_max=1 forces the recursion branch on the residual rep graph;
+    # a small fold width puts many components in each fold call
+    from tsdat_ray.stages import reduce
+
+    monkeypatch.setattr(reduce, "WIDTH", width)
+    edges = _mixed_edges(seed=width)
     pairs = rd.from_arrow(pa.table({
         "id_a": pa.array([e[0] for e in edges], pa.int64()),
         "id_b": pa.array([e[1] for e in edges], pa.int64()),
     }))
-    out = connected_components(pairs, salt_mod=salt_mod,
-                               final_max_edges=final_max).to_pandas()
+    out = connected_components(pairs, final_max_edges=final_max).to_pandas()
     got = dict(zip(out["node"].tolist(), out["component"].tolist()))
     assert got == _uf_reference(edges)
     # exactly one row per node

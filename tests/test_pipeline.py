@@ -553,8 +553,8 @@ def test_reprocess_range_late_data(ray_session, tmp_path):
 
 
 def test_fresh_run_clears_existing_store(ray_session, corpus, tmp_path):
-    """resume=False over an existing store must not leave stale part files
-    from a previous run with different batch slicing."""
+    """resume=False over an existing store must keep no partition, part
+    file or manifest record of the previous run."""
     import ray.data as rd
 
     out = str(tmp_path / "store")
@@ -562,7 +562,7 @@ def test_fresh_run_clears_existing_store(ray_session, corpus, tmp_path):
                                         parallelism=7))
     man = Manifest(out)
     n1 = rd.read_parquet(man.tier_dir("raw")).count()
-    # different parallelism → different part names; fresh run must clear first
+    # the second fresh run wipes the store before it writes
     run_pipeline(corpus, PipelineConfig(out_root=out, resume=False, run_id="f2",
                                         parallelism=13))
     n2 = rd.read_parquet(man.tier_dir("raw")).count()

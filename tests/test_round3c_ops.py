@@ -3,6 +3,16 @@ removal, n-gram vocab growth, two-sample KS, regex redaction."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
+
+
+@pytest.fixture
+def narrow_folds(monkeypatch):
+    """Fold width 4, so a small input still spreads over several keyed-fold
+    calls and each call holds several keys."""
+    from tsdat_ray.stages import reduce
+
+    monkeypatch.setattr(reduce, "WIDTH", 4)
 
 
 def _docs(rows):
@@ -12,7 +22,7 @@ def _docs(rows):
     })
 
 
-def test_remove_dup_spans_brute_force(ray_session):
+def test_remove_dup_spans_brute_force(ray_session, narrow_folds):
     import ray.data as rd
 
     from tsdat_ray.stages.dedup import remove_duplicate_spans
@@ -28,7 +38,7 @@ def test_remove_dup_spans_brute_force(ray_session):
         "short",                          # duplicate short doc (len >= k)
     ]
     out = (remove_duplicate_spans(
-        rd.from_arrow(_docs(texts)), k=k, salt_mod=8, doc_salt_mod=4)
+        rd.from_arrow(_docs(texts)), k=k)
         .to_pandas().set_index("doc_id").sort_index())
 
     # brute-force reference: positions of k-shingles in >= 2 distinct docs
@@ -69,7 +79,7 @@ def test_remove_dup_spans_disjoint_corpus_is_identity(ray_session):
     assert list(out["text_clean"]) == texts
 
 
-def test_vocab_growth_matches_brute_force(ray_session):
+def test_vocab_growth_matches_brute_force(ray_session, narrow_folds):
     import ray.data as rd
 
     from tsdat_ray.stages.text import vocab_growth
@@ -81,8 +91,7 @@ def test_vocab_growth_matches_brute_force(ray_session):
     t = _docs(texts)
 
     for ngram, bw in ((1, 10), (2, 25)):
-        out = (vocab_growth(rd.from_arrow(t), bucket_width=bw, ngram=ngram,
-                            salt_mod=8)
+        out = (vocab_growth(rd.from_arrow(t), bucket_width=bw, ngram=ngram)
                .to_pandas().sort_values("bucket").reset_index(drop=True))
         first = {}
         for d, s in enumerate(texts):
@@ -100,7 +109,7 @@ def test_vocab_growth_matches_brute_force(ray_session):
             [buckets[b] for b in exp_b]))
 
 
-def test_ks_2samp_brute_force(ray_session):
+def test_ks_2samp_brute_force(ray_session, narrow_folds):
     import ray.data as rd
 
     from tsdat_ray.stages.stats import ks_2samp
@@ -112,8 +121,7 @@ def test_ks_2samp_brute_force(ray_session):
         "v": pa.array(np.r_[va, vb].astype(np.int64)),
         "side": pa.array(["a"] * len(va) + ["b"] * len(vb)),
     })
-    out = ks_2samp(rd.from_arrow(t), "v", "side", "a", "b",
-                   salt_mod=8).to_pandas()
+    out = ks_2samp(rd.from_arrow(t), "v", "side", "a", "b").to_pandas()
     assert len(out) == 1
     row = out.iloc[0]
     assert row["n_a"] == len(va) and row["n_b"] == len(vb)

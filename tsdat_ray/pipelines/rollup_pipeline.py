@@ -799,10 +799,10 @@ def run_pipeline(input_paths, cfg: PipelineConfig, now_us: Optional[int] = None)
     are not rebuilt while every later dir holds them or prunes them too."""
     man = Manifest(cfg.out_root)
     if not cfg.resume and man.records():
-        # fresh-run semantics over an existing store: clear it — part file
-        # names follow the session's block layout, so writing over a
-        # previous run at different parallelism would leave stale part
-        # files next to new ones
+        # fresh-run semantics over an existing store: clear it — a fresh
+        # run must keep no partition or manifest record of the previous
+        # corpus (a (source, day) the new inputs lack would otherwise
+        # survive in every dir)
         for tier in Manifest.tier_names(cfg.tiers, cfg.encode_tiers):
             man.sfs.rmtree(man.tier_dir(tier))
         man.sfs.rmtree(man.sfs.join_root("quarantine"))

@@ -53,7 +53,6 @@ class VapConfig:
     out_tier: str = "vap"
     window_s: int = 86400
     run_id: str = ""
-    parallelism: Optional[int] = None
     extra: dict = field(default_factory=dict)  # transform kwargs passthrough
 
 

@@ -12,9 +12,10 @@ and runs in two phases:
    (:func:`~tsdat_ray.stages.spill.checkpoint_with_summary`), whose map
    task also writes the summary rows (<= one per group per block) to a
    sidecar;
-2. ``fold_carry`` shuffles the summaries by a salted ``hash(key)``; each
-   task sorts them by (key, window), dedups and hands every key segment to
-   the operator's vectorized ``fold``, which returns one carry per window
+2. ``fold_carry`` folds the summaries by key
+   (:func:`~tsdat_ray.stages.reduce.keyed_fold`); each fold call sorts
+   them by (key, window), dedups and hands every key segment to the
+   operator's vectorized ``fold``, which returns one carry per window
    (the state of all earlier windows).  ``attach_carry`` joins the carry
    back onto the checkpointed rows by (key, window): a small carry is
    broadcast as one Arrow table and probed per batch; a large one takes a
@@ -34,6 +35,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .reduce import keyed_fold
 
 US = 1_000_000
 
@@ -63,8 +66,7 @@ def summary_from_part(part, key: str, window_col: str,
 
 def fold_carry(summary_ds, key: str, window_col: str,
                summary_cols: list[str],
-               fold: Callable[[np.ndarray, np.ndarray, dict], dict],
-               salt_mod: int = 64):
+               fold: Callable[[np.ndarray, np.ndarray, dict], dict]):
     """Distributed per-key prefix fold of a (key, window) summary Dataset.
 
     ``fold(starts, windows, cols) -> {carry_col: array}`` sees the
@@ -74,13 +76,7 @@ def fold_carry(summary_ds, key: str, window_col: str,
     numpy arrays, ``pa.Array``, or lists (for list-typed carries).
     """
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(np.asarray(b[key].to_numpy(zero_copy_only=False)))
-        return b.append_column("_ksalt", pa.array((h % np.uint64(salt_mod))
-                                                  .astype(np.int64)))
-
     def fold_partition(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_ksalt"])
         k = g[key].to_numpy(zero_copy_only=False)
         w = g[window_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
         order = np.lexsort((w, k))
@@ -106,9 +102,7 @@ def fold_carry(summary_ds, key: str, window_col: str,
                 else pa.array(arr)
         return pa.table(out)
 
-    return (summary_ds.map_batches(add_salt, batch_format="pyarrow")
-            .groupby("_ksalt")
-            .map_groups(fold_partition, batch_format="pyarrow"))
+    return keyed_fold(summary_ds, key, fold_partition)
 
 
 def _lookup(ref) -> tuple[pa.Table, pd.MultiIndex]:

@@ -20,6 +20,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .reduce import keyed_fold
+
 
 def _hash_text(col: pa.ChunkedArray) -> np.ndarray:
     """Stable 64-bit content hash of a string column, vectorized (pandas
@@ -32,14 +34,14 @@ def _hash_text(col: pa.ChunkedArray) -> np.ndarray:
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", keep_cols=None,
-                salt_mod: int = 256, payload: str = "full"):
+                payload: str = "full"):
     """Exact dedup on the content of ``text_col``: keep the row with the
     minimum ``id_col`` per distinct content (deterministic).
 
-    Shuffle shape: hash-partition on ``_h % salt_mod`` (coarse buckets, so
-    hot duplicate clusters spread across a bounded number of groups and each
-    group dedups MANY hashes vectorized — one Python call per distinct text
-    was the hot spot before), then per-partition segmentation by (hash,
+    Shuffle shape: one keyed fold on the content hash ``_h`` (coarse
+    buckets, so hot duplicate clusters spread across a bounded number of
+    groups and each group dedups MANY hashes vectorized — one Python call
+    per distinct text was the hot spot before), then per-partition segmentation by (hash,
     text) with rare-collision resolution via exact text compare.
 
     ``payload="hash"``: shuffle only (hash, id) — the 100 TB mode when the
@@ -53,8 +55,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", keep_cols=No
         h = _hash_text(batch[text_col])
         if hash_only:
             batch = batch.drop_columns([text_col])
-        batch = batch.append_column("_h", pa.array(h))
-        return batch.append_column("_salt", pa.array((h % np.uint64(salt_mod)).astype(np.int64)))
+        return batch.append_column("_h", pa.array(h))
 
     def first_part(g: pa.Table) -> pa.Table:
         ids = g[id_col].to_numpy(zero_copy_only=False)
@@ -70,36 +71,31 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", keep_cols=No
             keep = np.r_[True, (hs[1:] != hs[:-1]) | (ts[1:] != ts[:-1])] if len(ts) else np.zeros(0, bool)
         starts = np.flatnonzero(keep)
         counts = np.diff(np.r_[starts, len(hs)])
-        t = g.take(pa.array(order[keep], type=pa.int64()))
-        t = t.drop_columns(["_h", "_salt"])
+        t = g.take(pa.array(order[keep], type=pa.int64())).drop_columns(["_h"])
         return t.append_column("n_copies", pa.array(counts.astype(np.int64)))
 
-    out = ds.map_batches(add_hash, batch_format="pyarrow").groupby("_salt").map_groups(
-        first_part, batch_format="pyarrow"
-    )
+    out = keyed_fold(ds.map_batches(add_hash, batch_format="pyarrow"), "_h",
+                     first_part)
     if keep_cols:
         out = out.select_columns(list(keep_cols))
     return out
 
 
 def cap_duplicates(ds, text_col: str = "text", id_col: str = "doc_id",
-                   k: int = 4, keep_cols=None, salt_mod: int = 256):
+                   k: int = 4, keep_cols=None):
     """Frequency capping: keep at most ``k`` copies per distinct content —
     the deterministic survivors are the k smallest ``id_col`` values, each
     tagged with its 0-based ``copy_rank``.  The standard middle ground
     between no dedup and :func:`exact_dedup` (k=1) for pretraining corpora
     where bounded repetition is wanted but unbounded boilerplate is not.
 
-    Same shuffle shape as :func:`exact_dedup` (salted content-hash
-    partition, vectorized per-partition segmentation, exact text compare
+    Same shuffle shape as :func:`exact_dedup` (keyed fold on the content
+    hash, vectorized per-partition segmentation, exact text compare
     for collision safety); SQL twin: ``row_number() OVER (PARTITION BY
     text ORDER BY id) <= k``."""
 
     def add_hash(batch: pa.Table) -> pa.Table:
-        h = _hash_text(batch[text_col])
-        batch = batch.append_column("_h", pa.array(h))
-        return batch.append_column(
-            "_salt", pa.array((h % np.uint64(salt_mod)).astype(np.int64)))
+        return batch.append_column("_h", pa.array(_hash_text(batch[text_col])))
 
     def cap_part(g: pa.Table) -> pa.Table:
         ids = g[id_col].to_numpy(zero_copy_only=False)
@@ -113,13 +109,12 @@ def cap_duplicates(ds, text_col: str = "text", id_col: str = "doc_id",
         within = np.arange(len(ts)) - np.repeat(
             starts, np.diff(np.r_[starts, len(ts)]))
         keep = within < k
-        t = g.take(pa.array(order[keep], type=pa.int64()))
-        t = t.drop_columns(["_h", "_salt"])
+        t = g.take(pa.array(order[keep], type=pa.int64())).drop_columns(["_h"])
         return t.append_column("copy_rank",
                                pa.array(within[keep].astype(np.int64)))
 
-    out = ds.map_batches(add_hash, batch_format="pyarrow").groupby(
-        "_salt").map_groups(cap_part, batch_format="pyarrow")
+    out = keyed_fold(ds.map_batches(add_hash, batch_format="pyarrow"), "_h",
+                     cap_part)
     if keep_cols:
         out = out.select_columns(list(keep_cols))
     return out
@@ -369,12 +364,8 @@ def minhash_lsh_candidates(ds, num_perm: int = 128, bands: int = 32,
             bh[b * n : (b + 1) * n] = h
         return pa.table({"band": pa.array(band_ids), "bh": pa.array(bh), id_col: pa.array(doc)})
 
-    def add_salt(batch: pa.Table) -> pa.Table:
-        bh = batch["bh"].combine_chunks().to_numpy(zero_copy_only=False)
-        return batch.append_column("_salt", pa.array((bh % np.uint64(256)).astype(np.int64)))
-
     def bucket_part(g: pa.Table) -> pa.Table:
-        """One salt partition holds many (band, bh) buckets: segment them
+        """One fold call holds many (band, bh) buckets: segment them
         vectorized (lexsort + boundary diff) and emit each >=2-doc bucket's
         doc list via a single offsets-based ListArray — no per-bucket Python
         calls (20k buckets per run made map_groups-per-bucket the hot spot)."""
@@ -405,11 +396,9 @@ def minhash_lsh_candidates(ds, num_perm: int = 128, bands: int = 32,
             }
         )
 
-    sigs = ds.map_batches(sign, batch_format="pyarrow")
-    exploded = sigs.map_batches(explode, batch_format="pyarrow").map_batches(
-        add_salt, batch_format="pyarrow"
-    )
-    return exploded.groupby("_salt").map_groups(bucket_part, batch_format="pyarrow")
+    exploded = ds.map_batches(sign, batch_format="pyarrow").map_batches(
+        explode, batch_format="pyarrow")
+    return keyed_fold(exploded, ["band", "bh"], bucket_part)
 
 
 def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
@@ -567,7 +556,7 @@ def _verify_jaccard(pk, tx_a, tx_b, shingle_k: int, threshold: float) -> pa.Tabl
 def minhash_neardup_pairs(ds, threshold: float = 0.5,
                           num_perm: int = 128, bands: int = 32, shingle_k: int = 5,
                           text_col: str = "text", id_col: str = "doc_id",
-                          concurrency: int = 2, verify_salt: int = 64,
+                          concurrency: int = 2,
                           max_broadcast_texts: int = 500_000,
                           max_broadcast_ids: int = 2_000_000):
     """MinHash+LSH near-duplicate detection end-to-end: signature → band
@@ -582,14 +571,12 @@ def minhash_neardup_pairs(ds, threshold: float = 0.5,
       texts via ``ray.put`` (bounded by near-dups, NOT corpus size), verify
       the pair list in one shuffle-free ``map_batches`` pass.
     * ≤ ``max_broadcast_ids``: broadcast only the candidate id SET (ints),
-      semi-join filter in place, then one doc-salt groupby attaches texts to
-      pair sides and one pair-salt groupby verifies.
+      semi-join filter in place, then one keyed fold by doc attaches texts
+      to pair sides and one keyed fold by pair verifies.
     * larger: full ``hash_join`` of pair-side rows against the documents
       Dataset (corpus shuffled once, still no text broadcast).
 
     Returns (id_a, id_b, jaccard) with id_a < id_b and jaccard >= threshold."""
-    from .joins import hash_join
-
     cand = minhash_lsh_candidates(
         ds, num_perm=num_perm, bands=bands, text_col=text_col, id_col=id_col,
         concurrency=concurrency,
@@ -624,7 +611,7 @@ def minhash_neardup_pairs(ds, threshold: float = 0.5,
     pk_all = collect_unique_pairs(pairs)
     return verify_pairs_exact(
         ds, pk_all, threshold=threshold, shingle_k=shingle_k, text_col=text_col,
-        id_col=id_col, verify_salt=verify_salt,
+        id_col=id_col,
         max_broadcast_texts=max_broadcast_texts, max_broadcast_ids=max_broadcast_ids,
     )
 
@@ -646,7 +633,7 @@ def collect_unique_pairs(pairs) -> np.ndarray:
 
 def verify_pairs_exact(ds, pk_all, *, threshold: float = 0.5, shingle_k: int = 5,
                        text_col: str = "text", id_col: str = "doc_id",
-                       verify_salt: int = 64, max_broadcast_texts: int = 500_000,
+                       max_broadcast_texts: int = 500_000,
                        max_broadcast_ids: int = 2_000_000):
     """Exact k-shingle Jaccard verification of a candidate pair set (packed
     ``(id_a << 32) | id_b`` int64 keys) against the documents Dataset,
@@ -658,8 +645,8 @@ def verify_pairs_exact(ds, pk_all, *, threshold: float = 0.5, shingle_k: int = 5
       texts via ``ray.put`` (bounded by near-dups, NOT corpus size), verify
       the pair list in one shuffle-free ``map_batches`` pass.
     * ≤ ``max_broadcast_ids``: broadcast only the candidate id SET (ints),
-      semi-join filter in place, then one doc-salt groupby attaches texts to
-      pair sides and one pair-salt groupby verifies.
+      semi-join filter in place, then one keyed fold by doc attaches texts
+      to pair sides and one keyed fold by pair verifies.
     * larger: full ``hash_join`` of pair-side rows against the documents
       Dataset (corpus shuffled once, still no text broadcast).
 
@@ -668,10 +655,6 @@ def verify_pairs_exact(ds, pk_all, *, threshold: float = 0.5, shingle_k: int = 5
     import ray.data as rd
 
     from .joins import hash_join
-
-    def add_vsalt(batch: pa.Table) -> pa.Table:
-        pk = batch["_pk"].combine_chunks().to_numpy(zero_copy_only=False)
-        return batch.append_column("_vsalt", pa.array(pk % np.int64(verify_salt)))
 
     def verify_part(g: pa.Table) -> pa.Table:
         pk = g["_pk"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -846,8 +829,8 @@ def verify_pairs_exact(ds, pk_all, *, threshold: float = 0.5, shingle_k: int = 5
     if len(cand_ids) <= max_broadcast_ids:
         # semi-join fast path: broadcast the candidate ID SET (ints, bounded
         # by near-dups — NOT corpus text), filter docs in place (no shuffle),
-        # union with driver-built pair-side rows, one doc-salt groupby
-        # attaches texts, one pair-salt groupby verifies
+        # union with driver-built pair-side rows, one keyed fold by doc
+        # attaches texts, one keyed fold by pair verifies
         ids_ref = ray.put(cand_ids)  # sorted by construction
 
         def filter_docs(b: pa.Table) -> pa.Table:
@@ -874,12 +857,8 @@ def verify_pairs_exact(ds, pk_all, *, threshold: float = 0.5, shingle_k: int = 5
             rd.from_arrow(side_rows).repartition(16)
         )
 
-        def add_dsalt(b: pa.Table) -> pa.Table:
-            d = b[id_col].combine_chunks().to_numpy(zero_copy_only=False)
-            return b.append_column("_dsalt", pa.array(d % np.int64(verify_salt)))
-
         def attach_text(g: pa.Table) -> pa.Table:
-            """One doc-salt partition: map doc_id → text onto the pair-side
+            """One fold call: map doc_id → text onto the pair-side
             rows (text rows have _pk null; side rows have text null)."""
             d = g[id_col].combine_chunks().to_numpy(zero_copy_only=False)
             is_doc = pc.is_valid(g[text_col].combine_chunks()).to_numpy(zero_copy_only=False)
@@ -900,9 +879,7 @@ def verify_pairs_exact(ds, pk_all, *, threshold: float = 0.5, shingle_k: int = 5
                 }
             )
 
-        joined = u.map_batches(add_dsalt, batch_format="pyarrow").groupby("_dsalt").map_groups(
-            attach_text, batch_format="pyarrow"
-        )
+        joined = keyed_fold(u, id_col, attach_text)
     else:
         # huge candidate set: stream the corpus through ONE bucketed shuffle
         # against the pair-side rows (no broadcast of anything corpus-sized).
@@ -924,9 +901,7 @@ def verify_pairs_exact(ds, pk_all, *, threshold: float = 0.5, shingle_k: int = 5
 
         joined = hash_join(sides, ds.map_batches(slim, batch_format="pyarrow"), on=id_col)
 
-    return joined.map_batches(add_vsalt, batch_format="pyarrow").groupby("_vsalt").map_groups(
-        verify_part, batch_format="pyarrow"
-    )
+    return keyed_fold(joined, "_pk", verify_part)
 
 
 # --------------------------------------------------------------------------- #
@@ -954,7 +929,7 @@ def _char_shingle_hashes(s: str, k: int) -> np.ndarray:
 def ngram_similarity_join(ds, threshold: float = 0.5, shingle_k: int = 5,
                           text_col: str = "text", id_col: str = "doc_id",
                           n_hot: int = 1 << 16, hot_sample_mod: int = 4,
-                          salt_mod: int = 64, **verify_kw):
+                          **verify_kw):
     """EXACT k-shingle Jaccard self-join: every pair with similarity >=
     ``threshold``, via prefix filtering (AllPairs/PPJoin, Bayardo et al.
     WWW'07) — no LSH false negatives.
@@ -972,7 +947,7 @@ def ngram_similarity_join(ds, threshold: float = 0.5, shingle_k: int = 5,
        index as (shingle, doc, set_size) rows.  Two sets with J >= t MUST
        share a prefix token (standard prefix-filter lemma), so recall is 1
        up to 64-bit shingle-hash collisions (~m^2/2^65 per doc).
-    3. *Bucket pair-gen*: salted groupby on shingle hash; within a bucket,
+    3. *Bucket pair-gen*: keyed fold on shingle hash; within a bucket,
        docs sorted by set size and paired only where ``min >= t * max``
        (length filter) — contiguous ranges via searchsorted, no triu blowup.
     4. Exact verification via :func:`verify_pairs_exact` (tiered: text
@@ -1054,10 +1029,6 @@ def ngram_similarity_join(ds, threshold: float = 0.5, shingle_k: int = 5,
             }
         )
 
-    def add_salt(batch: pa.Table) -> pa.Table:
-        h = batch["h"].combine_chunks().to_numpy(zero_copy_only=False)
-        return batch.append_column("_salt", pa.array((h % np.uint64(salt_mod)).astype(np.int64)))
-
     # ---- pass 3: bucket pair generation with length filter ----------------- #
     def bucket_pairs(g: pa.Table) -> pa.Table:
         h = g["h"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -1118,12 +1089,8 @@ def ngram_similarity_join(ds, threshold: float = 0.5, shingle_k: int = 5,
         pk = batch["_pk"].combine_chunks().to_numpy(zero_copy_only=False)
         return pa.table({"_pk": pa.array(np.unique(pk))})
 
-    pairs = (
-        ds.map_batches(prefix_rows, batch_format="pyarrow")
-        .map_batches(add_salt, batch_format="pyarrow")
-        .groupby("_salt").map_groups(bucket_pairs, batch_format="pyarrow")
-        .map_batches(uniq, batch_format="pyarrow")
-    )
+    pairs = keyed_fold(ds.map_batches(prefix_rows, batch_format="pyarrow"), "h",
+                       bucket_pairs).map_batches(uniq, batch_format="pyarrow")
     pk_all = collect_unique_pairs(pairs)
     return verify_pairs_exact(
         ds, pk_all, threshold=t, shingle_k=shingle_k,
@@ -1211,7 +1178,7 @@ def signature_neardup_pairs(sigs, id_col: str = "doc_id",
         )
 
     def bucket_pairs(g: pa.Table) -> pa.Table:
-        """One (rot % salt) partition: segment by (rot, bucket), emit verified
+        """One fold call: segment by (rot, bucket), emit verified
         pairs per segment (vectorized per segment; segments are small)."""
         rot = g["rot"].combine_chunks().to_numpy(zero_copy_only=False)
         bkt = g["bucket"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -1259,15 +1226,9 @@ def signature_neardup_pairs(sigs, id_col: str = "doc_id",
             }
         )
 
-    ex = sigs.map_batches(rotations, batch_format="pyarrow")
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        b = batch["bucket"].combine_chunks().to_numpy(zero_copy_only=False)
-        return batch.append_column("_salt", pa.array(b % np.int64(64)))
-
-    pairs = ex.map_batches(add_salt, batch_format="pyarrow").groupby("_salt").map_groups(
-        bucket_pairs, batch_format="pyarrow"
-    ).materialize()  # barrier: see minhash_neardup_pairs scheduling note
+    # barrier: see minhash_neardup_pairs scheduling note
+    pairs = keyed_fold(sigs.map_batches(rotations, batch_format="pyarrow"),
+                       ["rot", "bucket"], bucket_pairs).materialize()
     pairs = pairs.repartition(4).map_batches(uniq, batch_format="pyarrow", batch_size=None)
     pairs = pairs.repartition(1).map_batches(uniq, batch_format="pyarrow", batch_size=None)
     return pairs.map_batches(unkey, batch_format="pyarrow")
@@ -1409,8 +1370,7 @@ def _flat_char_shingle_counts_batch(texts, k: int):
 
 
 def duplicated_span_coverage(ds, id_col: str = "doc_id", text_col: str = "text",
-                             k: int = 20, salt_mod: int = 256,
-                             winnow_w: int = 1):
+                             k: int = 20, winnow_w: int = 1):
     """Per-document duplicated-span coverage: how many k-character shingle
     positions of each doc also occur in at least one OTHER doc (the signal
     behind exact-substring dedup of training corpora, cf. Lee et al. 2022
@@ -1420,14 +1380,13 @@ def duplicated_span_coverage(ds, id_col: str = "doc_id", text_col: str = "text",
 
     Shape (every stage streams; nothing is broadcast):
 
-    1. per-doc distinct shingles → (h1, h2, doc_id, positions) rows, salted
-       by ``h1 % salt_mod``;
-    2. one salted groupby: within a salt partition, shingles with >= 2
+    1. per-doc distinct shingles → (h1, h2, doc_id, positions) rows;
+    2. one keyed fold by ``h1``: within a fold call, shingles with >= 2
        distinct docs mark each member doc's positions as duplicated
        (vectorized run-length over the lexsorted (h1, h2) rows);
     3. per-doc duplicated counts + per-doc totals (computed directly from
-       text length — no second scan of shingles) meet in one tiny
-       (doc-salted) groupby sum.
+       text length — no second scan of shingles) meet in one tiny keyed
+       fold by doc.
 
     Payload note: step 2 shuffles ~one 26-byte row per character of corpus;
     at the 100 TB scale use a winnowing stride (emit only minimizer
@@ -1456,7 +1415,6 @@ def duplicated_span_coverage(ds, id_col: str = "doc_id", text_col: str = "text",
             "_h2": pa.array(h2),
             id_col: pa.array(ids_rep),
             "_cnt": pa.array(cnt),
-            "_salt": pa.array((h1 % np.uint64(salt_mod)).astype(np.int64)),
         })
 
     def dup_rows(g: pa.Table) -> pa.Table:
@@ -1474,8 +1432,8 @@ def duplicated_span_coverage(ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({id_col: pa.array(ids[keep]),
                          "_dup": pa.array(cnt[keep])})
 
-    dups = (ds.map_batches(shingle_rows, batch_format="pyarrow")
-            .groupby("_salt").map_groups(dup_rows, batch_format="pyarrow"))
+    dups = keyed_fold(ds.map_batches(shingle_rows, batch_format="pyarrow"), "_h1",
+                      dup_rows)
 
     def total_rows(b: pa.Table) -> pa.Table:
         ids = b[id_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -1496,10 +1454,6 @@ def duplicated_span_coverage(ds, id_col: str = "doc_id", text_col: str = "text",
                          "_tot": pa.array(np.zeros(b.num_rows, np.int64)),
                          "_dup": b["_dup"]})
 
-    def add_dsalt(b: pa.Table) -> pa.Table:
-        ids = b[id_col].combine_chunks().to_numpy(zero_copy_only=False)
-        return b.append_column("_dsalt", pa.array(ids % np.int64(salt_mod)))
-
     def fold(g: pa.Table) -> pa.Table:
         ids = g[id_col].combine_chunks().to_numpy(zero_copy_only=False)
         tot = g["_tot"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -1515,8 +1469,7 @@ def duplicated_span_coverage(ds, id_col: str = "doc_id", text_col: str = "text",
 
     totals = ds.map_batches(total_rows, batch_format="pyarrow")
     both = totals.union(dups.map_batches(pad_dup, batch_format="pyarrow"))
-    return (both.map_batches(add_dsalt, batch_format="pyarrow")
-            .groupby("_dsalt").map_groups(fold, batch_format="pyarrow"))
+    return keyed_fold(both, id_col, fold)
 
 
 def _distinct_doc_grams(b: pa.Table, id_col: str, text_col: str, n: int):
@@ -1541,8 +1494,7 @@ def _distinct_doc_grams(b: pa.Table, id_col: str, text_col: str, n: int):
 
 
 def ngram_contamination(corpus, bench, id_col: str = "doc_id",
-                        text_col: str = "text", n: int = 8,
-                        salt_mod: int = 256):
+                        text_col: str = "text", n: int = 8):
     """Benchmark-decontamination signal (cross-set word n-gram overlap —
     the GPT-3 appendix-C / n-gram decon recipe): for every corpus doc, how
     many of its DISTINCT word n-grams also occur in ANY benchmark doc.
@@ -1552,34 +1504,28 @@ def ngram_contamination(corpus, bench, id_col: str = "doc_id",
     large eval suite never has to fit on the driver or be broadcast):
 
     1. both sides emit distinct (gram_hash, doc) rows — bench rows carry
-       doc = -1 — salted by ``gram_hash % salt_mod``;
-    2. one salted groupby marks corpus rows whose hash shares a run with a
-       bench row (lexsort + run-length scan, all vectorized);
-    3. per-doc contaminated counts meet per-doc distinct totals in a salted
+       doc = -1;
+    2. one keyed fold by gram hash marks corpus rows whose hash shares a
+       run with a bench row (lexsort + run-length scan, all vectorized);
+    3. per-doc contaminated counts meet per-doc distinct totals in a keyed
        exact integer fold.
 
     Gram equality is 64-bit-hash equality (process-independent siphash —
-    see ``text.word_gram_hashes``); collision odds are ~m²/2⁶⁵ per salt
-    slice, effectively exact vs the SQL string-join twin.
+    see ``text.word_gram_hashes``); collision odds are ~m²/2⁶⁵ per fold
+    call, effectively exact vs the SQL string-join twin.
 
     Returns (id_col, n_grams, n_contam) for every corpus doc with ≥ n
     words."""
 
     def corpus_rows(b: pa.Table) -> pa.Table:
         gs, gdocs, _, _ = _distinct_doc_grams(b, id_col, text_col, n)
-        return pa.table({
-            "_h": pa.array(gs), id_col: pa.array(gdocs),
-            "_salt": pa.array((gs % np.uint64(salt_mod)).astype(np.int64)),
-        })
+        return pa.table({"_h": pa.array(gs), id_col: pa.array(gdocs)})
 
     def bench_rows(b: pa.Table) -> pa.Table:
         gs, _, _, _ = _distinct_doc_grams(b, id_col, text_col, n)
         gs = np.unique(gs)
-        return pa.table({
-            "_h": pa.array(gs),
-            id_col: pa.array(np.full(len(gs), -1, np.int64)),
-            "_salt": pa.array((gs % np.uint64(salt_mod)).astype(np.int64)),
-        })
+        return pa.table({"_h": pa.array(gs),
+                         id_col: pa.array(np.full(len(gs), -1, np.int64))})
 
     def mark(g: pa.Table) -> pa.Table:
         h = g["_h"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -1591,8 +1537,8 @@ def ngram_contamination(corpus, bench, id_col: str = "doc_id",
         has_bench = np.add.reduceat(ds_ == -1, st) > 0 if len(st) else np.zeros(0, bool)
         corp = ds_ != -1
         hit = np.repeat(has_bench, runlen) & corp
-        # per-doc PARTIALS within this salt slice: every (gram, doc) row
-        # lands in exactly one slice, so rows-per-doc partial-sums to the
+        # per-doc PARTIALS within this fold call: every (gram, doc) row
+        # lands in exactly one call, so rows-per-doc partial-sums to the
         # doc's distinct-gram total — no second scan/hash of the text
         # (r4: replaces the separate total_rows pass over the corpus)
         docs_all = ds_[corp]
@@ -1606,11 +1552,10 @@ def ngram_contamination(corpus, bench, id_col: str = "doc_id",
 
     from .stats import grouped_int_sums
 
-    marked = (corpus.map_batches(corpus_rows, batch_format="pyarrow")
-              .union(bench.map_batches(bench_rows, batch_format="pyarrow"))
-              .groupby("_salt").map_groups(mark, batch_format="pyarrow"))
-    return grouped_int_sums(marked, id_col,
-                            ["n_grams", "n_contam"], salt_mod=salt_mod)
+    marked = keyed_fold(corpus.map_batches(corpus_rows, batch_format="pyarrow")
+                        .union(bench.map_batches(bench_rows, batch_format="pyarrow")),
+                        "_h", mark)
+    return grouped_int_sums(marked, id_col, ["n_grams", "n_contam"])
 
 
 def cluster_dedup(ds, pairs, id_col: str = "doc_id", a_col: str = "id_a",
@@ -1899,8 +1844,7 @@ def _char_shingle_hashes_positions(s: str, k: int):
 
 
 def remove_duplicate_spans(ds, id_col: str = "doc_id", text_col: str = "text",
-                           k: int = 20, salt_mod: int = 256,
-                           doc_salt_mod: int = 64):
+                           k: int = 20):
     """Exact-substring dedup SCRUB — the removal half of
     :func:`duplicated_span_coverage` (Lee et al. 2022 §4, "Deduplicating
     Training Data Makes Language Models Better": CUT every duplicated span
@@ -1913,15 +1857,14 @@ def remove_duplicate_spans(ds, id_col: str = "doc_id", text_col: str = "text",
 
     Shape (streams end-to-end, nothing broadcast):
 
-    1. per-position shingle rows ``(h1, h2, doc, pos)``, salted by
-       ``h1 % salt_mod``;
-    2. one salted groupby: a (h1, h2) run spanning >= 2 distinct docs marks
-       each member row's position duplicated -> (doc, pos) rows (tiny vs the
-       corpus unless it IS mostly duplicated);
-    3. docs + their dup positions co-locate once by ``doc % doc_salt_mod``
-       buckets; a single flat diff-mask pass per bucket cuts the covered
-       codepoints and rebuilds each surviving text (no per-doc Ray groups —
-       the ~100 us/group law).
+    1. per-position shingle rows ``(h1, h2, doc, pos)``;
+    2. one keyed fold by ``h1``: a (h1, h2) run spanning >= 2 distinct docs
+       marks each member row's position duplicated -> (doc, pos) rows (tiny
+       vs the corpus unless it IS mostly duplicated);
+    3. docs + their dup positions co-locate once in a keyed fold by doc; a
+       single flat diff-mask pass per fold call cuts the covered codepoints
+       and rebuilds each surviving text (no per-doc Ray groups — the
+       ~100 us/group law).
 
     Step 1 ships ~one 28-byte row per corpus character; at 100 TB use the
     winnowing-minimizer stride documented on duplicated_span_coverage (the
@@ -1939,7 +1882,6 @@ def remove_duplicate_spans(ds, id_col: str = "doc_id", text_col: str = "text",
             "_h2": pa.array(h2),
             id_col: pa.array(ids[d]),
             "_pos": pa.array(pos),
-            "_salt": pa.array((h1 % np.uint64(salt_mod)).astype(np.int64)),
         })
 
     def dup_positions(g: pa.Table) -> pa.Table:
@@ -1962,8 +1904,8 @@ def remove_duplicate_spans(ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({id_col: pa.array(ids[keep]),
                          "_pos": pa.array(pos[keep])})
 
-    dups = (ds.map_batches(shingle_rows, batch_format="pyarrow")
-            .groupby("_salt").map_groups(dup_positions, batch_format="pyarrow"))
+    dups = keyed_fold(ds.map_batches(shingle_rows, batch_format="pyarrow"), "_h1",
+                      dup_positions)
 
     def text_rows(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1976,10 +1918,6 @@ def remove_duplicate_spans(ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({id_col: b[id_col], "_pos": b["_pos"],
                          "_txt": pa.nulls(b.num_rows, pa.string())})
 
-    def add_dsalt(b: pa.Table) -> pa.Table:
-        ids = b[id_col].combine_chunks().to_numpy(zero_copy_only=False)
-        return b.append_column("_dsalt", pa.array(ids % np.int64(doc_salt_mod)))
-
     def scrub(g: pa.Table) -> pa.Table:
         ids = g[id_col].combine_chunks().to_numpy(zero_copy_only=False)
         pos = g["_pos"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -1989,7 +1927,7 @@ def remove_duplicate_spans(ds, id_col: str = "doc_id", text_col: str = "text",
             pa.array(np.flatnonzero(tsel), pa.int64())).to_numpy(zero_copy_only=False)
         order = np.argsort(tid, kind="stable")
         tid, texts = tid[order], texts[order]
-        # one flat utf-32 encode of the bucket's texts (no per-doc arrays)
+        # one flat utf-32 encode of the call's texts (no per-doc arrays)
         doclen = np.fromiter((len(s) for s in texts), np.int64,
                              count=len(texts))
         offsets = np.r_[np.int64(0), np.cumsum(doclen)]
@@ -2019,8 +1957,7 @@ def remove_duplicate_spans(ds, id_col: str = "doc_id", text_col: str = "text",
 
     both = (ds.map_batches(text_rows, batch_format="pyarrow")
             .union(dups.map_batches(pad_dup, batch_format="pyarrow")))
-    return (both.map_batches(add_dsalt, batch_format="pyarrow")
-            .groupby("_dsalt").map_groups(scrub, batch_format="pyarrow"))
+    return keyed_fold(both, id_col, scrub)
 
 
 def snapshot_diff(ds_old, ds_new, id_col: str = "doc_id",
@@ -2093,7 +2030,7 @@ def snapshot_diff(ds_old, ds_new, id_col: str = "doc_id",
 
 
 def exact_dedup_sequences(ds, tokens_col: str = "tokens",
-                          id_col: str = "doc_id", salt_mod: int = 64):
+                          id_col: str = "doc_id"):
     """Exact duplicate-sequence removal over the TOKENS payload: keep the
     min-id row per distinct token array — the tokenized-corpus twin of the
     text exact dedup (equal payloads always hash equal, so a 128-bit
@@ -2123,7 +2060,6 @@ def exact_dedup_sequences(ds, tokens_col: str = "tokens",
         return pa.table({
             "_h": pa.array(hs[keep]), "_h2": pa.array(h2s[keep]),
             id_col: pa.array(idss[keep]),
-            "_salt": pa.array((hs[keep] % np.uint64(salt_mod)).astype(np.int64)),
         })
 
     def fold(g: pa.Table) -> pa.Table:
@@ -2135,5 +2071,5 @@ def exact_dedup_sequences(ds, tokens_col: str = "tokens",
         keep = np.r_[True, (hs[1:] != hs[:-1]) | (h2s[1:] != h2s[:-1])]
         return pa.table({id_col: pa.array(np.sort(idss[keep]))})
 
-    return (ds.map_batches(hash_partial, batch_format="pyarrow")
-            .groupby("_salt").map_groups(fold, batch_format="pyarrow"))
+    return keyed_fold(ds.map_batches(hash_partial, batch_format="pyarrow"), "_h",
+                      fold)

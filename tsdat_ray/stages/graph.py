@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .reduce import keyed_fold
 from .spill import checkpoint as _ckpt
 
 
@@ -70,18 +71,17 @@ def _gather_small(ds, k_col: str, v_col: str) -> dict:
 
 
 def connected_components(pairs, a_col: str = "id_a", b_col: str = "id_b",
-                         salt_mod: int = 64, final_max_edges: int = 2_000_000,
-                         _depth: int = 0):
+                         final_max_edges: int = 2_000_000, _depth: int = 0):
     """Connected components over an undirected pair list: returns a Dataset
     ``(node, component)`` where ``component`` is the minimum node id in the
     component (keep it, drop the rest, for cluster dedup).
 
-    1. shuffle edges by ``min(a, b) % salt_mod`` and union-find each group
-       locally (an edge never straddles groups, so every edge contracts
-       here) → ``(node, rep)`` rows, one per (group, node);
-    2. shuffle those rows by node: per node take the minimum rep as its
+    1. fold edges keyed by ``min(a, b)`` and union-find each fold call
+       locally (an edge never straddles calls, so every edge contracts
+       here) → ``(node, rep)`` rows, one per (call, node);
+    2. fold those rows keyed by node: per node take the minimum rep as its
        pending label and emit residual edges ``(min_rep, other_rep)`` for
-       nodes seen in several groups;
+       nodes seen in several calls;
     3. solve the residual representative graph in one reduce task (it is
        bounded by the multi-group node count; if it is still larger than
        ``final_max_edges``, recurse one more contraction level) and
@@ -96,14 +96,13 @@ def connected_components(pairs, a_col: str = "id_a", b_col: str = "id_b",
         a = b[a_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
         bb = b[b_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
         return pa.table({"_a": pa.array(a), "_b": pa.array(bb),
-                         "_salt": pa.array(np.minimum(a, bb) % np.int64(salt_mod))})
+                         "_m": pa.array(np.minimum(a, bb))})
 
     def local_cc(g: pa.Table) -> pa.Table:
         a = g["_a"].combine_chunks().to_numpy(zero_copy_only=False)
         b = g["_b"].combine_chunks().to_numpy(zero_copy_only=False)
         nodes, lab = cc_numpy(a, b)
-        return pa.table({"node": pa.array(nodes), "rep": pa.array(lab),
-                         "_nsalt": pa.array(nodes % np.int64(salt_mod))})
+        return pa.table({"node": pa.array(nodes), "rep": pa.array(lab)})
 
     def merge_reps(g: pa.Table) -> pa.Table:
         """Per node: pending label = min rep; extra reps become residual
@@ -116,7 +115,7 @@ def connected_components(pairs, a_col: str = "id_a", b_col: str = "id_b",
         runlen = np.diff(np.r_[st, len(node)])
         minrep = np.repeat(rep[st], runlen)
         extra = rep != minrep  # duplicates of (node, minrep) are impossible:
-        # one (group, node) row per group, sorted, first is the min
+        # one (call, node) row per call, sorted, first is the min
         out_node = np.concatenate([node[st], minrep[extra]])
         out_rep = np.concatenate([rep[st], rep[extra]])
         edge_flag = np.concatenate([np.zeros(len(st), np.int64),
@@ -126,11 +125,9 @@ def connected_components(pairs, a_col: str = "id_a", b_col: str = "id_b",
 
     # node+edge-scale, consumed twice (residual filter + label rows):
     # Parquet scratch instead of an object-store pin (r4)
-    merged = _ckpt(pairs.map_batches(to_edges, batch_format="pyarrow")
-                   .groupby("_salt").map_groups(local_cc, batch_format="pyarrow")
-                   .groupby("_nsalt").map_groups(merge_reps,
-                                                 batch_format="pyarrow"),
-                   "ccmerge")
+    local = keyed_fold(pairs.map_batches(to_edges, batch_format="pyarrow"), "_m",
+                       local_cc)
+    merged = _ckpt(keyed_fold(local, "node", merge_reps), "ccmerge")
 
     residual = merged.filter(expr="_edge == 1")
     n_resid = residual.count()
@@ -139,7 +136,6 @@ def connected_components(pairs, a_col: str = "id_a", b_col: str = "id_b",
     elif n_resid > final_max_edges and _depth < 3:
         # pathological fan-out: contract the rep graph one more level
         sub = connected_components(residual, a_col="node", b_col="rep",
-                                   salt_mod=salt_mod,
                                    final_max_edges=final_max_edges,
                                    _depth=_depth + 1)
         root_ref = ray.put(_gather_small(sub, "node", "component"))
@@ -311,7 +307,6 @@ def pagerank_quantized(pairs, a_col: str = "id_a", b_col: str = "id_b",
 
 
 def triangle_count(edges, a_col: str = "id_a", b_col: str = "id_b",
-                   num_buckets: int = 64,
                    broadcast_budget_bytes: int = 64 << 20):
     """Global triangle census over an undirected edge list (any orientation,
     duplicates tolerated) — the graph-quality primitive behind clustering
@@ -323,11 +318,11 @@ def triangle_count(edges, a_col: str = "id_a", b_col: str = "id_b",
     Scale shape (the classic degree-oriented wedge count, cf. Suri &
     Vassilvitskii 2011 "Counting Triangles and the Curse of the Last
     Reducer"): edges canonicalize to fused ``min*2^32 + max`` int64 keys and
-    dedupe in a salted hash shuffle; each edge then orients from its
+    dedupe in a keyed fold; each edge then orients from its
     lower-(degree, id) endpoint, bounding every out-neighborhood by O(√E) —
     the hub node that would quadratically explode a naive wedge join emits
     almost nothing.  Wedges (pairs of out-neighbors) and the edge set
-    co-shuffle by fused-key hash bucket, so each bucket closes its own
+    co-fold keyed by the fused key, so each fold call closes its own
     wedges with one ``np.isin`` — no broadcast, no all-pairs.
 
     Float contract: the single closure division is int-derived-double /
@@ -344,24 +339,20 @@ def triangle_count(edges, a_col: str = "id_a", b_col: str = "id_b",
         x, y = x[keep], y[keep]
         lo, hi = np.minimum(x, y), np.maximum(x, y)
         key = np.unique(lo * SH + hi)  # batch-local dedupe before the shuffle
-        return pa.table({"_ek": pa.array(key),
-                         "_salt": pa.array(key % np.int64(num_buckets))})
+        return pa.table({"_ek": pa.array(key)})
 
     def dedupe(g: pa.Table) -> pa.Table:
         k = np.unique(g["_ek"].combine_chunks().to_numpy(zero_copy_only=False))
         return pa.table({"_ek": pa.array(k)})
 
-    uedges = _ckpt(edges.map_batches(canon, batch_format="pyarrow")
-                   .groupby("_salt").map_groups(dedupe,
-                                                batch_format="pyarrow"),
-                   "wedges")
+    uedges = _ckpt(keyed_fold(edges.map_batches(canon, batch_format="pyarrow"),
+                              "_ek", dedupe), "wedges")
 
-    # degree table: node -> degree (node-bounded, folded in one salted pass)
+    # degree table: node -> degree (node-bounded, folded in one keyed pass)
     def deg_partial(b: pa.Table) -> pa.Table:
         k = b["_ek"].combine_chunks().to_numpy(zero_copy_only=False)
         n, c = np.unique(np.concatenate([k // SH, k % SH]), return_counts=True)
-        return pa.table({"_n": pa.array(n), "_d": pa.array(c.astype(np.int64)),
-                         "_salt": pa.array(n % np.int64(num_buckets))})
+        return pa.table({"_n": pa.array(n), "_d": pa.array(c.astype(np.int64))})
 
     def deg_fold(g: pa.Table) -> pa.Table:
         n = g["_n"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -372,8 +363,8 @@ def triangle_count(edges, a_col: str = "id_a", b_col: str = "id_b",
         return pa.table({"_n": pa.array(un), "_d": pa.array(sums)})
 
     deg_tab = pa.concat_tables(
-        (uedges.map_batches(deg_partial, batch_format="pyarrow")
-         .groupby("_salt").map_groups(deg_fold, batch_format="pyarrow"))
+        keyed_fold(uedges.map_batches(deg_partial, batch_format="pyarrow"), "_n",
+                   deg_fold)
         .iter_batches(batch_format="pyarrow", batch_size=None))
     dn = deg_tab["_n"].to_numpy(zero_copy_only=False)
     dd = deg_tab["_d"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -394,8 +385,7 @@ def triangle_count(edges, a_col: str = "id_a", b_col: str = "id_b",
         fwd = (dlo < dhi) | ((dlo == dhi) & (lo < hi))
         src = np.where(fwd, lo, hi)
         dst = np.where(fwd, hi, lo)
-        return pa.table({"_src": pa.array(src), "_dst": pa.array(dst),
-                         "_salt": pa.array(src % np.int64(num_buckets))})
+        return pa.table({"_src": pa.array(src), "_dst": pa.array(dst)})
 
     def wedges(g: pa.Table) -> pa.Table:
         # out-neighborhoods are O(sqrt E) after orientation; one vectorized
@@ -407,32 +397,28 @@ def triangle_count(edges, a_col: str = "id_a", b_col: str = "id_b",
         src, dst = src[order], dst[order]
         n = len(src)
         if not n:
-            return pa.table({"_wk": pa.array([], pa.int64()),
-                             "_salt": pa.array([], pa.int64())})
+            return pa.table({"_wk": pa.array([], pa.int64())})
         new_seg = np.r_[True, src[1:] != src[:-1]]
         seg_start = np.maximum.accumulate(
             np.where(new_seg, np.arange(n), 0))
         l_arr = np.arange(n) - seg_start  # pairs where element is SECOND
         total = int(l_arr.sum())
         if not total:
-            return pa.table({"_wk": pa.array([], pa.int64()),
-                             "_salt": pa.array([], pa.int64())})
+            return pa.table({"_wk": pa.array([], pa.int64())})
         starts = np.cumsum(l_arr) - l_arr
         within = np.arange(total) - np.repeat(starts, l_arr)
         i_idx = np.repeat(seg_start, l_arr) + within
         j_idx = np.repeat(np.arange(n), l_arr)
         a, b = dst[i_idx], dst[j_idx]  # dst sorted per segment => a < b
-        w = a * SH + b
-        return pa.table({"_wk": pa.array(w),
-                         "_salt": pa.array(w % np.int64(num_buckets))})
+        return pa.table({"_wk": pa.array(a * SH + b)})
 
     # budget-gated close (r5, the attach_carry pattern): when the deduped
     # edge-key set fits the broadcast budget it ships ONCE via ray.put and
     # the WEDGE TASK ITSELF closes each wedge with a searchsorted the
     # moment it generates it — the 263M-row wedge stream never leaves the
     # task (no second shuffle, no wedge blocks in the object store; only
-    # two int partials per bucket).  Beyond the budget the co-shuffled
-    # hash-bucket path below runs unchanged (no broadcast at any size).
+    # two int partials per fold call).  Beyond the budget the co-folded
+    # path below runs unchanged (no broadcast at any size).
     if n_edges * 8 <= broadcast_budget_bytes:
         ek_sorted = np.sort(np.concatenate(
             [b["_ek"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -455,9 +441,8 @@ def triangle_count(edges, a_col: str = "id_a", b_col: str = "id_b",
                              "n_triangles": pa.array([tri], pa.int64())})
 
         parts = pa.concat_tables(
-            uedges.map_batches(orient, batch_format="pyarrow")
-            .groupby("_salt").map_groups(wedges_closed,
-                                         batch_format="pyarrow")
+            keyed_fold(uedges.map_batches(orient, batch_format="pyarrow"),
+                       "_src", wedges_closed)
             .iter_batches(batch_format="pyarrow", batch_size=None))
         n_wedges = int(pc.sum(parts["n_wedges"]).as_py() or 0)
         n_tri = int(pc.sum(parts["n_triangles"]).as_py() or 0)
@@ -472,20 +457,17 @@ def triangle_count(edges, a_col: str = "id_a", b_col: str = "id_b",
                          "n_triangles": pa.array([n_tri], pa.int64()),
                          "closure_milli": pa.array([milli], pa.int64())})
 
-    wedge_ds = (uedges.map_batches(orient, batch_format="pyarrow")
-                .groupby("_salt").map_groups(wedges, batch_format="pyarrow"))
+    wedge_ds = keyed_fold(uedges.map_batches(orient, batch_format="pyarrow"),
+                          "_src", wedges)
 
-    # co-shuffle wedges + edges by key bucket; close wedges with one isin
+    # co-fold wedges + edges keyed by the fused key; close wedges with one isin
     def tag_edge(b: pa.Table) -> pa.Table:
-        k = b["_ek"].combine_chunks().to_numpy(zero_copy_only=False)
-        return pa.table({"_wk": pa.array(k),
-                         "_tag": pa.array(np.ones(len(k), np.int8)),
-                         "_salt": pa.array(k % np.int64(num_buckets))})
+        return pa.table({"_wk": b["_ek"],
+                         "_tag": pa.array(np.ones(b.num_rows, np.int8))})
 
     def tag_wedge(b: pa.Table) -> pa.Table:
         return pa.table({"_wk": b["_wk"],
-                         "_tag": pa.array(np.zeros(b.num_rows, np.int8)),
-                         "_salt": b["_salt"]})
+                         "_tag": pa.array(np.zeros(b.num_rows, np.int8))})
 
     both = (wedge_ds.map_batches(tag_wedge, batch_format="pyarrow")
             .union(uedges.map_batches(tag_edge, batch_format="pyarrow")))
@@ -500,7 +482,7 @@ def triangle_count(edges, a_col: str = "id_a", b_col: str = "id_b",
                          "n_triangles": pa.array([tri], pa.int64())})
 
     parts = pa.concat_tables(
-        both.groupby("_salt").map_groups(close, batch_format="pyarrow")
+        keyed_fold(both, "_wk", close)
         .iter_batches(batch_format="pyarrow", batch_size=None))
     n_wedges = int(pc.sum(parts["n_wedges"]).as_py() or 0)
     n_tri = int(pc.sum(parts["n_triangles"]).as_py() or 0)

@@ -18,6 +18,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .reduce import keyed_fold
+
 
 def asof_lookup(
     ds,
@@ -358,28 +360,21 @@ def range_count_join(ds, right, left_on: str, right_on: str,
     return ds.map_batches(count, batch_format="pyarrow")
 
 
-def set_op(left, right, cols: tuple, mode: str = "intersect",
-           salt_mod: int = 64):
+def set_op(left, right, cols: tuple, mode: str = "intersect"):
     """SQL set operators over DISTINCT rows: ``intersect`` (rows in both),
     ``except`` (left rows absent from right) or ``union`` (distinct rows of
     either side).
 
     Scale shape: both sides pre-dedupe per batch on ``cols``, rows co-locate
-    by a salted row hash (one shuffle of DISTINCT rows only), and each
-    partition resolves membership with a vectorized indicator merge."""
+    in one keyed fold on ``cols`` (one shuffle of DISTINCT rows only), and
+    each fold call resolves membership with a vectorized indicator merge."""
     assert mode in ("intersect", "except", "union")
     cols = list(cols)
 
     def tag(side: int):
         def f(b: pa.Table) -> pa.Table:
-            b = b.select(cols)
-            df = b.to_pandas().drop_duplicates(cols)
+            df = b.select(cols).to_pandas().drop_duplicates(cols)
             t = pa.Table.from_pandas(df, preserve_index=False)
-            h = np.zeros(t.num_rows, dtype=np.uint64)
-            for c in cols:
-                h = h * np.uint64(1099511628211) + pd.util.hash_array(
-                    np.asarray(t[c].to_numpy(zero_copy_only=False)))
-            t = t.append_column("_salt", pa.array((h % np.uint64(salt_mod)).astype(np.int64)))
             return t.append_column("_side", pa.array(np.full(t.num_rows, side, dtype=np.int8)))
 
         return f
@@ -388,7 +383,7 @@ def set_op(left, right, cols: tuple, mode: str = "intersect",
         right.map_batches(tag(1), batch_format="pyarrow"))
 
     def resolve(g: pa.Table) -> pa.Table:
-        df = g.drop_columns(["_salt"]).to_pandas()
+        df = g.to_pandas()
         if mode == "union":
             out = df[cols].drop_duplicates()
             return pa.Table.from_pandas(out.reset_index(drop=True),
@@ -402,7 +397,7 @@ def set_op(left, right, cols: tuple, mode: str = "intersect",
             out = m[m["_merge"] == "left_only"][cols]
         return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
 
-    return u.groupby("_salt").map_groups(resolve, batch_format="pyarrow")
+    return keyed_fold(u, cols, resolve)
 
 
 def merge_sources(datasets, on: str = "ts", window_s: int = 86400):
@@ -639,17 +634,17 @@ def interval_overlap_count(left, right, left_start: str, left_end: str,
     return left.map_batches(count, batch_format="pyarrow")
 
 
-def set_op_all(left, right, cols: tuple, mode: str = "intersect_all",
-               salt_mod: int = 64):
+def set_op_all(left, right, cols: tuple, mode: str = "intersect_all"):
     """Bag-semantics SQL set operators: ``intersect_all`` (each row repeated
     min(l_count, r_count) times) or ``except_all`` (repeated
     max(l_count − r_count, 0) times) — the multiplicity-preserving
     complement of :func:`set_op`'s DISTINCT semantics.
 
     Scale shape: each batch pre-aggregates to (row, count) partials (bounded
-    by distinct rows per batch), rows co-locate by a salted row hash, and
-    each partition resolves multiplicities with vectorized count folds +
-    ``np.repeat`` — the full bags never ship, only distinct-row counts."""
+    by distinct rows per batch), rows co-locate in one keyed fold on
+    ``cols``, and each fold call resolves multiplicities with vectorized
+    count folds + ``np.repeat`` — the full bags never ship, only
+    distinct-row counts."""
     assert mode in ("intersect_all", "except_all")
     cols = list(cols)
 
@@ -660,11 +655,6 @@ def set_op_all(left, right, cols: tuple, mode: str = "intersect_all",
             g = df.groupby(cols, sort=False, as_index=False, dropna=False).size()
             t = pa.Table.from_pandas(g.rename(columns={"size": "_cnt"}),
                                      preserve_index=False)
-            h = np.zeros(t.num_rows, dtype=np.uint64)
-            for c in cols:
-                h = h * np.uint64(1099511628211) + pd.util.hash_array(
-                    np.asarray(t[c].to_numpy(zero_copy_only=False)))
-            t = t.append_column("_salt", pa.array((h % np.uint64(salt_mod)).astype(np.int64)))
             return t.append_column("_side", pa.array(np.full(t.num_rows, side, dtype=np.int8)))
 
         return f
@@ -673,7 +663,7 @@ def set_op_all(left, right, cols: tuple, mode: str = "intersect_all",
         right.map_batches(tag(1), batch_format="pyarrow"))
 
     def resolve(g: pa.Table) -> pa.Table:
-        df = g.drop_columns(["_salt"]).to_pandas()
+        df = g.to_pandas()
         w = df.pivot_table(index=cols, columns="_side", values="_cnt",
                            aggfunc="sum", fill_value=0, dropna=False).reset_index()
         lc = w[0].to_numpy() if 0 in w.columns else np.zeros(len(w), np.int64)
@@ -683,7 +673,7 @@ def set_op_all(left, right, cols: tuple, mode: str = "intersect_all",
         out = w.loc[keep, cols].loc[w.index[keep].repeat(n[keep])]
         return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
 
-    return u.groupby("_salt").map_groups(resolve, batch_format="pyarrow")
+    return keyed_fold(u, cols, resolve)
 
 
 def auto_join(left, right, on: str, how: str = "inner",

@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .reduce import keyed_fold
 from .spill import checkpoint as _ckpt
 
 
@@ -902,19 +903,17 @@ def token_entropy(ds, tokens_col: str = "tokens", id_col: str = "doc_id",
     return ds.map_batches(ent, batch_format="pyarrow")
 
 
-def topk_token_bigrams(ds, k: int = 50, tokens_col: str = "tokens",
-                       salt_mod: int = 64):
+def topk_token_bigrams(ds, k: int = 50, tokens_col: str = "tokens"):
     """EXACT top-k adjacent token-id pairs over the tokenized corpus — the
     BPE pair-count statistic computed at corpus scale (ties → smaller
     (a, b) pair, a total order).
 
     One flat pass per batch: adjacent pairs inside each sequence fuse into
     a single int64 key (a·2³¹ + b — token ids are int32), np.unique gives
-    per-block partial counts (one row per DISTINCT pair per block), a
-    pair-hash-salted groupby sums exactly, and only salt_mod × k
+    per-block partial counts (one row per DISTINCT pair per block), one
+    keyed fold by pair sums exactly, and only ``reduce.WIDTH`` × k
     candidates reach the final merge (the topk_words shape on the list
     column)."""
-    import pandas as pd
 
     def partial(b: pa.Table) -> pa.Table:
         toks = b[tokens_col].combine_chunks()
@@ -938,14 +937,11 @@ def topk_token_bigrams(ds, k: int = 50, tokens_col: str = "tokens",
         else:
             uf = np.zeros(0, np.int64)
             cnt = np.zeros(0, np.int64)
-        salts = ((uf.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                 >> np.uint64(40)).astype(np.int64) % salt_mod
-        return pa.table({"_p": pa.array(uf), "n": pa.array(cnt.astype(np.int64)),
-                         "_salt": pa.array(salts)})
+        return pa.table({"_p": pa.array(uf), "n": pa.array(cnt.astype(np.int64))})
 
     def part_topk(g: pa.Table) -> pa.Table:
         # numpy sort+reduceat fold (pandas groupby cost ~2x on the
-        # millions of per-block partials a salt slice holds; r4)
+        # millions of per-block partials a fold call holds; r4)
         p = g["_p"].combine_chunks().to_numpy(zero_copy_only=False)
         n = g["n"].combine_chunks().to_numpy(zero_copy_only=False)
         order = np.argsort(p, kind="stable")
@@ -958,8 +954,8 @@ def topk_token_bigrams(ds, k: int = 50, tokens_col: str = "tokens",
         return pa.table({"_p": pa.array(pu[sel]),
                          "n": pa.array(tot[sel])})
 
-    cand = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_salt").map_groups(part_topk, batch_format="pyarrow"))
+    cand = keyed_fold(ds.map_batches(partial, batch_format="pyarrow"), "_p",
+                      part_topk)
     tabs = list(cand.iter_batches(batch_format="pyarrow", batch_size=None))
     cat = pa.concat_tables(tabs) if tabs else pa.table(
         {"_p": pa.array([], pa.int64()), "n": pa.array([], pa.int64())})

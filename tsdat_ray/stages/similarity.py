@@ -15,6 +15,8 @@ import heapq
 import numpy as np
 import pyarrow as pa
 
+from .reduce import keyed_fold
+
 
 def _emb_matrix(col) -> np.ndarray:
     arr = col.combine_chunks()
@@ -559,17 +561,16 @@ def logreg_train(ds, emb_col: str = "embedding", label_col: str = "label",
 
 def semdedup(ds, eps: float, centroids: np.ndarray | None = None,
              cluster_col: str | None = None, emb_col: str = "embedding",
-             id_col: str = "vec_id", n_buckets: int = 32,
-             keep_cols: tuple = ()):
+             id_col: str = "vec_id", keep_cols: tuple = ()):
     """SemDeDup (Abbas et al. 2023, arXiv:2303.09540) — semantic dedup by
     clustering embeddings and pruning, within each cluster, every row whose
     cosine similarity to a LOWER-id row of the same cluster reaches ``eps``.
 
     Clusters come from ``cluster_col`` (a declared grouping) or from k-means
     ``centroids`` (the production path: :func:`kmeans_fit` upstream; the
-    nearest-centroid assignment is fused into the same map that salts the
-    shuffle, so clustering adds zero extra passes).  ONE shuffle co-locates
-    rows by cluster-hash bucket; within a bucket each cluster is a single
+    nearest-centroid assignment is fused into the map that feeds the
+    shuffle, so clustering adds zero extra passes).  ONE keyed fold
+    co-locates rows by cluster; within a fold call each cluster is a single
     normalized O(c²) matmul — the whole point of SemDeDup is that k is chosen
     so c ≈ n/k stays bounded (the pairwise work is k·(n/k)² = n²/k, tunable),
     so no all-pairs pass over the corpus ever happens.
@@ -583,7 +584,7 @@ def semdedup(ds, eps: float, centroids: np.ndarray | None = None,
 
     cref = ray.put(np.asarray(centroids, dtype=np.float64)) if centroids is not None else None
 
-    def salt(b: pa.Table) -> pa.Table:
+    def assign(b: pa.Table) -> pa.Table:
         if cluster_col is not None:
             cl = b[cluster_col].to_numpy(zero_copy_only=False).astype(np.int64)
         else:
@@ -592,8 +593,7 @@ def semdedup(ds, eps: float, centroids: np.ndarray | None = None,
             d2 = (m * m).sum(1)[:, None] - 2.0 * (m @ c.T) + (c * c).sum(1)[None, :]
             cl = np.argmin(d2, axis=1).astype(np.int64)
         cols = {id_col: b[id_col], "cluster": pa.array(cl),
-                emb_col: b[emb_col],
-                "_salt": pa.array((cl * np.int64(0x9E3779B9)) % n_buckets)}
+                emb_col: b[emb_col]}
         for kc in keep_cols:
             cols[kc] = b[kc]
         return pa.table(cols)
@@ -621,8 +621,8 @@ def semdedup(ds, eps: float, centroids: np.ndarray | None = None,
             out[kc] = g[kc].take(take)
         return pa.table(out)
 
-    withc = ds.map_batches(salt, batch_format="pyarrow")
-    return withc.groupby("_salt").map_groups(prune, batch_format="pyarrow")
+    return keyed_fold(ds.map_batches(assign, batch_format="pyarrow"), "cluster",
+                      prune)
 
 
 def kmeans_quantized(ds, k: int = 8, n_iter: int = 5,

@@ -22,6 +22,8 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from .reduce import key_hash, keyed_fold
+
 
 def _suffstats_partial(group_col: str, x_col: str, y_col: str,
                        x_scale: int, y_scale: int):
@@ -113,46 +115,44 @@ def _fold_suffstats(ds, partial, group_col: str) -> dict:
     return acc
 
 
-def grouped_int_sums(ds, key: str, vals: list[str] | tuple[str, ...],
-                     salt_mod: int = 64):
-    """Exact grouped integer sums: per-block partials (argsort + segment
-    reduceat), one salted-key groupby fold.  ``key`` and every column in
+def seg_int_sums(keys: np.ndarray, vals: dict[str, np.ndarray],
+                 key_name: str) -> pa.Table:
+    """Exact integer segment sums keyed on ``keys``: one row per distinct
+    key (ascending) with every ``vals`` array summed by argsort + segment
+    ``reduceat``.  Integer addition is associative, so the sums are
+    bit-identical under any downstream combine order."""
+    order = np.argsort(keys, kind="stable")
+    ks = keys[order]
+    st = (np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+          if len(ks) else np.zeros(0, np.int64))
+    out = {key_name: pa.array(ks[st] if len(st) else ks[:0])}
+    for name, v in vals.items():
+        vv = v[order]
+        out[name] = pa.array(np.add.reduceat(vv, st) if len(st) else vv[:0])
+    return pa.table(out)
+
+
+def grouped_int_sums(ds, key: str, vals: list[str] | tuple[str, ...]):
+    """Exact grouped integer sums: per-block :func:`seg_int_sums` partials,
+    one :func:`~tsdat_ray.stages.reduce.keyed_fold`.  ``key`` and every column in
     ``vals`` must already be int64 (quantize decimals upstream with
     round(v*scale)).  Integer addition is associative, so the result is
     bit-identical under any block/combine order — the engine's standard
     exact-decimal aggregation shape (see rollup.py and CLAUDE.md recipes).
 
-    Scale: the shuffle moves only per-(block, key) partials, the salt bounds
-    per-task group size, and per-task memory is bounded by distinct keys in
-    a salt slice.  Output: one row per key with summed ``vals``."""
+    Scale: the shuffle moves only per-(block, key) partials, and per-task
+    memory is bounded by the distinct keys of one fold call.  Output: one
+    row per key with summed ``vals``."""
     vals = list(vals)
 
-    def _segsum(t: pa.Table, with_salt: bool) -> pa.Table:
-        k = t[key].combine_chunks().to_numpy(zero_copy_only=False)
-        order = np.argsort(k, kind="stable")
-        ks = k[order]
-        st = (np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-              if len(ks) else np.zeros(0, np.int64))
-        out = {key: pa.array(ks[st] if len(st) else ks[:0])}
-        for v in vals:
-            x = t[v].combine_chunks().to_numpy(zero_copy_only=False)[order]
-            out[v] = pa.array(np.add.reduceat(x, st) if len(st) else x[:0])
-        res = pa.table(out)
-        if with_salt:
-            kk = ks[st] if len(st) else ks[:0]
-            res = res.append_column(
-                "_salt", pa.array((kk.astype(np.uint64) % np.uint64(salt_mod))
-                                  .astype(np.int64)))
-        return res
+    def segsum(t: pa.Table) -> pa.Table:
+        return seg_int_sums(
+            t[key].combine_chunks().to_numpy(zero_copy_only=False),
+            {v: t[v].combine_chunks().to_numpy(zero_copy_only=False)
+             for v in vals}, key)
 
-    def partial(b: pa.Table) -> pa.Table:
-        return _segsum(b, with_salt=True)
-
-    def fold(g: pa.Table) -> pa.Table:
-        return _segsum(g.drop_columns(["_salt"]), with_salt=False)
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_salt").map_groups(fold, batch_format="pyarrow"))
+    return keyed_fold(ds.map_batches(segsum, batch_format="pyarrow"), key,
+                      segsum)
 
 
 def grouped_corr(ds, group_col: str, x_col: str, y_col: str,
@@ -195,8 +195,7 @@ def grouped_corr(ds, group_col: str, x_col: str, y_col: str,
 
 
 def grouped_ohlc(ds, key: str, ts_col: str, value_col: str, id_col: str,
-                 interval_s: int = 3600, value_scale: int = 100,
-                 salt_mod: int = 64):
+                 interval_s: int = 3600, value_scale: int = 100):
     """OHLC candles per (key, time bucket): open = value at the earliest
     (ts, id), close = value at the latest (ts, id), low/high = min/max —
     the classic financial downsample the tier rollup's mean/min/max lacks.
@@ -206,7 +205,7 @@ def grouped_ohlc(ds, key: str, ts_col: str, value_col: str, id_col: str,
     with the lexicographically smallest (ts, id) for open, largest for
     close, min/max/sum the rest — is associative with a (ts, id) total
     order, so the result is bit-deterministic under any block layout.  One
-    bucket-salted groupby of partial rows finalizes; values are exact
+    keyed fold of partial rows by (key, bucket) finalizes; values are exact
     ``round(v·scale)`` ints until the final division."""
     US = 1_000_000
     iv_us = interval_s * US
@@ -238,8 +237,6 @@ def grouped_ohlc(ds, key: str, ts_col: str, value_col: str, id_col: str,
             "_hi": pa.array(np.maximum.reduceat(vqs, st) if len(st) else vqs[:0]),
             "_n": pa.array(np.diff(np.r_[st, len(cs)]).astype(np.int64)
                            if len(st) else np.zeros(0, np.int64)),
-            "_gsalt": pa.array((bs[st] // iv_us) % np.int64(salt_mod)
-                               if len(st) else bs[:0]),
         })
 
     def fold(g: pa.Table) -> pa.Table:
@@ -274,14 +271,11 @@ def grouped_ohlc(ds, key: str, ts_col: str, value_col: str, id_col: str,
             "n": pa.array(np.asarray(n, np.int64)),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_gsalt").map_groups(
-                lambda g: fold(g.drop_columns(["_gsalt"])),
-                batch_format="pyarrow"))
+    return keyed_fold(ds.map_batches(partial, batch_format="pyarrow"),
+                      [key, "_bucket"], fold)
 
 
-def grouped_mode(ds, key: str, value_col: str, value_scale: int = 100,
-                 salt_mod: int = 64):
+def grouped_mode(ds, key: str, value_col: str, value_scale: int = 100):
     """Exact MODE per key over a 1/scale-quantized column — most frequent
     value, ties broken by smallest value (a total order, so the result is
     deterministic and SQL-matchable).
@@ -379,27 +373,20 @@ def mad_outliers(ds, key: str, value_col: str, k: int = 3, scale: int = 100):
     return ds.map_batches(flag, batch_format="pyarrow")
 
 
-def cooccurrence_pairs(ds, key_cols, item_col: str, salt_mod: int = 64):
+def cooccurrence_pairs(ds, key_cols, item_col: str):
     """Market-basket co-occurrence: for every unordered pair of ``item_col``
     values observed inside the same group (the composite ``key_cols``
     basket), the number of baskets containing both.
 
     Shape: per-block distinct (basket, item) partials (the shuffle moves
-    deduped pairs, not rows) → ONE salted groupby co-locating each basket
+    deduped pairs, not rows) → ONE keyed fold co-locating each basket
     hash → fully VECTORIZED within-partition pair emission (segment
     reshape/repeat arithmetic — no per-basket Python; baskets are bounded by
     the item-domain size) → a bounded (item_a, item_b) count fold.  Returns
     (item_a, item_b, n) with item_a < item_b."""
-    import pyarrow.compute as pc
 
     def distinct_partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        key_parts = [b[c].to_numpy(zero_copy_only=False) for c in key_cols]
-        basket = pd.util.hash_array(key_parts[0].astype(object)).astype(np.int64)
-        for p in key_parts[1:]:
-            basket = basket * np.int64(1000003) + pd.util.hash_array(
-                p.astype(object)).astype(np.int64)
+        basket = key_hash(b, key_cols).view(np.int64)
         item = b[item_col].to_numpy(zero_copy_only=False)
         order = np.lexsort((item, basket))
         bk, it = basket[order], item[order]
@@ -408,7 +395,6 @@ def cooccurrence_pairs(ds, key_cols, item_col: str, salt_mod: int = 64):
         return pa.table({
             "_basket": pa.array(bk[keep]),
             item_col: pa.array(it[keep]),
-            "_salt": pa.array((bk[keep] % salt_mod + salt_mod) % salt_mod),
         })
 
     def pairs_in_partition(g: pa.Table) -> pa.Table:
@@ -453,9 +439,8 @@ def cooccurrence_pairs(ds, key_cols, item_col: str, salt_mod: int = 64):
             "n": pa.array(c.astype(np.int64)),
         })
 
-    part = ds.map_batches(distinct_partial, batch_format="pyarrow")
-    pairs = part.groupby("_salt").map_groups(pairs_in_partition,
-                                             batch_format="pyarrow")
+    pairs = keyed_fold(ds.map_batches(distinct_partial, batch_format="pyarrow"),
+                       "_basket", pairs_in_partition)
     acc: dict[tuple, int] = {}
     for t in pairs.iter_batches(batch_format="pyarrow", batch_size=None):
         for a, b2, n in zip(t["item_a"].to_pylist(), t["item_b"].to_pylist(),
@@ -474,8 +459,7 @@ def cooccurrence_pairs(ds, key_cols, item_col: str, salt_mod: int = 64):
     }))
 
 
-def ks_2samp(ds, value_col: str, side_col: str, side_a, side_b,
-             salt_mod: int = 64):
+def ks_2samp(ds, value_col: str, side_col: str, side_a, side_b):
     """Exact two-sample Kolmogorov–Smirnov statistic between the
     ``value_col`` distributions of rows where ``side_col == side_a`` vs
     ``== side_b`` — the distribution-drift test a corpus-QA pipeline runs
@@ -508,7 +492,6 @@ def ks_2samp(ds, value_col: str, side_col: str, side_a, side_b,
             "_v": pa.array(vv.astype(np.int64)),
             "_ca": pa.array(np.concatenate(out_a).astype(np.int64)),
             "_cb": pa.array(np.concatenate(out_b).astype(np.int64)),
-            "_salt": pa.array((vv % np.int64(salt_mod)).astype(np.int64)),
         })
 
     def fold_support(g: pa.Table) -> pa.Table:
@@ -545,8 +528,8 @@ def ks_2samp(ds, value_col: str, side_col: str, side_a, side_b,
             "ks_stat": pa.array([float(np.float64(ks_num) / denom)], pa.float64()),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_salt").map_groups(fold_support, batch_format="pyarrow")
+    return (keyed_fold(ds.map_batches(partial, batch_format="pyarrow"), "_v",
+                       fold_support)
             .groupby("_one").map_groups(finalize, batch_format="pyarrow"))
 
 
@@ -631,16 +614,10 @@ def winsorized_sums(ds, key: str, value_col: str,
         ks, cs = k[order], c[order]
         st = (np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
               if len(ks) else np.zeros(0, np.int64))
-        import zlib
-        kk = ks[st] if len(st) else ks[:0]
         return pa.table({
-            key: pa.array(kk),
+            key: pa.array(ks[st] if len(st) else ks[:0]),
             "_n": pa.array(np.diff(np.r_[st, len(ks)]).astype(np.int64)),
             "_c": pa.array(np.add.reduceat(cs, st) if len(st) else cs[:0]),
-            # salt BY KEY (stable across processes) so every partial of a
-            # key folds in exactly one group
-            "_salt": pa.array([zlib.crc32(str(x).encode()) % 8 for x in kk],
-                              pa.int64()),
         })
 
     def fold(g: pa.Table) -> pa.Table:
@@ -658,11 +635,8 @@ def winsorized_sums(ds, key: str, value_col: str,
                 (np.add.reduceat(c, st) if len(st) else c[:0]) / scale),
         })
 
-    return (ds.select_columns([key, value_col])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("_salt").map_groups(
-                lambda g: fold(g.drop_columns(["_salt"])),
-                batch_format="pyarrow"))
+    return keyed_fold(ds.select_columns([key, value_col])
+                      .map_batches(partial, batch_format="pyarrow"), key, fold)
 
 
 def profile_columns(ds, cols: tuple[str, ...], fanin: int = 8):
@@ -905,32 +879,25 @@ def cohort_matrix(ds, user_col: str = "user_id", ts_col: str = "ts",
     from .joins import hash_join
 
     b_us = bucket_s * 1_000_000
-    salt_mod = 64
 
-    def local_min(b: pa.Table, with_salt: bool = True) -> pa.Table:
+    def local_min(b: pa.Table) -> pa.Table:
         u = b[user_col].combine_chunks().to_numpy(zero_copy_only=False)
         ts = b["_first" if "_first" in b.column_names else ts_col] \
             .combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
         order = np.lexsort((ts, u))
         us, tss = u[order], ts[order]
         keep = np.r_[True, us[1:] != us[:-1]] if len(us) else np.zeros(0, bool)
-        out = pa.table({user_col: pa.array(us[keep]),
-                        "_first": pa.array(tss[keep])})
-        if with_salt:
-            out = out.append_column(
-                "_salt", pa.array((us[keep].astype(np.uint64)
-                                   % np.uint64(salt_mod)).astype(np.int64)))
-        return out
+        return pa.table({user_col: pa.array(us[keep]),
+                         "_first": pa.array(tss[keep])})
 
     def fold_min(g: pa.Table) -> pa.Table:
-        # vectorized per-salt-slice fold: NOT one task per user — a salted
-        # slice holds many users, so per-group overhead is bounded by the
-        # salt count, not user cardinality (the r2 map_groups-per-key law)
-        t = local_min(g.drop_columns(["_salt"]), with_salt=False)
-        return t.rename_columns([user_col, "first_ts"])
+        # vectorized fold: one call holds many users, so per-group overhead
+        # is bounded by the fold width, not user cardinality (the r2
+        # map_groups-per-key law)
+        return local_min(g).rename_columns([user_col, "first_ts"])
 
-    first = (ds.map_batches(local_min, batch_format="pyarrow")
-             .groupby("_salt").map_groups(fold_min, batch_format="pyarrow"))
+    first = keyed_fold(ds.map_batches(local_min, batch_format="pyarrow"),
+                       user_col, fold_min)
 
     def to_us(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1097,7 +1064,7 @@ def ab_test_conversion(ds, user_col: str = "user_id",
                        convert_type: str = "purchase",
                        value_col: str | None = None,
                        min_value: float | None = None,
-                       threshold_hex: str = "80000000", salt_mod: int = 64):
+                       threshold_hex: str = "80000000"):
     """Two-proportion A/B z-test on user conversion: users split into arms
     by the portable md5-prefix contract (CLAUDE.md recipe — any engine
     with an md5 reproduces the assignment), conversion = user emitted at
@@ -1105,7 +1072,7 @@ def ab_test_conversion(ds, user_col: str = "user_id",
     the pooled z statistic (identical double expression tree as SQL).
 
     Scale shape: batch-local (user, converted) dedupe/OR partials, one
-    salted fold (per-task groups bounded by the salt count, never user
+    keyed fold (per-task groups bounded by the fold width, never user
     cardinality), md5 of DISTINCT users only, integer counts tree-fold."""
     import hashlib
 
@@ -1124,11 +1091,8 @@ def ab_test_conversion(ds, user_col: str = "user_id",
         st = np.flatnonzero(np.r_[True, us[1:] != us[:-1]]) if len(us) else \
             np.zeros(0, np.int64)
         cmax = np.maximum.reduceat(cs, st) if len(st) else cs[:0]
-        uu = us[st] if len(st) else us[:0]
-        return pa.table({user_col: pa.array(uu),
-                         "_conv": pa.array(cmax),
-                         "_salt": pa.array((uu.astype(np.uint64)
-                                            % np.uint64(salt_mod)).astype(np.int64))})
+        return pa.table({user_col: pa.array(us[st] if len(st) else us[:0]),
+                         "_conv": pa.array(cmax)})
 
     def fold(g: pa.Table) -> pa.Table:
         u = g[user_col].combine_chunks().to_numpy(zero_copy_only=False)
@@ -1148,8 +1112,8 @@ def ab_test_conversion(ds, user_col: str = "user_id",
                          "conv_a": pa.array([c_a], pa.int64()),
                          "conv_b": pa.array([c_b], pa.int64())})
 
-    per = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("_salt").map_groups(fold, batch_format="pyarrow"))
+    per = keyed_fold(ds.map_batches(partial, batch_format="pyarrow"),
+                     user_col, fold)
 
     def total(b: pa.Table) -> pa.Table:
         return pa.table({c: pa.array([int(np.sum(
@@ -1182,40 +1146,35 @@ def ab_test_conversion(ds, user_col: str = "user_id",
 def time_to_convert(ds, user_col: str = "user_id", ts_col: str = "ts",
                     type_col: str = "event_type", start_type: str = "signup",
                     convert_type: str = "purchase",
-                    qs: tuple = (0.5, 0.9), salt_mod: int = 64):
+                    qs: tuple = (0.5, 0.9)):
     """Time-to-conversion distribution: seconds from each user's FIRST
     ``start_type`` event to their first ``convert_type`` event strictly
     after it; one row out (n_converted + exact PERCENTILE_DISC of the
     delay).
 
-    Scale shape: per-user first-start is a salted vectorized min fold
+    Scale shape: per-user first-start is a keyed vectorized min fold
     (never one task per user); conversions hash-join against it (user
-    dimension never broadcasts), filter, second salted min fold, then the
+    dimension never broadcasts), filter, second keyed min fold, then the
     bounded-histogram disc-quantile fold over integer seconds."""
     import pyarrow.compute as pc
 
     from .joins import hash_join
     from .window_funcs import exact_quantiles_disc
 
-    def _min_fold_cols(name):
-        def partial(b: pa.Table) -> pa.Table:
+    def min_fold(ds_, name):
+        """Per-user minimum of ``name``: batch partials, one keyed fold."""
+
+        def first(b: pa.Table) -> pa.Table:
             u = b[user_col].combine_chunks().to_numpy(zero_copy_only=False)
             ts = b[name].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
             order = np.lexsort((ts, u))
             us, tss = u[order], ts[order]
             keep = np.r_[True, us[1:] != us[:-1]] if len(us) else np.zeros(0, bool)
-            return pa.table({
-                user_col: pa.array(us[keep]),
-                name: pa.array(tss[keep]),
-                "_salt": pa.array((us[keep].astype(np.uint64)
-                                   % np.uint64(salt_mod)).astype(np.int64)),
-            })
+            return pa.table({user_col: pa.array(us[keep]),
+                             name: pa.array(tss[keep])})
 
-        def fold(g: pa.Table) -> pa.Table:
-            t = partial(g.drop_columns(["_salt"]))
-            return t.drop_columns(["_salt"])
-
-        return partial, fold
+        return keyed_fold(ds_.map_batches(first, batch_format="pyarrow"),
+                          user_col, first)
 
     def typed(t):
         def f(b: pa.Table) -> pa.Table:
@@ -1225,10 +1184,8 @@ def time_to_convert(ds, user_col: str = "user_id", ts_col: str = "ts",
                              "_ts": k[ts_col].combine_chunks().cast(pa.int64())})
         return f
 
-    sp, sf_ = _min_fold_cols("_ts")
-    starts = (ds.map_batches(typed(start_type), batch_format="pyarrow")
-              .map_batches(sp, batch_format="pyarrow")
-              .groupby("_salt").map_groups(sf_, batch_format="pyarrow")
+    starts = (min_fold(ds.map_batches(typed(start_type), batch_format="pyarrow"),
+                       "_ts")
               .map_batches(lambda b: b.rename_columns([user_col, "_s_ts"]),
                            batch_format="pyarrow"))
 
@@ -1246,14 +1203,11 @@ def time_to_convert(ds, user_col: str = "user_id", ts_col: str = "ts",
         dt = ts[m] // 1_000_000 - s[m] // 1_000_000
         return pa.table({user_col: pa.array(u), "_dt": pa.array(dt)})
 
-    dp, df_ = _min_fold_cols("_dt")
     # materialize: two consumers (quantile fold + count) would otherwise
     # re-execute the folds+join DAG; the table is one (user, dt) row per
     # CONVERTED user — object-store-resident, never driver-resident
-    deltas = (joined.map_batches(after, batch_format="pyarrow")
-              .map_batches(dp, batch_format="pyarrow")
-              .groupby("_salt").map_groups(df_, batch_format="pyarrow")
-              .materialize())
+    deltas = min_fold(joined.map_batches(after, batch_format="pyarrow"),
+                      "_dt").materialize()
 
     def const_key(b: pa.Table) -> pa.Table:
         return pa.table({"_k": pa.array(np.zeros(len(b), np.int64)),
@@ -1377,8 +1331,7 @@ def retention_curve(ds, user_col: str = "user_id", ts_col: str = "ts",
 
 
 def acf_per_key(ds, key: str = "event_type", ts_col: str = "ts",
-                bucket_s: int = 3600, lags: tuple = (1, 2, 3),
-                salt_mod: int = 64):
+                bucket_s: int = 3600, lags: tuple = (1, 2, 3)):
     """Lag-k autocorrelation of each key's zero-filled bucket-count series
     — the classic time-series seasonality/persistence diagnostic, computed
     aggregate-first: the heavy pass is the same distributed (key, bucket)
@@ -1405,15 +1358,10 @@ def acf_per_key(ds, key: str = "event_type", ts_col: str = "ts",
         st = np.flatnonzero(chg)
         cnt = np.diff(np.r_[st, len(ks)]).astype(np.int64)
         take = pa.array(order[st] if len(st) else [], type=pa.int64())
-        import pandas as pd
-
-        kk = b[key].take(take).to_numpy(zero_copy_only=False)
         return pa.table({
-            key: pa.array(kk),
+            key: pa.array(b[key].take(take).to_numpy(zero_copy_only=False)),
             "_hb": pa.array(hs[st] if len(st) else hs[:0]),
             "_n": pa.array(cnt),
-            "_salt": pa.array((pd.util.hash_array(np.asarray(kk))
-                               % np.uint64(salt_mod)).astype(np.int64)),
         })
 
     def fold(g: pa.Table) -> pa.Table:
@@ -1455,8 +1403,8 @@ def acf_per_key(ds, key: str = "event_type", ts_col: str = "ts",
                          "k": pa.array(out["k"], pa.int64()),
                          "acf": pa.array(out["acf"], pa.float64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_salt").map_groups(fold, batch_format="pyarrow"))
+    return keyed_fold(ds.map_batches(partial, batch_format="pyarrow"), key,
+                      fold)
 
 
 def benford_digits(ds, value_col: str = "value", scale: int = 100):
@@ -1507,16 +1455,14 @@ def benford_digits(ds, value_col: str = "value", scale: int = 100):
 
 
 def user_entropy(ds, key: str = "user_id", item: str = "event_type",
-                 scale: float = 1e9, salt_mod: int = 64):
+                 scale: float = 1e9):
     """Per-user Shannon entropy (nats) of the event-type mix — the
     behavioral-predictability signal (0 = a user who only ever does one
-    thing).  One key-salted shuffle of per-block (user, type, count)
+    thing).  One keyed fold of per-block (user, type, count)
     partials; entropy folds inside the partition under the proven
     quantized-log contract (word_entropy recipe: per-term
     round(-(p·ln p)·1e9) int64 sums are associative and reproduced
     term-for-term by the SQL twin)."""
-    import pandas as pd
-
     from .text_quant import half_away as _ha
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1528,12 +1474,9 @@ def user_entropy(ds, key: str = "user_id", item: str = "event_type",
             if len(us) else np.zeros(0, bool)
         st = np.flatnonzero(chg)
         c = np.diff(np.r_[st, len(us)]).astype(np.int64)
-        uu = us[st]
         return pa.table({
-            key: pa.array(uu), item: pa.array(ts[st] if len(st) else ts[:0]),
+            key: pa.array(us[st]), item: pa.array(ts[st] if len(st) else ts[:0]),
             "_c": pa.array(c),
-            "_salt": pa.array((pd.util.hash_array(np.asarray(uu))
-                               % np.uint64(salt_mod)).astype(np.int64)),
         })
 
     def fold(g: pa.Table) -> pa.Table:
@@ -1562,8 +1505,8 @@ def user_entropy(ds, key: str = "user_id", item: str = "event_type",
             "entropy": pa.array(qsum / scale),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_salt").map_groups(fold, batch_format="pyarrow"))
+    return keyed_fold(ds.map_batches(partial, batch_format="pyarrow"), key,
+                      fold)
 
 
 def burstiness_per_key(ds, key: str = "event_type", ts_col: str = "ts",

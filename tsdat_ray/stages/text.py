@@ -10,6 +10,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .reduce import keyed_fold
 from .spill import checkpoint as _ckpt
 
 
@@ -316,7 +317,7 @@ def repetition_batch(batch: pa.Table, text_col: str = "text",
     })
 
 
-def topk_bigrams(ds, k: int = 50, text_col: str = "text", salt_mod: int = 64):
+def topk_bigrams(ds, k: int = 50, text_col: str = "text"):
     """EXACT global top-k adjacent word PAIRS by count (the first step of
     BPE-style tokenizer training / collocation mining).  Pairs never cross
     document boundaries; empty split artifacts are dropped before pairing so
@@ -324,9 +325,8 @@ def topk_bigrams(ds, k: int = 50, text_col: str = "text", salt_mod: int = 64):
 
     Same scale shape as :func:`topk_words`: per-block partial counts (the
     shuffle carries one row per (block, distinct bigram), not per token),
-    bigram-hash-salted groupby sums partials, per-partition top-k is
-    globally sufficient, ``salt_mod * k`` candidates reach the merge."""
-    import pandas as pd
+    one keyed fold by bigram sums partials, per-call top-k is globally
+    sufficient, ``reduce.WIDTH * k`` candidates reach the merge."""
     import pyarrow.compute as pc
 
     def partial_counts(batch: pa.Table) -> pa.Table:
@@ -351,12 +351,8 @@ def topk_bigrams(ds, k: int = 50, text_col: str = "text", salt_mod: int = 64):
         d = pair.dictionary_encode()
         codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         cnt = np.bincount(codes, minlength=len(d.dictionary))
-        grams = d.dictionary.to_pandas().to_numpy()
-        salts = (pd.util.hash_array(grams.astype(object))
-                 % np.uint64(salt_mod)).astype(np.int64)
-        return pa.table({"bigram": pa.array(grams, pa.string()),
-                         "n": pa.array(cnt.astype(np.int64)),
-                         "_salt": pa.array(salts)})
+        return pa.table({"bigram": d.dictionary.cast(pa.string()),
+                         "n": pa.array(cnt.astype(np.int64))})
 
     def part_topk(g: pa.Table) -> pa.Table:
         df = g.to_pandas().groupby("bigram", as_index=False)["n"].sum()
@@ -364,10 +360,8 @@ def topk_bigrams(ds, k: int = 50, text_col: str = "text", salt_mod: int = 64):
                             kind="stable").head(k)
         return pa.Table.from_pandas(df[["bigram", "n"]], preserve_index=False)
 
-    cand = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("_salt").map_groups(part_topk, batch_format="pyarrow")
-    )
+    cand = keyed_fold(ds.map_batches(partial_counts, batch_format="pyarrow"),
+                      "bigram", part_topk)
     tabs = list(cand.iter_batches(batch_format="pyarrow"))
     cat = pa.concat_tables(tabs) if tabs else pa.table(
         {"bigram": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
@@ -379,15 +373,15 @@ def topk_bigrams(ds, k: int = 50, text_col: str = "text", salt_mod: int = 64):
                                               preserve_index=False))
 
 
-def topk_words(ds, k: int = 50, text_col: str = "text", salt_mod: int = 64):
+def topk_words(ds, k: int = 50, text_col: str = "text"):
     """EXACT global top-k words by count (ties broken by word ascending —
     a total order, so the result is deterministic and SQL-matchable).
 
     Scale shape: per-block PARTIAL counts first (Arrow C split + dictionary
     encode; the shuffle then carries one row per (block, distinct word), not
-    per token), one word-hash-salted groupby sums partials — each word lives
-    wholly in one partition, so a per-partition top-k is globally sufficient
-    — and only ``salt_mod * k`` candidate rows reach the final merge."""
+    per token), one keyed fold by word sums partials — each word lives
+    wholly in one fold call, so a per-call top-k is globally sufficient —
+    and only ``reduce.WIDTH * k`` candidate rows reach the final merge."""
     import pyarrow.compute as pc
 
     def partial_counts(batch: pa.Table) -> pa.Table:
@@ -403,30 +397,19 @@ def topk_words(ds, k: int = 50, text_col: str = "text", salt_mod: int = 64):
         cnt = np.bincount(codes, minlength=len(d.dictionary))
         words = d.dictionary.to_pandas().to_numpy()
         keep = words != ""  # boundary-split artifacts
-        words, cnt = words[keep], cnt[keep]
-        import pandas as pd
-
-        salts = (pd.util.hash_array(words.astype(object)) % np.uint64(salt_mod)).astype(np.int64)
-        return pa.table({"word": pa.array(words, pa.string()),
-                         "n": pa.array(cnt.astype(np.int64)),
-                         "_salt": pa.array(salts)})
+        return pa.table({"word": pa.array(words[keep], pa.string()),
+                         "n": pa.array(cnt[keep].astype(np.int64))})
 
     def part_topk(g: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = g.to_pandas().groupby("word", as_index=False)["n"].sum()
         df = df.sort_values(["n", "word"], ascending=[False, True], kind="stable").head(k)
         return pa.Table.from_pandas(df[["word", "n"]], preserve_index=False)
 
-    cand = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("_salt").map_groups(part_topk, batch_format="pyarrow")
-    )
+    cand = keyed_fold(ds.map_batches(partial_counts, batch_format="pyarrow"),
+                      "word", part_topk)
     tabs = list(cand.iter_batches(batch_format="pyarrow"))
     cat = pa.concat_tables(tabs) if tabs else pa.table(
         {"word": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
-    import pandas as pd
-
     df = cat.to_pandas().sort_values(["n", "word"], ascending=[False, True],
                                      kind="stable").head(k)
     import ray.data as rd
@@ -436,7 +419,7 @@ def topk_words(ds, k: int = 50, text_col: str = "text", salt_mod: int = 64):
 
 
 def oov_rate(ds, vocab_k: int = 256, text_col: str = "text",
-             id_col: str = "doc_id", salt_mod: int = 64):
+             id_col: str = "doc_id"):
     """Per-document out-of-vocabulary rate against the EXACT global top-k
     vocabulary (the tokenizer-coverage / quality signal used to gate training
     corpora).
@@ -444,7 +427,7 @@ def oov_rate(ds, vocab_k: int = 256, text_col: str = "text",
     Two streaming passes over the corpus:
 
     1. vocabulary = :func:`topk_words` (count DESC, word ASC total order —
-       the bounded word-hash-salted exact merge, never a full-vocab
+       the bounded keyed-fold exact merge, never a full-vocab
        broadcast: only ``k`` words come back to the driver);
     2. the k-word vocabulary is broadcast once (``ray.put``) and each batch
        is scored with one Arrow split kernel + one ``pc.is_in`` membership
@@ -457,8 +440,7 @@ def oov_rate(ds, vocab_k: int = 256, text_col: str = "text",
     """
     import ray
 
-    vb = list(topk_words(ds, k=vocab_k, text_col=text_col,
-                         salt_mod=salt_mod).iter_batches(
+    vb = list(topk_words(ds, k=vocab_k, text_col=text_col).iter_batches(
         batch_format="pyarrow", batch_size=None))
     vocab = pa.concat_tables(vb)["word"].combine_chunks() if vb else pa.array(
         [], pa.string())
@@ -865,12 +847,12 @@ def fuzzy_pairs(ds, text_col: str, max_dist: int = 2, len_band: int = 2,
 
 
 def bpe_train(ds, n_merges: int = 50, text_col: str = "text",
-              max_word_types: int = 200_000, salt_mod: int = 64):
+              max_word_types: int = 200_000):
     """Distributed BPE vocabulary training (the sentencepiece/GPT-2 shape).
 
     The corpus-scale half is ONE exact distributed word-frequency pass
-    (per-block Arrow split + dictionary-encode partials, word-hash-salted
-    groupby sum — the :func:`topk_words` shuffle shape).  The merge loop
+    (per-block Arrow split + dictionary-encode partials, keyed fold by word
+    — the :func:`topk_words` shuffle shape).  The merge loop
     then runs on the BOUNDED word-type table (≤ ``max_word_types`` rows,
     kept by count desc — the standard BPE-on-word-counts trick: merge
     decisions depend only on type frequencies, never on corpus order), so
@@ -888,7 +870,6 @@ def bpe_train(ds, n_merges: int = 50, text_col: str = "text",
 
     Returns a Dataset of merges: (rank, left, right, pair_count) with
     left/right rendered as strings ('</w>' marks word end)."""
-    import pandas as pd
     import pyarrow.compute as pc
 
     import ray.data as rd
@@ -906,18 +887,15 @@ def bpe_train(ds, n_merges: int = 50, text_col: str = "text",
         cnt = np.bincount(codes, minlength=len(d.dictionary))
         words = d.dictionary.to_pandas().to_numpy()
         keep = words != ""
-        words, cnt = words[keep], cnt[keep]
-        salts = (pd.util.hash_array(words.astype(object)) % np.uint64(salt_mod)).astype(np.int64)
-        return pa.table({"word": pa.array(words, pa.string()),
-                         "n": pa.array(cnt.astype(np.int64)),
-                         "_salt": pa.array(salts)})
+        return pa.table({"word": pa.array(words[keep], pa.string()),
+                         "n": pa.array(cnt[keep].astype(np.int64))})
 
     def sum_per_word(g: pa.Table) -> pa.Table:
         df = g.to_pandas().groupby("word", as_index=False)["n"].sum()
         return pa.Table.from_pandas(df[["word", "n"]], preserve_index=False)
 
-    wc = (ds.map_batches(partial_counts, batch_format="pyarrow")
-          .groupby("_salt").map_groups(sum_per_word, batch_format="pyarrow"))
+    wc = keyed_fold(ds.map_batches(partial_counts, batch_format="pyarrow"),
+                    "word", sum_per_word)
     tabs = list(wc.iter_batches(batch_format="pyarrow", batch_size=None))
     wt = (pa.concat_tables(tabs) if tabs
           else pa.table({"word": pa.array([], pa.string()),
@@ -1247,7 +1225,7 @@ def dsir_logratio(ds, model_target, model_raw, k: float = 0.5,
 
 
 def vocab_growth(ds, text_col: str = "text", id_col: str = "doc_id",
-                 bucket_width: int = 50, ngram: int = 1, salt_mod: int = 64):
+                 bucket_width: int = 50, ngram: int = 1):
     """Heaps'-law vocabulary growth curve: how many DISTINCT word n-grams the
     corpus has introduced after each consecutive bucket of ``bucket_width``
     docs (in doc_id order) — the classic corpus-statistics diagnostic for
@@ -1261,12 +1239,12 @@ def vocab_growth(ds, text_col: str = "text", id_col: str = "doc_id",
        (two independent siphash streams + polynomial n-gram combine — the
        dup-span argument: a cross-gram collision is ~m²/2¹²⁹, effectively
        exact), so gram STRINGS never move;
-    2. one salted gram-hash groupby: global min doc_id per gram folds
+    2. one keyed fold by gram hash: global min doc_id per gram folds
        straight to (bucket, new_words) partials INSIDE the task;
-    3. the tiny partial table (<= salt_mod x n_buckets rows) collapses in a
-       single constant-key task that also computes the running total.  Pick
-       ``bucket_width`` proportional to corpus size (the window-width law) so
-       the curve itself stays bounded.
+    3. the tiny partial table (<= ``reduce.WIDTH`` x n_buckets rows)
+       collapses in a single constant-key task that also computes the
+       running total.  Pick ``bucket_width`` proportional to corpus size
+       (the window-width law) so the curve itself stays bounded.
 
     Word split mirrors SQL ``string_split(text, ' ')`` (single space, empty
     tokens kept); docs with fewer than ``ngram`` words contribute no grams.
@@ -1291,7 +1269,7 @@ def vocab_growth(ds, text_col: str = "text", id_col: str = "doc_id",
             empty = np.zeros(0, np.int64)
             return pa.table({"_g1": pa.array(np.zeros(0, np.uint64)),
                              "_g2": pa.array(np.zeros(0, np.uint64)),
-                             "_min": pa.array(empty), "_salt": pa.array(empty)})
+                             "_min": pa.array(empty)})
         g1 = np.zeros(m, dtype=np.uint64)
         g2 = np.zeros(m, dtype=np.uint64)
         for j in range(ngram):
@@ -1305,10 +1283,8 @@ def vocab_growth(ds, text_col: str = "text", id_col: str = "doc_id",
         first = np.r_[True, (a[1:] != a[:-1]) | (b2[1:] != b2[:-1])] \
             if len(a) else np.zeros(0, bool)
         a, b2, d = a[first], b2[first], d[first]
-        return pa.table({
-            "_g1": pa.array(a), "_g2": pa.array(b2), "_min": pa.array(d),
-            "_salt": pa.array((a % np.uint64(salt_mod)).astype(np.int64)),
-        })
+        return pa.table({"_g1": pa.array(a), "_g2": pa.array(b2),
+                         "_min": pa.array(d)})
 
     def fold_partition(g: pa.Table) -> pa.Table:
         g1 = g["_g1"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -1334,8 +1310,8 @@ def vocab_growth(ds, text_col: str = "text", id_col: str = "doc_id",
         return pa.table({"bucket": pa.array(ub), "new_words": pa.array(sums),
                          "vocab_size": pa.array(np.cumsum(sums))})
 
-    return (ds.map_batches(local_min, batch_format="pyarrow")
-            .groupby("_salt").map_groups(fold_partition, batch_format="pyarrow")
+    return (keyed_fold(ds.map_batches(local_min, batch_format="pyarrow"), "_g1",
+                       fold_partition)
             .groupby("_one").map_groups(finalize, batch_format="pyarrow"))
 
 
@@ -1459,8 +1435,7 @@ def bm25_topk(ds, terms, k: int = 20, k1: float = 1.2, b: float = 0.75,
 
 
 def collocations_lift(ds, k: int = 50, min_count: int = 5,
-                      text_col: str = "text", salt_mod: int = 64,
-                      fanin: int = 8):
+                      text_col: str = "text", fanin: int = 8):
     """Collocation mining: top-``k`` adjacent word pairs by LIFT
     ``p(xy) / (p(x)·p(y)) = (c_xy·N_w·N_w) / (N_bg·c_x·c_y)`` — the
     log-free monotone twin of PMI (PMI = log(lift·N_w/N_bg·…) is monotone
@@ -1473,7 +1448,6 @@ def collocations_lift(ds, k: int = 50, min_count: int = 5,
     vocab-bounded and broadcast into the lift pass; only ``min_count``
     survivors reach the final top-k merge.  Split convention: the
     lowercase ``[^0-9a-z]+`` regex split shared with :func:`topk_bigrams`."""
-    import pandas as pd
     import ray
 
     from .reduce import topk_merge, tree_reduce
@@ -1507,11 +1481,7 @@ def collocations_lift(ds, k: int = 50, min_count: int = 5,
                 "gram": pa.array(grams, pa.string()),
                 "kind": pa.array(np.repeat(kind, len(grams)), pa.string()),
                 "n": pa.array(cnt.astype(np.int64))}))
-        cat = pa.concat_tables(outs)
-        salts = (pd.util.hash_array(
-            cat["gram"].to_numpy(zero_copy_only=False).astype(object))
-            % np.uint64(salt_mod)).astype(np.int64)
-        return cat.append_column("_salt", pa.array(salts))
+        return pa.concat_tables(outs)
 
     def fold(g: pa.Table) -> pa.Table:
         df = g.to_pandas().groupby(["gram", "kind"], as_index=False)["n"].sum()
@@ -1519,10 +1489,9 @@ def collocations_lift(ds, k: int = 50, min_count: int = 5,
 
     # gram-vocab-scale (n-gram space grows with the corpus), multiple
     # consumers: Parquet scratch instead of an object-store pin (r4)
-    counts = _ckpt(ds.select_columns([text_col])
-                   .map_batches(grams_partial, batch_format="pyarrow")
-                   .groupby("_salt").map_groups(fold,
-                                                batch_format="pyarrow"),
+    counts = _ckpt(keyed_fold(ds.select_columns([text_col])
+                              .map_batches(grams_partial, batch_format="pyarrow"),
+                              "gram", fold),
                    "gramcounts")
 
     def totals(t: pa.Table) -> pa.Table:
@@ -1778,19 +1747,19 @@ def word_entropy(ds, text_col: str = "text", id_col: str = "doc_id",
     return ds.map_batches(ent, batch_format="pyarrow")
 
 
-def zipf_slope(ds, k: int = 30, text_col: str = "text", salt_mod: int = 64):
+def zipf_slope(ds, k: int = 30, text_col: str = "text"):
     """Zipf rank-frequency slope of the corpus: OLS fit of ln(count) on
     ln(rank) over the top-k words — the corpus-health diagnostic (natural
     text ~ -1; synthetic/templated corpora flatten).  One row out.
 
-    The word counts come from the exact salted-partial fold of
+    The word counts come from the exact keyed fold of
     :func:`topk_words` (one shuffle of per-block distinct-word partials);
     the regression itself runs on k<=30 rows driver-side from QUANTIZED
     ln values (int64 at 1e6), so numerator/denominator are exact Python
     ints and the final division is the only double op."""
     import ray.data as rd
 
-    top = topk_words(ds, k=k, text_col=text_col, salt_mod=salt_mod)
+    top = topk_words(ds, k=k, text_col=text_col)
     tabs = list(top.iter_batches(batch_format="pyarrow", batch_size=None))
     t = pa.concat_tables(tabs)
     cnt = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1812,11 +1781,11 @@ def zipf_slope(ds, k: int = 30, text_col: str = "text", salt_mod: int = 64):
     }))
 
 
-def _source_word_pairs(ds, key: str, text_col: str, salt_mod: int):
+def _source_word_pairs(ds, key: str, text_col: str):
     """(key, word) exact counts with per-word totals attached: per-block
     fused-int-key partials (one row per distinct (key, word) per block —
-    tokens never ship), one word-hash-salted groupby so each word lives
-    wholly in one partition; the group fold emits (key, word, c_kw, c_w).
+    tokens never ship), one keyed fold by word so each word lives wholly
+    in one fold call, which emits (key, word, c_kw, c_w).
     Returns (pairs Dataset, {key: total_words}, grand_total)."""
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1836,19 +1805,11 @@ def _source_word_pairs(ds, key: str, text_col: str, salt_mod: int):
             ks = np.zeros(0, object)
             words = np.zeros(0, object)
             cnt = np.zeros(0, np.int64)
-        import pandas as pd
-
-        salts = (pd.util.hash_array(words.astype(object))
-                 % np.uint64(salt_mod)).astype(np.int64) if len(words) else \
-            np.zeros(0, np.int64)
         return pa.table({key: pa.array(ks, pa.string()),
                          "word": pa.array(words, pa.string()),
-                         "c_kw": pa.array(cnt.astype(np.int64)),
-                         "_salt": pa.array(salts)})
+                         "c_kw": pa.array(cnt.astype(np.int64))})
 
     def fold(g: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = g.to_pandas().groupby([key, "word"], sort=False,
                                    as_index=False)["c_kw"].sum()
         cw = df.groupby("word")["c_kw"].transform("sum")
@@ -1857,9 +1818,8 @@ def _source_word_pairs(ds, key: str, text_col: str, salt_mod: int):
                          "c_kw": pa.array(df["c_kw"].to_numpy(np.int64)),
                          "c_w": pa.array(cw.to_numpy(np.int64))})
 
-    pairs = (ds.select_columns([key, text_col])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("_salt").map_groups(fold, batch_format="pyarrow"))
+    pairs = keyed_fold(ds.select_columns([key, text_col])
+                       .map_batches(partial, batch_format="pyarrow"), "word", fold)
 
     # tiny per-key word totals (bounded by |keys|, folded distributed)
     def ktotals(b: pa.Table) -> pa.Table:
@@ -1878,13 +1838,12 @@ def _source_word_pairs(ds, key: str, text_col: str, salt_mod: int):
 
 
 def distinctive_terms(ds, key: str = "source", k: int = 5,
-                      min_count: int = 5, text_col: str = "text",
-                      salt_mod: int = 64):
+                      min_count: int = 5, text_col: str = "text"):
     """Top-k DISTINCTIVE terms per corpus slice by pointwise lift
     p(word|key)/p(word) — the per-domain keyword profile used to audit a
     training-data mixture (which terms over-index in each source).
 
-    Exact counts from one word-salted shuffle of per-block partials
+    Exact counts from one keyed fold by word of per-block partials
     (:func:`_source_word_pairs`); lift is the identical double expression
     tree as the SQL twin — (c_kw·N)/(c_w·c_k) with every operand cast
     double first — so ranking (lift DESC, word ASC) is deterministic.
@@ -1892,7 +1851,7 @@ def distinctive_terms(ds, key: str = "source", k: int = 5,
     blocks × |keys| × k candidate rows."""
     import ray
 
-    pairs, totals, N = _source_word_pairs(ds, key, text_col, salt_mod)
+    pairs, totals, N = _source_word_pairs(ds, key, text_col)
     Nf = float(N)
     tref = ray.put(totals)
 
@@ -1928,7 +1887,7 @@ def distinctive_terms(ds, key: str = "source", k: int = 5,
 
 
 def kl_divergence_by(ds, key: str = "source", text_col: str = "text",
-                     salt_mod: int = 64, scale: float = 1e9):
+                     scale: float = 1e9):
     """Per-slice unigram KL divergence KL(p_key || p_corpus) — the domain
     drift / mixture-shift diagnostic (0 = slice indistinguishable from the
     corpus; rises as a source's vocabulary usage diverges).
@@ -1939,7 +1898,7 @@ def kl_divergence_by(ds, key: str = "source", text_col: str = "text",
     by |keys| per block) reach the final tiny groupby."""
     import ray
 
-    pairs, totals, N = _source_word_pairs(ds, key, text_col, salt_mod)
+    pairs, totals, N = _source_word_pairs(ds, key, text_col)
     Nf = float(N)
     tref = ray.put(totals)
 

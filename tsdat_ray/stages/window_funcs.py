@@ -59,6 +59,7 @@ from .carry import (
     window_scan,
     with_columns,
 )
+from .reduce import keyed_fold
 from .text_quant import half_away
 
 
@@ -149,22 +150,16 @@ def partitioned_lead(ds, key: str, ts_col: str, value_col: str,
     return withc.map_batches(fill, batch_format="pyarrow")
 
 
-def _key_counts_ds(ds, key: str, salt_mod: int = 64):
+def _key_counts_ds(ds, key: str):
     """Per-key row counts as a DISTRIBUTED Dataset (key, _n): per-block
-    bincount partials, salted-key shuffle, vectorized segment sums — never
+    bincount partials, one keyed fold, vectorized segment sums — never
     folded on the driver (bounded by distinct keys per task, not total)."""
-    import pandas as pd
 
     def local_counts(b: pa.Table) -> pa.Table:
         d = b[key].combine_chunks().dictionary_encode()
         c = np.bincount(d.indices.to_numpy(zero_copy_only=False),
                         minlength=len(d.dictionary))
         return pa.table({key: d.dictionary, "_n": pa.array(c.astype(np.int64))})
-
-    def add_salt(b: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(np.asarray(b[key].to_numpy(zero_copy_only=False)))
-        return b.append_column("_ksalt", pa.array((h % np.uint64(salt_mod))
-                                                  .astype(np.int64)))
 
     def fold_part(g: pa.Table) -> pa.Table:
         k = g[key].to_numpy(zero_copy_only=False)
@@ -177,12 +172,9 @@ def _key_counts_ds(ds, key: str, salt_mod: int = 64):
                          "_n": pa.array(np.add.reduceat(ns, st) if len(st)
                                         else ns[:0])})
 
-    return (ds.select_columns([key])
-            .map_batches(local_counts, batch_format="pyarrow")
-            .map_batches(add_salt, batch_format="pyarrow")
-            .groupby("_ksalt").map_groups(
-                lambda g: fold_part(g.drop_columns(["_ksalt"])),
-                batch_format="pyarrow"))
+    return keyed_fold(ds.select_columns([key])
+                      .map_batches(local_counts, batch_format="pyarrow"), key,
+                      fold_part)
 
 
 def grouped_ntile(ds, key: str, value_col: str, id_col: str, n_tiles: int,
@@ -572,10 +564,9 @@ def partitioned_first_value(ds, key: str, ts_col: str, value_col: str,
     """FIRST_VALUE(value) OVER (PARTITION BY key ORDER BY ts, id) — the
     per-key global first value, repeated on every row (``last=True`` gives
     LAST_VALUE over the full-partition frame: the max-(ts, id) row).
-    Per-batch combiners keep each block's extreme row per key; a salted-key
-    shuffle folds them to one row per key DISTRIBUTED (no driver map, no
+    Per-batch combiners keep each block's extreme row per key; a keyed fold
+    reduces them to one row per key DISTRIBUTED (no driver map, no
     single-task reduce), and the attach is budget-gated (:mod:`.carry`)."""
-    import pandas as pd
 
     def local_first(b: pa.Table) -> pa.Table:
         k = b[key].to_numpy(zero_copy_only=False)
@@ -589,24 +580,15 @@ def partitioned_first_value(ds, key: str, ts_col: str, value_col: str,
         take = pa.array(order[st] if len(st) else [], type=pa.int64())
         return b.select([key, ts_col, id_col, value_col]).take(take)
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(np.asarray(b[key].to_numpy(zero_copy_only=False)))
-        return b.append_column("_ksalt", pa.array((h % np.uint64(64))
-                                                  .astype(np.int64)))
-
     out_col = f"{value_col}_last" if last else f"{value_col}_first"
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({key: b[key],
                          out_col: b[value_col].combine_chunks().cast(pa.float64())})
 
-    firsts = (ds.select_columns([key, ts_col, id_col, value_col])
-              .map_batches(local_first, batch_format="pyarrow")
-              .map_batches(add_salt, batch_format="pyarrow")
-              .groupby("_ksalt").map_groups(
-                  lambda g: local_first(g.drop_columns(["_ksalt"])),
-                  batch_format="pyarrow")
-              .map_batches(finish, batch_format="pyarrow"))
+    firsts = keyed_fold(ds.select_columns([key, ts_col, id_col, value_col])
+                        .map_batches(local_first, batch_format="pyarrow"), key,
+                        local_first).map_batches(finish, batch_format="pyarrow")
 
     return attach_carry(ds, firsts, key, None)
 
@@ -951,14 +933,8 @@ def time_weighted_avg(ds, key: str, ts_col: str, value_col: str,
             "dur_us": pa.array(sdt),
         })
 
-    def add_gsalt(b: pa.Table) -> pa.Table:
-        return b.append_column("_gsalt", pa.array(column(b, "_day") % np.int64(64)))
-
-    return (withc.map_batches(partial_sums, batch_format="pyarrow")
-            .map_batches(add_gsalt, batch_format="pyarrow")
-            .groupby("_gsalt").map_groups(
-                lambda g: day_fold(g.drop_columns(["_gsalt"])),
-                batch_format="pyarrow"))
+    return keyed_fold(withc.map_batches(partial_sums, batch_format="pyarrow"),
+                      [key, "_day"], day_fold)
 
 
 def partitioned_ewma(ds, key: str, ts_col: str, value_col: str,
@@ -1299,7 +1275,7 @@ def interval_union(ds, key: str, ts_col: str, dur_col: str, id_col: str,
 
 def counter_increase(ds, key: str, ts_col: str, value_col: str,
                      id_col: str, value_scale: int = 100,
-                     window_s: int = 6 * 3600, salt_mod: int = 64):
+                     window_s: int = 6 * 3600):
     """Reset-aware counter increase per (key, calendar day) — the PromQL
     ``increase()`` semantics on raw samples: each sample contributes
     ``v - prev`` when the counter advanced, or ``v`` when it reset
@@ -1379,14 +1355,8 @@ def counter_increase(ds, key: str, ts_col: str, value_col: str,
             "increase": pa.array(tot.astype(np.float64) / float(value_scale)),
         })
 
-    def add_gsalt(b: pa.Table) -> pa.Table:
-        return b.append_column("_gsalt", pa.array(column(b, "_day") % np.int64(salt_mod)))
-
-    return (withc.map_batches(partial_sums, batch_format="pyarrow")
-            .map_batches(add_gsalt, batch_format="pyarrow")
-            .groupby("_gsalt").map_groups(
-                lambda g: day_fold(g.drop_columns(["_gsalt"])),
-                batch_format="pyarrow"))
+    return keyed_fold(withc.map_batches(partial_sums, batch_format="pyarrow"),
+                      [key, "_day"], day_fold)
 
 
 def grouped_dense_rank(ds, key: str, value_col: str,
@@ -1883,9 +1853,8 @@ def partitioned_nth_value(ds, key: str, ts_col: str, value_col: str,
     BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING) — the n-th row's
     value per key, repeated on every row (NULL for keys with < n rows).
     Per-batch combiners keep each block's n smallest (ts, id) rows per key;
-    a salted-key shuffle picks the n-th per key DISTRIBUTED (vectorized
-    segment select — no driver map), attached budget-gated."""
-    import pandas as pd
+    a keyed fold picks the n-th per key DISTRIBUTED (vectorized segment
+    select — no driver map), attached budget-gated."""
 
     def local_nsmallest(b: pa.Table) -> pa.Table:
         k = b[key].to_numpy(zero_copy_only=False)
@@ -1899,15 +1868,9 @@ def partitioned_nth_value(ds, key: str, ts_col: str, value_col: str,
         return b.select([key, ts_col, id_col, value_col]).take(
             pa.array(np.sort(keep), type=pa.int64()))
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(np.asarray(b[key].to_numpy(zero_copy_only=False)))
-        return b.append_column("_ksalt", pa.array((h % np.uint64(64))
-                                                  .astype(np.int64)))
-
     out_col = f"{value_col}_nth{nth}"
 
     def pick_nth(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_ksalt"])
         k = g[key].to_numpy(zero_copy_only=False)
         ts = g[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
         ids = g[id_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -1924,10 +1887,9 @@ def partitioned_nth_value(ds, key: str, ts_col: str, value_col: str,
         return pa.table({key: pa.array(ks[st] if len(st) else ks[:0]),
                          out_col: pa.array(res)})
 
-    nths = (ds.select_columns([key, ts_col, id_col, value_col])
-            .map_batches(local_nsmallest, batch_format="pyarrow")
-            .map_batches(add_salt, batch_format="pyarrow")
-            .groupby("_ksalt").map_groups(pick_nth, batch_format="pyarrow"))
+    nths = keyed_fold(ds.select_columns([key, ts_col, id_col, value_col])
+                      .map_batches(local_nsmallest, batch_format="pyarrow"), key,
+                      pick_nth)
 
     return attach_carry(ds, nths, key, None)
 
@@ -2003,12 +1965,12 @@ def windowed_pair_join(left, right, key: str, ts_col: str,
 
 
 def windowed_active_users(ds, user_col: str = "user_id", ts_col: str = "ts",
-                          window_days: int = 7, salt_mod: int = 64):
+                          window_days: int = 7):
     """Sliding-window DISTINCT count (weekly-active-users per day): for each
     day w, the number of distinct users active in [w−6, w].
 
     Windowed COUNT(DISTINCT) does not merge, so instead of re-deduping per
-    window the engine exploits the interval structure: one salted shuffle
+    window the engine exploits the interval structure: one keyed fold
     co-locates each user's distinct (user, day) pairs; a vectorized pass
     merges each user's activity into covered-window INTERVALS (a new run
     starts when the gap exceeds the window), and each interval contributes
@@ -2029,9 +1991,7 @@ def windowed_active_users(ds, user_col: str = "user_id", ts_col: str = "ts",
         keep = np.r_[True, (us[1:] != us[:-1]) | (ds_[1:] != ds_[:-1])] \
             if len(us) else np.zeros(0, bool)
         us, ds_ = us[keep], ds_[keep]
-        return pa.table({"_u": pa.array(us), "_d": pa.array(ds_),
-                         "_salt": pa.array((us % salt_mod + salt_mod)
-                                           % salt_mod)})
+        return pa.table({"_u": pa.array(us), "_d": pa.array(ds_)})
 
     def intervals(g: pa.Table) -> pa.Table:
         u = g["_u"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -2064,9 +2024,9 @@ def windowed_active_users(ds, user_col: str = "user_id", ts_col: str = "ts",
                                if len(bd) else sgn[:0]),
         })
 
-    parts = (ds.select_columns([user_col, ts_col])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("_salt").map_groups(intervals, batch_format="pyarrow"))
+    parts = keyed_fold(ds.select_columns([user_col, ts_col])
+                       .map_batches(partial, batch_format="pyarrow"), "_u",
+                       intervals)
     deltas: dict[int, int] = {}
     for t in parts.iter_batches(batch_format="pyarrow", batch_size=None):
         for dny, dl in zip(t["_day"].to_pylist(), t["_delta"].to_pylist()):
