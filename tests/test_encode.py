@@ -47,6 +47,81 @@ def test_timestamps_tiny(n):
     np.testing.assert_array_equal(decode_timestamps(encode_timestamps(ts)), ts)
 
 
+def _golden_timestamps():
+    rng = np.random.default_rng(19)
+    # steps around a 60 s cadence whose dods fall in every bucket: 0, 7, 9,
+    # 12 and 64 bits, ±2**62 included
+    jit = np.array([0, 5, -64, 63, 200, -256, 255, 2000, -2048, 2047, 10**9, -(10**9),
+                    2**62, -(2**62)])
+    steps = 60_000_000 + rng.choice(jit, 300)
+    out = {"mixed": np.cumsum(np.r_[1_650_000_000_000_000, steps]).astype(np.int64),
+           "regular": np.arange(50, dtype=np.int64) * 60_000_000,
+           "huge": np.array([0, 2**62, -(2**62), 2**62, 0, -(2**62), 2**62 - 1, -(2**62) + 7],
+                            np.int64)}
+    for n in range(4):
+        out[f"n{n}"] = np.arange(n, dtype=np.int64) * 17 + 5
+    return out
+
+
+def _golden_values():
+    rng = np.random.default_rng(23)
+    out = {"normal": rng.normal(100, 5, 400),
+           "special": np.array([np.nan, np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-300, 1e300,
+                                -0.0, 0.0, np.nan, 1.5, 1.5, 1.5, -np.inf]),
+           # xor 0x8000000000000001: 64 significant bits
+           "sig64": np.array([1.0, -1.0000000000000002, 1.0, -1.0000000000000002]),
+           "runs": np.repeat(rng.normal(0, 1, 6), rng.integers(1, 30, 6)),
+           "rounded": np.round(150 + 10 * np.sin(np.arange(300) / 50), 1),
+           "bits": rng.integers(0, 2**63, 200, dtype=np.int64).view(np.float64)}
+    for n in range(4):
+        out[f"n{n}"] = np.arange(n, dtype=np.float64) * 0.1
+    return out
+
+
+_GOLDEN = {
+    "ts_mixed": "8668854be880b41ba94140a678d0eefb",
+    "ts_regular": "7ccb86891b431ef6a53dc4b5e0d95ed5",
+    "ts_huge": "fbca08c72aa2f5212ded1d0f4669c524",
+    "ts_n0": "f1d3ff8443297732862df21dc4e57262",
+    "ts_n1": "12fc1489b12fcdedb8fc818b7369b5d9",
+    "ts_n2": "bfcf8efde8f33884f3c24ac585bf69ce",
+    "ts_n3": "783c254d64fab44d6bf813909c339c6a",
+    "v_normal": "9e3a79fa997a420a364a99863e075f6b",
+    "v_special": "66eef502c6085556753c7d40297da734",
+    "v_sig64": "e751bef45d4954e7fee8e00bf4913aaf",
+    "v_runs": "dcc9e490f035bb4d5f6049d26961132f",
+    "v_rounded": "a555c0e1e3bb1b23cb63f723fe03a5f4",
+    "v_bits": "fb28b0e4f206ff922ae9c089d04b2cea",
+    "v_n0": "f1d3ff8443297732862df21dc4e57262",
+    "v_n1": "9013eccd91ad614d7893c739275a394f",
+    "v_n2": "697f423c17eea438044d2b99d93d95c3",
+    "v_n3": "93ee9fe380c2837c488e86e77baa57f3",
+}
+
+
+def test_encoder_bytes_are_pinned():
+    """The blobs' bytes, not only their round trip: md5s of seeded inputs
+    that cover every DoD bucket, 64 significant bits, NaN, ±0, ±inf, runs
+    of equal values and 0 to 3 rows.  A format change that still round
+    trips fails here."""
+    import hashlib
+
+    mixed = np.diff(np.diff(_golden_timestamps()["mixed"]))
+    a = np.abs(mixed + (mixed < 0))
+    assert (mixed == 0).any() and (mixed != 0).any()
+    for lo, hi in ((0, 64), (64, 256), (256, 2048), (2048, 2**63)):
+        assert ((a >= lo) & (a < hi) & (mixed != 0)).any(), (lo, hi)
+    assert (np.abs(mixed) >= 2**62).any()
+    got = {f"ts_{k}": encode_timestamps(v) for k, v in _golden_timestamps().items()}
+    got.update({f"v_{k}": encode_values(v) for k, v in _golden_values().items()})
+    assert {k: hashlib.md5(b).hexdigest() for k, b in got.items()} == _GOLDEN
+    for k, v in _golden_timestamps().items():
+        np.testing.assert_array_equal(decode_timestamps(got[f"ts_{k}"]), v)
+    for k, v in _golden_values().items():
+        np.testing.assert_array_equal(decode_values(got[f"v_{k}"]).view(np.uint64),
+                                      v.view(np.uint64))
+
+
 def test_values_roundtrip():
     rng = np.random.default_rng(4)
     vals = np.r_[

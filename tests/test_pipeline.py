@@ -6,6 +6,7 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -314,6 +315,36 @@ def test_reducer_killed_after_earlier_keys_retries_to_the_clean_store(ray_sessio
     for d in STORE_DIRS:
         assert files(faulty, d) == files(clean, d), d
     assert not [n for _, _, ns in os.walk(faulty) for n in ns if re.fullmatch(r"\..*\.tmp\d+", n)]
+
+
+def test_failed_reducer_reraises_and_resume_gives_the_clean_store(ray_session, tmp_path):
+    """A ``finalize`` hook that raises in one reducer fails the run with
+    that error; the driver stays alive (the other tasks are cancelled only
+    while still running), and a resume without the hook gives the clean
+    store."""
+    import ray
+
+    from perfbench.common import store_digest
+
+    corpus = generate_sequences_parquet(str(tmp_path / "c"), n_rows=6000, seed=42)
+    clean = str(tmp_path / "clean")
+    run_pipeline(corpus, PipelineConfig(out_root=clean, resume=False, parallelism=2))
+    victim = sorted(Manifest(clean).completed("raw"))[-1]
+
+    def fail_one(t, victim=victim):
+        if f"source={t['source'][0].as_py()}/day={t['day'][0].as_py()}" == victim:
+            raise ValueError(f"finalize failed on {victim}")
+        return t
+
+    out = str(tmp_path / "s")
+    with pytest.raises(ValueError, match="finalize failed on"):
+        run_pipeline(corpus, PipelineConfig(out_root=out, resume=False, parallelism=2,
+                                            hooks={"finalize": fail_one}))
+    assert ray.get(ray.remote(lambda: 41).remote()) == 41  # the driver is alive
+    assert Manifest(out).records() == []  # the failed run committed nothing
+    run_pipeline(corpus, PipelineConfig(out_root=out, parallelism=2))
+    assert store_digest(out) == store_digest(clean)
+    _assert_same_store(Manifest(clean), Manifest(out))
 
 
 def test_resume_rebuilds_missing_tier_only(ray_session, corpus, tmp_path):
@@ -1030,7 +1061,9 @@ def test_reducer_plan_follows_the_rebuilt_keys(ray_session, tmp_path):
     and rebuilds them equal to the fresh store; a reprocess of one web day
     runs 1 reducer and its store is bit-equal to the fresh one; a run with
     a ``customize`` hook, whose keys the plan cannot see, hashes into every
-    slot, and its store is bit-equal to the planned run's."""
+    slot, and its store is bit-equal to the planned run's; so is the store
+    of the hooked run's two-day reprocess, which drops done rows after the
+    hook rather than inside standardize."""
     from tsdat_ray.pipelines.rollup_pipeline import reprocess_range
 
     corpus = generate_sequences_parquet(str(tmp_path / "c"), n_rows=160_000, seed=11)
@@ -1059,6 +1092,11 @@ def test_reducer_plan_follows_the_rebuilt_keys(ray_session, tmp_path):
     hooked = PipelineConfig(out_root=str(tmp_path / "hooked"), resume=False, parallelism=32,
                             hooks={"customize": lambda b: b})
     assert run_pipeline(corpus, hooked)["raw"]["shuffle_partitions"] == 32
+    _assert_same_store(man, Manifest(hooked.out_root))
+    st = reprocess_range(corpus, hooked, lo, lo + 2 * 86400 * US)
+    assert st["raw"]["new_partitions"] == 2 and st["raw"]["shuffle_partitions"] == 32
+    groups = st["raw"]["input_row_groups"]  # blind to the hook: reads every row group
+    assert groups["read"] == groups["total"] > 2
     _assert_same_store(man, Manifest(hooked.out_root))
 
 
@@ -1317,6 +1355,62 @@ def test_reprocess_reads_only_row_groups_of_its_days(ray_session, tmp_path):
             _assert_same_partition(man, fresh, tier, part)
 
 
+def _day_jump_corpus(path):
+    """One ``web`` file, one row group, 144 rows on each of three days, in
+    the order day 0, 40 rows of day 2, day 1, the rest of day 2: day 1's
+    first row follows a day-2 row and is out of order.  Returns the three
+    days and that row's sequence index."""
+    from tsdat_ray.schema import NOMINAL_INTERVAL_S
+
+    rng = np.random.default_rng(5)
+    per_day = 86400 // NOMINAL_INTERVAL_S
+    idx = [[k * per_day + j * 60 for j in range(144)] for k in range(3)]
+    order = idx[0] + idx[2][:40] + idx[1] + idx[2][40:]
+    toks = [rng.integers(0, 1000, rng.integers(1, 20)).tolist() for _ in order]
+    os.makedirs(path)
+    pq.write_table(pa.table({"doc_id": [f"web-{i:08d}" for i in order],
+                             "tokens": pa.array(toks, pa.list_(pa.int32())),
+                             "n_tok": pa.array([len(t) for t in toks], pa.int32()),
+                             "source": ["web"] * len(order)}), os.path.join(path, "web.parquet"))
+    epoch_day = int(EPOCH_US // (86400 * US))
+    return [str(np.datetime64(epoch_day + k, "D")) for k in range(3)], order[184]
+
+
+def test_early_skip_keeps_check_monotonic_of_rows_after_dropped_ones(ray_session, tmp_path):
+    """The map task drops done rows inside standardize, after CheckMonotonic:
+    reprocessing day 1 of a row group whose day-1 rows follow rows of done
+    days, the first of them out of order against a dropped day-2 row,
+    rebuilds raw (``qc_ts`` included) and every tier equal to a fresh run's,
+    and that row keeps its flag.  A unit whose rows are all done yields
+    empty tables of the same schema."""
+    from tsdat_ray.pipelines.rollup_pipeline import _read_unit, reprocess_range
+    from tsdat_ray.schema import QC_BIT_MONOTONIC
+
+    corpus = str(tmp_path / "c")
+    days, first = _day_jump_corpus(corpus)
+    fresh = Manifest(str(tmp_path / "fresh"))
+    run_pipeline(corpus, PipelineConfig(out_root=fresh.root, resume=False))
+    assert sorted(fresh.completed("raw")) == [f"source=web/day={d}" for d in days]
+    out = str(tmp_path / "late")
+    shutil.copytree(fresh.root, out)
+    lo = int(np.datetime64(days[1], "us").astype(np.int64))
+    st = reprocess_range(corpus, PipelineConfig(out_root=out), lo, lo + 86400 * US)
+    assert st["raw"]["new_partitions"] == 1 and st["raw"]["input_rows_read"] == 432
+    part = f"source=web/day={days[1]}"
+    raw = pq.read_table(Manifest(out).partition_dir("raw", part))
+    assert raw.filter(pc.equal(raw["doc_id"], f"web-{first:08d}"))["qc_ts"].to_pylist() == \
+        [QC_BIT_MONOTONIC]
+    for tier in STORE_DIRS:
+        _assert_same_partition(fresh, Manifest(out), tier, part)
+
+    unit = {"path": os.path.join(corpus, "web.parquet"), "row_group": 0, "rows": 432}
+    cfg = PipelineConfig(out_root=out)
+    every = _read_unit(unit, cfg, {"raw": frozenset()}, {}, 1, None)
+    parts = _read_unit(unit, cfg, {"raw": fresh.completed("raw")}, {}, 2, None)
+    assert every.num_rows == 432 and [t.num_rows for t in parts] == [0, 0]
+    assert all(t.schema == every.schema for t in parts)
+
+
 def test_compact_tier_keeps_token_ids_delta_packed(ray_session, tmp_path):
     """The merge ``compact_tier`` writes keeps the token ids
     DELTA_BINARY_PACKED with no dictionary page, and the same rows."""
@@ -1453,3 +1547,45 @@ def test_read_tier_hive_columns_only_below_tier_dir(ray_session, tmp_path):
         got = m.read_tier("t1m").to_pandas()
         assert list(got.columns) == ["x", "source", "day"]
         assert got["source"].tolist() == ["a", "a"] and got["x"].tolist() == [1, 2]
+
+
+def test_manifest_parses_each_appended_line_once(tmp_path, monkeypatch):
+    """``records`` parses each appended line once across calls and appends;
+    a log rewritten in place, shorter or at the same length, reads back
+    exactly; a removed log reads as ``[]``."""
+    from tsdat_ray.state import manifest as mf
+
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(mf.json, "loads", lambda s, **kw: parsed.append(s) or loads(s, **kw))
+    man = Manifest(str(tmp_path / "store"))
+    assert man.records() == [] and parsed == []
+    want = []
+    for i in range(6):
+        rec = {"tier": "raw", "partition": f"source=a/day=2022-01-0{i + 1}", "rows": i,
+               "committed_at": 1.0}
+        man.append(rec)
+        want.append(rec)
+        assert man.records() == want and man.latest("raw").keys() == {r["partition"] for r in want}
+    assert len(parsed) == len(want)  # one parse per line, over 12 reads
+    assert Manifest(man.root).records() == want and len(parsed) == len(want)
+
+    with open(man.path) as f:
+        lines = f.readlines()
+    with open(man.path, "w") as f:  # shorter: a resume test's forgotten record
+        f.writelines(lines[:2] + lines[3:])
+    assert man.records() == want[:2] + want[3:]
+    same = lines[:-1] + [lines[-1].replace('"rows": 5', '"rows": 7')]
+    assert len("".join(same)) == len("".join(lines))
+    with open(man.path, "w") as f:  # same length, other bytes
+        f.writelines(same)
+    assert man.records() == want[:-1] + [dict(want[-1], rows=7)]
+    with open(man.path, "a") as f:  # a torn last line is read, then completed
+        f.write('{"tier": "t1m", "partition": "p"')
+    with pytest.raises(json.JSONDecodeError):
+        man.records()
+    with open(man.path, "a") as f:
+        f.write(', "rows": 1}\n')
+    assert man.records()[-1] == {"tier": "t1m", "partition": "p", "rows": 1}
+    os.remove(man.path)
+    assert man.records() == [] and man.latest("raw") == {}

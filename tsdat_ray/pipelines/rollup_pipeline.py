@@ -13,7 +13,8 @@ exchange hands a whole (source, day) rolls every tier of it up itself
       may touch a (source, day) outside done(raw)   # none → no clean feed
       + a reducer slot per such (source, day), by its estimated rows
     one map task per unit (num_returns=p): read its row group
-          → tombstone → standardize → customize → [skip done(raw)]
+          → tombstone → standardize (ts, CheckMonotonic, [skip done(raw)],
+            the rest) → customize [→ skip done(raw)]
           → day → token ids as bytes → p tables, one per slot
       → one reducer task per slot: its tables in unit order, concatenated;
           per (source, day): clean + QC + write raw/
@@ -85,7 +86,7 @@ from ..sources.declared import parquet_files, parquet_row_groups
 from ..stages.encode import EncodeConfig, encode_group
 from ..stages.qc import QCConfig, QCStage
 from ..stages.rollup import RollupConfig, _key_change, _key_codes, dedup_order, roll_tiers
-from ..stages.standardize import StandardizeConfig, doc_ts_us, standardize_batch
+from ..stages.standardize import StandardizeConfig, doc_ts_us, done_mask, standardize_batch
 from ..stages.writers import write_batch_partitioned
 from ..state.manifest import Manifest
 
@@ -208,19 +209,11 @@ def _ids_as_list(t: pa.Table) -> pa.Table:
 
 
 def _skip_completed(batch: pa.Table, ts_col: str, done: frozenset) -> pa.Table:
-    """Partition elimination: drop rows whose (source, day) partition is in
-    ``done``.  Matches (source dictionary code, day index) pairs against the
-    few done pairs whose source occurs in the batch, never a per-row
-    string."""
-    d = batch["source"].combine_chunks().dictionary_encode()
-    code_of = {s: i for i, s in enumerate(d.dictionary.to_pylist())}
-    pairs = [(code_of[s], np.datetime64(day, "D").astype(np.int64))
-             for s, day in map(Manifest.parse_partition, done) if s in code_of]
+    """Partition elimination after a ``customize`` hook, which may rewrite
+    source or ts: drop the rows ``done_mask`` finds in a ``done``
+    partition."""
     ts_us = batch[ts_col].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-    key = d.indices.to_numpy(zero_copy_only=False).astype(np.int64) << np.int64(32)
-    key |= (ts_us // DAY_US) & np.int64(0xFFFFFFFF)
-    drop = np.array([(c << 32) | (day & 0xFFFFFFFF) for c, day in pairs], np.int64)
-    return batch.filter(pa.array(~np.isin(key, drop)))
+    return batch.filter(pa.array(~done_mask(batch["source"], ts_us, done)))
 
 
 def clean_group(g: pa.Table) -> pa.Table:
@@ -403,7 +396,7 @@ def _plan_units(input_paths, cfg: PipelineConfig, done_raw: frozenset) -> tuple[
     units whose span is unknown under the key None.  Skipping is an
     optimisation, never a filter: a row group whose span is unknown, or any
     row group when a ``customize`` hook may rewrite source or ts, is read,
-    and ``_skip_completed`` still drops done rows."""
+    and its map task still drops done rows (``_read_unit``)."""
     groups = parquet_row_groups(parquet_files(input_paths), ["source", "doc_id"])
     have: dict[str, set] = {}
     for s, day in map(Manifest.parse_partition, done_raw):
@@ -464,7 +457,10 @@ def _read_unit(unit: dict, cfg: PipelineConfig, done: dict, slots: dict, p: int,
     ids as bytes, then split the rows by reducer slot (``_row_slots``).
     Returns p tables, or the one table when p = 1.  CheckMonotonic runs per
     input file: the row group's first row is compared with the last
-    surviving (source, doc_id) before it in the file."""
+    surviving (source, doc_id) before it in the file.  Without a
+    ``customize`` hook the skip runs inside standardize, right after ts and
+    CheckMonotonic, so no later step touches a row of a done partition;
+    with one it runs after the hook, which may rewrite source or ts."""
     import pyarrow.parquet as pq
 
     from ..state.uri import StorageFS
@@ -478,11 +474,12 @@ def _read_unit(unit: dict, cfg: PipelineConfig, done: dict, slots: dict, p: int,
             if t.num_rows:
                 prev = (t["source"][-1].as_py(), t["doc_id"][-1].as_py())
                 break
-    b = standardize_batch(b, cfg.std, prev)
-    if cfg.hooks.get("customize") is not None:
-        b = cfg.hooks["customize"](b)
-    if done["raw"]:
-        b = _skip_completed(b, "ts", done["raw"])
+    hook = cfg.hooks.get("customize")
+    b = standardize_batch(b, cfg.std, prev, done["raw"] if hook is None else frozenset())
+    if hook is not None:
+        b = hook(b)
+        if done["raw"]:
+            b = _skip_completed(b, "ts", done["raw"])
     b = _ids_as_bytes(_add_day(b, "ts"))
     parts = _split_slots(b, _row_slots(b, "ts", slots, p), p)
     return parts if p > 1 else parts[0]
@@ -587,7 +584,9 @@ def _cascade(input_paths, cfg: PipelineConfig, names: tuple[str, ...],
                 for name, s in times:
                     task_s[name] += s
         except BaseException:  # stop the run's other tasks writing
-            for r in refs:
+            # only those still running: Ray 2.49 can abort the driver when
+            # asked to cancel a task that has just finished
+            for r in ray.wait(refs, num_returns=len(refs), timeout=0)[1]:
                 ray.cancel(r)
             raise
     wall = time.time() - t0

@@ -12,9 +12,11 @@ VLDB 2015, public paper) over Arrow columns:
   choice in the Gorilla format that keeps encoding fully vectorized; the
   decoder also understands the '1'+'0' reuse-window form.)
 
-The ENCODER is fully vectorized numpy (bit-matrix + packbits — no per-value
-Python); the decoder is a straightforward bit reader used for verification
-and selective reads.
+The ENCODER is vectorized numpy with no per-value or per-bit Python loop:
+each row's bits are built as one 128-bit big-endian word pair (prefix or
+header, then payload), expanded by one ``unpackbits``, cut to each row's
+length by one boolean mask and packed by one ``packbits``.  The decoder is
+a straightforward bit reader used for verification and selective reads.
 
 Pipeline integration: ``encode_group`` turns the rows of one (key, window)
 into one blob row, so a partition's running state (previous timestamp/value)
@@ -57,24 +59,19 @@ def ctz64(x: np.ndarray) -> np.ndarray:
     return np.where(x == 0, 64, _high_bit(low))
 
 
-def _bits_msb_first(vals: np.ndarray, width: int) -> np.ndarray:
-    """(n, width) bool matrix of the low `width` bits of vals, MSB first."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return ((vals[:, None].astype(np.uint64) >> shifts[None, :]) & np.uint64(1)).astype(bool)
-
-
-def _pack(bitmat: np.ndarray, lengths: np.ndarray) -> bytes:
-    """Concatenate the first lengths[i] bits of each row; pack to bytes."""
-    n = len(lengths)
-    if n == 0:
+def _pack_words(hi: np.ndarray, lo: np.ndarray, lengths: np.ndarray) -> bytes:
+    """Concatenate the first ``lengths[i]`` bits of each row's 128-bit
+    big-endian word pair ``(hi[i], lo[i])``; pack to bytes.  One
+    ``unpackbits`` over the rows' bytes, one boolean mask that keeps each
+    row's first bits in row order, one ``packbits``."""
+    if not len(lengths):
         return b""
-    total = int(lengths.sum())
-    rows = np.repeat(np.arange(n), lengths)
-    offs = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offs[1:])
-    within = np.arange(total) - np.repeat(offs[:-1], lengths)
-    flat = bitmat[rows, within]
-    return np.packbits(flat).tobytes()
+    words = np.empty((len(lengths), 2), ">u8")
+    words[:, 0], words[:, 1] = hi, lo
+    nbytes = (int(lengths.max()) + 7) // 8
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 16)[:, :nbytes], axis=1)
+    keep = np.arange(bits.shape[1]) < lengths[:, None]
+    return np.packbits(bits[keep]).tobytes()
 
 
 class _BitReader:
@@ -94,14 +91,6 @@ class _BitReader:
 # timestamps: delta-of-delta
 # --------------------------------------------------------------------------- #
 
-_TS_BUCKETS = (  # (payload bits, prefix bits as tuple)
-    (7, (1, 0)),
-    (9, (1, 1, 0)),
-    (12, (1, 1, 1, 0)),
-    (64, (1, 1, 1, 1)),
-)
-
-
 def encode_timestamps(ts: np.ndarray) -> bytes:
     """ts: int64 µs, sorted. Header: n:uint32, ts[0]:int64, delta0:int64."""
     ts = np.asarray(ts, dtype=np.int64)
@@ -117,29 +106,20 @@ def encode_timestamps(ts: np.ndarray) -> bytes:
     if n == 2:
         return head
     dod = np.diff(deltas)
-    m = len(dod)
     # bucket selection: the paper's buckets, symmetrized to two's-complement
     # payload ranges ([-64,63] etc.) so encode/decode are exact inverses
-    b7 = (dod >= -64) & (dod <= 63)
-    b9 = (dod >= -256) & (dod <= 255) & ~b7
-    b12 = (dod >= -2048) & (dod <= 2047) & ~b7 & ~b9
-    b64 = ~(b7 | b9 | b12)
-    zero = dod == 0
-
-    width = 4 + 64
-    bitmat = np.zeros((m, width), dtype=bool)
-    lengths = np.zeros(m, dtype=np.int64)
-
-    lengths[zero] = 1  # '0'
-    for payload, prefix in _TS_BUCKETS:
-        sel = {7: b7 & ~zero, 9: b9, 12: b12, 64: b64}[payload]
-        if not sel.any():
-            continue
-        p = len(prefix)
-        bitmat[sel, :p] = np.array(prefix, dtype=bool)
-        bitmat[np.ix_(sel, range(p, p + payload))] = _bits_msb_first(dod[sel], payload)
-        lengths[sel] = p + payload
-    return head + _pack(bitmat, lengths)
+    a = np.abs(dod + (dod < 0))  # |dod|, less 1 below zero
+    k = np.where(dod == 0, 0, 1 + np.searchsorted([64, 256, 2048], a, side="right"))
+    # per bucket ('0', 7, 9, 12, 64 bits): prefix bits, prefix, payload bits
+    p, pv, w = (np.array(c)[k] for c in ((1, 2, 3, 4, 4), (0, 0b10, 0b110, 0b1110, 0b1111),
+                                         (0, 7, 9, 12, 64)))
+    # the payload's low w bits left-aligned (dod is 0 where w is 0), then
+    # the row as prefix + payload in a 128-bit big-endian word pair
+    u = dod.view(np.uint64) << np.minimum(64 - w, 63).astype(np.uint64)
+    ps = p.astype(np.uint64)
+    hi = (pv.astype(np.uint64) << (np.uint64(64) - ps)) | (u >> ps)
+    lo = u << (np.uint64(64) - ps)
+    return head + _pack_words(hi, lo, p + w)
 
 
 def decode_timestamps(buf: bytes) -> np.ndarray:
@@ -192,36 +172,19 @@ def encode_values(vals: np.ndarray) -> bytes:
     if n == 1:
         return head
     xor = v[1:] ^ v[:-1]
-    m = len(xor)
     lz = np.minimum(clz64(xor), 63)
     tz = ctz64(xor)
     sig = np.where(xor == 0, 0, 64 - lz - tz)
 
-    width = 2 + 6 + 6 + 64
-    bitmat = np.zeros((m, width), dtype=bool)
-    lengths = np.ones(m, dtype=np.int64)  # '0' for zero xor
+    # each row: '0' for a zero xor, else '11' + lz (6 bits) + sig mod 64
+    # (6 bits; the decoder reads 0 as 64) + the sig bits from the highest
+    # set one, which ``xor << lz`` left-aligns; as a 128-bit word pair
     nz = xor != 0
-    if nz.any():
-        lengths[nz] = 2 + 6 + 6 + sig[nz]
-        bitmat[nz, 0] = True  # '1'
-        bitmat[nz, 1] = True  # '1' = explicit window
-        bitmat[np.ix_(nz, range(2, 8))] = _bits_msb_first(lz[nz], 6)
-        bitmat[np.ix_(nz, range(8, 14))] = _bits_msb_first(sig[nz], 6)
-        # significant bits: xor >> tz, sig bits wide.  sig varies per row, so
-        # write into a fixed 64-bit field left-aligned at column 14 and let
-        # lengths clip it: row bits 14..14+sig = MSB-first of (xor >> tz)
-        shifted = (xor[nz].astype(np.uint64)) >> tz[nz].astype(np.uint64)
-        # left-align: bit j of field = bit (sig-1-j) of shifted
-        sigs = sig[nz]
-        sub = np.zeros((int(nz.sum()), 64), dtype=bool)
-        for j in range(64):
-            sel = sigs > j
-            if not sel.any():
-                break
-            bitpos = (sigs[sel] - 1 - j).astype(np.uint64)
-            sub[sel, j] = ((shifted[sel] >> bitpos) & np.uint64(1)).astype(bool)
-        bitmat[np.ix_(nz, range(14, 78))] = sub
-    return head + _pack(bitmat, lengths)
+    hdr = np.where(nz, (0b11 << 12) | (lz << 6) | (sig & 63), 0).astype(np.uint64)
+    left = xor << lz.astype(np.uint64)
+    hi = (hdr << np.uint64(50)) | (left >> np.uint64(14))
+    lo = left << np.uint64(50)
+    return head + _pack_words(hi, lo, np.where(nz, 14 + sig, 1))
 
 
 def decode_values(buf: bytes) -> np.ndarray:

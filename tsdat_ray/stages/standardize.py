@@ -20,7 +20,9 @@ input row group, inside the task that reads it) that
   check_monotonic.py:74-99, evaluated per input file: each row against the
   row before it in the file when both share a source — a batch that does
   not start a file gets that row as ``prev``.  The deviation from the
-  reference's whole-slice view is documented in SURVEY.md §4.2).
+  reference's whole-slice view is documented in SURVEY.md §4.2),
+* and, given the (source, day) partitions a resume already holds, drops
+  their rows right after ``ts`` and CheckMonotonic, before any other step.
 
 Stateless: a plain function, not an actor, since there is no per-worker state
 to amortize.
@@ -43,6 +45,10 @@ from ..schema import (
     QC_BIT_MONOTONIC,
     QC_BIT_RANGE,
 )
+from ..state.manifest import Manifest
+
+
+_DAY_US = 86400 * 1_000_000
 
 
 @dataclass(frozen=True)
@@ -59,14 +65,19 @@ def list_column_sums(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, np.nd
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     arr: pa.ListArray = col  # type: ignore[assignment]
-    values = arr.values.to_numpy(zero_copy_only=False)
     offsets = arr.offsets.to_numpy().astype(np.int64)
-    # prefix-sum differences: correct for every segment INCLUDING empty
-    # lists (reduceat with clamped starts truncated the row before a
-    # trailing empty list — review r3 finding); accumulated in int64
-    # without an int64 copy of the values
-    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(values, dtype=np.int64)])
-    return np.diff(offsets), cs[offsets[1:]] - cs[offsets[:-1]]
+    lens = np.diff(offsets)
+    sums = np.zeros(len(lens), np.int64)
+    # one int64 reduceat over the NON-EMPTY lists of this array's child
+    # span: their starts strictly increase and the last one ends the span,
+    # so each segment is exactly its list (a reduceat over every start,
+    # empty lists' included, would cut the list before a trailing empty
+    # one short); no int64 copy or prefix sum of the values
+    ne = lens > 0
+    if ne.any():
+        values = arr.values.to_numpy(zero_copy_only=False)[offsets[0]:offsets[-1]]
+        sums[ne] = np.add.reduceat(values, offsets[:-1][ne] - offsets[0], dtype=np.int64)
+    return lens, sums
 
 
 def _means(lens: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -141,18 +152,62 @@ def doc_ts_us(doc_id, cfg: StandardizeConfig = StandardizeConfig()):
                   pa.scalar(cfg.epoch_us, type=pa.int64()))
 
 
+def done_mask(source: pa.ChunkedArray, ts_us: np.ndarray, done: frozenset) -> np.ndarray:
+    """Partition elimination: which rows fall in a (source, day) partition
+    that ``done`` names (``source=<s>/day=<d>``).  Matches (source
+    dictionary code, day index) pairs against the few done pairs whose
+    source occurs in the rows, never a per-row string."""
+    d = source.combine_chunks().dictionary_encode()
+    code_of = {s: i for i, s in enumerate(d.dictionary.to_pylist())}
+    drop = np.array([(code_of[s] << 32) | (np.datetime64(day, "D").astype(np.int64) & 0xFFFFFFFF)
+                     for s, day in map(Manifest.parse_partition, done) if s in code_of], np.int64)
+    key = d.indices.to_numpy(zero_copy_only=False).astype(np.int64) << np.int64(32)
+    key |= (ts_us // _DAY_US) & np.int64(0xFFFFFFFF)
+    return np.isin(key, drop)
+
+
+def _check_monotonic(src: pa.ChunkedArray, ts_np: np.ndarray, prev, cfg) -> np.ndarray:
+    """CheckMonotonic on ts per (source) run of the input file: each row
+    against the row before it, ``prev`` (``(source, doc_id)``) for the
+    first."""
+    n = len(ts_np)
+    ooo = np.zeros(n, dtype=bool)
+    if n > 1:
+        same_src = pc.fill_null(pc.equal(src.slice(1), src.slice(0, n - 1)), False)
+        ooo[1:] = (np.diff(ts_np) <= 0) & same_src.to_numpy(zero_copy_only=False)
+    if prev is not None and n:
+        prev_ts = doc_ts_us(pa.array([prev[1]], pa.string()), cfg)[0].as_py()
+        ooo[0] = src[0].as_py() == prev[0] and ts_np[0] <= prev_ts
+    return ooo
+
+
 def standardize_batch(batch: pa.Table, cfg: StandardizeConfig = StandardizeConfig(),
-                      prev: tuple[str, str] | None = None) -> pa.Table:
+                      prev: tuple[str, str] | None = None,
+                      done: frozenset = frozenset()) -> pa.Table:
     """``prev`` is the ``(source, doc_id)`` of the input row just before
     ``batch`` in its file (None when the batch starts the file); the first
-    row's CheckMonotonic compares against it."""
-    n = batch.num_rows
+    row's CheckMonotonic compares against it.
+
+    ``done`` names (source, day) partitions (``source=<s>/day=<d>``) whose
+    rows are dropped (``done_mask``) right after ``ts`` and CheckMonotonic,
+    the two steps that read each row's predecessor in the file; so a kept
+    row's ``qc_ts`` is the one a run that keeps every row gives it.  Every
+    later step reads only the row itself, and the token stats, the QC masks
+    and the table build run on the kept rows alone."""
     # --- derive ts from the per-source sequence index encoded in doc_id
     ts_us = doc_ts_us(batch["doc_id"], cfg)
+    ts_np = ts_us.to_numpy(zero_copy_only=False)
+    ooo = _check_monotonic(batch["source"], ts_np, prev, cfg)
+    if done:
+        keep = ~done_mask(batch["source"], ts_np, done)
+        if not keep.all():
+            mask = pa.array(keep)
+            batch, ts_us, ooo = batch.filter(mask), ts_us.filter(mask), ooo[keep]
+    n = batch.num_rows
     ts = pc.cast(ts_us, pa.timestamp("us"))
 
     # --- token stats (numpy over Arrow list buffers, no per-row Python):
-    #     one combined list array, one exact int prefix sum
+    #     one combined list array, one exact int64 reduceat
     tokens = batch["tokens"].combine_chunks()
     actual_len, tok_sum = list_column_sums(tokens)
     tok_mean = _means(actual_len, tok_sum)
@@ -173,20 +228,6 @@ def standardize_batch(batch: pa.Table, cfg: StandardizeConfig = StandardizeConfi
         mask=(missing | bad_range),
     )
 
-    # --- CheckMonotonic on ts per (source) run of the input file
-    ts_np = ts_us.to_numpy(zero_copy_only=False)
-    src = batch["source"]
-    same_src = np.ones(n, dtype=bool)
-    if n > 1:
-        same_src[1:] = pc.equal(src.slice(1), src.slice(0, n - 1)).to_numpy(
-            zero_copy_only=False
-        )
-    ooo = np.zeros(n, dtype=bool)
-    if n > 1:
-        ooo[1:] = (np.diff(ts_np) <= 0) & same_src[1:]
-    if prev is not None and n:
-        prev_ts = doc_ts_us(pa.array([prev[1]], pa.string()), cfg)[0].as_py()
-        ooo[0] = src[0].as_py() == prev[0] and ts_np[0] <= prev_ts
     qc_ts = (ooo * QC_BIT_MONOTONIC).astype(np.int32)
 
     qc_tok_mean = np.zeros(n, dtype=np.int32)

@@ -21,7 +21,11 @@ know lists directories: ``wipe_uncommitted``, ``commit_partitions``, the
 CLI's ``verify`` audit and ``compact_tier``'s crash recovery.
 
 Appends are atomic at the record level (single JSON line, O_APPEND write from
-the driver only — workers never touch the manifest)."""
+the driver only — workers never touch the manifest).  The log is
+append-only, so a reader parses each appended byte once per process:
+``records`` keeps the lines it parsed and, while the file still starts with
+them, parses only what was appended since (a run's graph plan and commits
+call ``latest`` dozens of times)."""
 
 from __future__ import annotations
 
@@ -33,6 +37,15 @@ from typing import Iterable
 
 #: a temp file of ``StorageFS._publish`` that its writer never renamed
 _LEFTOVER = re.compile(r"\..+\.tmp\d+")
+
+#: per log path: the complete lines ``Manifest.records`` last parsed, and
+#: their records; for the ``_PARSED_LOGS`` logs parsed last
+_PARSED: dict[str, tuple[bytes, list[dict]]] = {}
+_PARSED_LOGS = 16
+
+
+def _parse_lines(data: bytes) -> list[dict]:
+    return [json.loads(ln) for ln in data.splitlines() if ln.strip()]
 
 
 @dataclass
@@ -61,14 +74,27 @@ class Manifest:
         self.path = self.sfs.join("_manifest.jsonl")
 
     def records(self) -> list[dict]:
+        """Every record of the log, in append order.  The log only grows, so
+        the process keeps, per log path, the complete lines it last parsed
+        and their records, and parses only what follows them when the file
+        still starts with those bytes; any other content (a shrunk or
+        rewritten log) is parsed whole, and a missing log reads as ``[]``.
+        The records are shared between calls: read them, do not mutate."""
         if not self.sfs.exists(self.path):
+            _PARSED.pop(self.path, None)
             return []
-        out = []
-        for line in self.sfs.read_text(self.path).splitlines():
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-        return out
+        data = self.sfs.read_bytes(self.path)
+        seen, recs = _PARSED.get(self.path, (b"", []))
+        if not data.startswith(seen):
+            seen, recs = b"", []
+        cut = data.rfind(b"\n") + 1  # a torn last line is parsed, never kept
+        if cut > len(seen):
+            recs = recs + _parse_lines(data[len(seen):cut])
+            _PARSED.pop(self.path, None)
+            _PARSED[self.path] = (data[:cut], recs)
+            if len(_PARSED) > _PARSED_LOGS:  # forget the least recently parsed log
+                del _PARSED[next(iter(_PARSED))]
+        return recs + _parse_lines(data[cut:])
 
     def latest(self, tier: str) -> dict[str, dict]:
         """``{partition: its latest record}`` of every committed partition of
